@@ -6,7 +6,6 @@ from .fairness import (
     decay_postprocess,
     delta,
     delta_hat,
-    delta_hat_empirical,
     regularizer_term,
     within_group_pairs,
 )

@@ -50,12 +50,6 @@ class FairnessAssessment:
         vals = [g.delta_hat for g in self.active() if g.delta_hat is not None]
         return float(np.mean(vals)) if vals else float("nan")
 
-    def csv_rows(self):
-        """Rows of (group_id, delta, delta_hat, disparity, n_t1, n_t2, skipped)."""
-        for g in self.groups:
-            yield (g.group_id, g.delta, g.delta_hat, g.disparity, g.n_t1,
-                   g.n_t2, int(g.skipped))
-
 
 def within_group_pairs(group_of) -> np.ndarray:
     """All unordered same-group pairs (i < j); self-pairs excluded."""
@@ -292,13 +286,6 @@ def delta_hat(
         )
     return FairnessAssessment(groups=tuple(groups), mode="closed_form",
                               scope="all_pairs")
-
-
-def delta_hat_empirical(pairs, fitted_scores, group_of, t_labels) -> FairnessAssessment:
-    """Estimate the gap by pushing fitted theoretic scores through the same
-    post-sigmoid sampled-pair gap used for trained scores."""
-    return delta(pairs, fitted_scores, group_of, t_labels,
-                 mode="post_sigmoid", scope="sampled_pairs")
 
 
 def decay_postprocess(scores, pairs, wg_degrees, alpha: float):

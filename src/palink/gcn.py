@@ -79,11 +79,13 @@ def _check_compat(model: Model, nm: NormalizedMatrix, features: np.ndarray):
         raise ValueError("feature rows must match operator size")
 
 
-def _forward_cached(model: Model, nm: NormalizedMatrix, features, px=None):
+def _forward_cached(model: Model, nm: NormalizedMatrix, features, px=None,
+                    linear: bool = False):
     """Forward pass keeping propagated inputs and pre-activations.
 
     ``px`` optionally supplies a precomputed P @ features for the first
-    layer (it is constant across epochs).
+    layer (it is constant across epochs); ``linear=True`` forces identity
+    activations at every layer.
     """
     features = np.asarray(features, dtype=np.float64)
     _check_compat(model, nm, features)
@@ -96,22 +98,14 @@ def _forward_cached(model: Model, nm: NormalizedMatrix, features, px=None):
         z = m @ w.T
         propagated.append(m)
         pre.append(z)
-        h = z if l == L - 1 else np.maximum(z, 0.0)
+        h = z if linear or l == L - 1 else np.maximum(z, 0.0)
     return h, propagated, pre
 
 
 def forward(model: Model, nm: NormalizedMatrix, features, linear: bool = False):
     """Final node representations; ``linear=True`` forces identity
     activations at every layer."""
-    features = np.asarray(features, dtype=np.float64)
-    _check_compat(model, nm, features)
-    h = features
-    L = model.n_layers
-    for l, w in enumerate(model.weights):
-        h = (nm.matrix @ h) @ w.T
-        if not linear and l < L - 1:
-            h = np.maximum(h, 0.0)
-    return h
+    return _forward_cached(model, nm, features, linear=linear)[0]
 
 
 def score_pairs(representations: np.ndarray, pairs) -> np.ndarray:

@@ -14,18 +14,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fairness import delta, delta_hat, delta_hat_empirical
+from .fairness import delta, delta_hat
 from .gcn import forward, score_pairs
 from .graphdata import Dataset, load_dataset, normalize_features
 from .metrics import nrmse, pcc, roc_auc
 from .theory import alpha_vectors, build_theory_report
-from .training import (
-    TrainConfig,
-    save_checkpoint,
-    split_links,
-    train,
-    write_history,
-)
+from .training import TrainConfig, save_checkpoint, split_links, train
 
 FILTER_ABBREV = {"symmetric": "sym", "random_walk": "rw"}
 FILTER_ALIASES = {
@@ -163,6 +157,21 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+def _write_csv(path: str, header, rows) -> None:
+    """Comma-separated file: ints bare, floats by ``repr`` (full
+    precision), ``None`` as an empty cell, anything else as ``str``."""
+    lines = [",".join(header)]
+    lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def _mean_std(values) -> tuple[float, float]:
     arr = np.asarray(values, dtype=np.float64)
     mean = float(arr.mean()) if arr.size else float("nan")
@@ -224,18 +233,52 @@ def _same_group_auc(run: SeedRun) -> float:
     return roc_auc(run.test_scores[run.same_group], labels).value
 
 
+def _open_run(config: RunConfig,
+              needs_subgroups: str = "") -> tuple[Dataset, str]:
+    """Load the dataset and create the run directory.  A non-empty
+    ``needs_subgroups`` names the pipeline that requires subgroup labels."""
+    dataset = prepare_dataset(config)
+    if needs_subgroups and dataset.t_labels is None:
+        raise ValueError(f"{needs_subgroups} requires subgroup labels")
+    out_dir = config.run_dir()
+    os.makedirs(out_dir, exist_ok=True)
+    return dataset, out_dir
+
+
+def _finish(config: RunConfig, out_dir: str, pipeline: str, fields: dict,
+            csvs: dict, files: dict | None = None) -> dict:
+    """Write report.json (common header plus ``fields``) and each CSV of
+    ``csvs`` (role -> (file name, header, rows)); return the payload with
+    the written ``paths``, which also list the already written ``files``."""
+    payload = {
+        "pipeline": pipeline,
+        "dataset": config.name,
+        "filter": config.filter_kind,
+        "config_hash": config.config_hash,
+        "config": config.to_dict(),
+        **fields,
+    }
+    paths = {"report": os.path.join(out_dir, "report.json")}
+    _write_json(paths["report"], payload)
+    for role, (name, header, rows) in csvs.items():
+        paths[role] = os.path.join(out_dir, name)
+        _write_csv(paths[role], header, rows)
+    paths.update(files or {})
+    paths["run_dir"] = out_dir
+    payload["paths"] = paths
+    return payload
+
+
 def run_validate_theory(config: RunConfig) -> dict:
     """Train per seed (no penalty), fit per-group slopes on same-group test
     pairs, and report NRMSE/PCC of fitted theoretic scores plus test AUC.
 
     Writes report.json and pairs.csv; returns the report dict with paths.
     """
-    dataset = prepare_dataset(config)
-    out_dir = config.run_dir()
-    os.makedirs(out_dir, exist_ok=True)
+    dataset, out_dir = _open_run(config)
 
     per_seed = []
-    csv_lines = ["seed,group,tau_raw,tau_fitted,gcn_score"]
+    csv_rows = []
     for seed in config.seeds:
         run = run_seed(dataset, config, seed, lambda_fair=0.0)
         view = run.result.train_view
@@ -250,11 +293,11 @@ def run_validate_theory(config: RunConfig) -> dict:
                 "theory comparison has no support"
             )
         rows = report.rows
-        for g, tr, tf, sc in zip(rows["group"], rows["tau_raw"],
-                                 rows["tau_fitted"], rows["gcn_score"]):
-            csv_lines.append(
-                f"{seed},{int(g)},{float(tr)!r},{float(tf)!r},{float(sc)!r}"
-            )
+        csv_rows.extend(
+            (seed, g, tr, tf, sc)
+            for g, tr, tf, sc in zip(rows["group"], rows["tau_raw"],
+                                     rows["tau_fitted"], rows["gcn_score"])
+        )
         entry = report.to_json_dict()
         entry.update({
             "seed": seed,
@@ -268,12 +311,7 @@ def run_validate_theory(config: RunConfig) -> dict:
     nrmse_m, nrmse_s = _mean_std([e["nrmse"] for e in per_seed])
     pcc_m, pcc_s = _mean_std([e["pcc"] for e in per_seed])
     auc_m, auc_s = _mean_std([e["test_auc"] for e in per_seed])
-    payload = {
-        "pipeline": "validate_theory",
-        "dataset": config.name,
-        "filter": config.filter_kind,
-        "config_hash": config.config_hash,
-        "config": config.to_dict(),
+    fields = {
         "per_seed": per_seed,
         "aggregate": {
             "nrmse_mean": nrmse_m, "nrmse_std": nrmse_s,
@@ -281,14 +319,9 @@ def run_validate_theory(config: RunConfig) -> dict:
             "test_auc_mean": auc_m, "test_auc_std": auc_s,
         },
     }
-    report_path = os.path.join(out_dir, "report.json")
-    pairs_path = os.path.join(out_dir, "pairs.csv")
-    _write_json(report_path, payload)
-    with open(pairs_path, "w") as fh:
-        fh.write("\n".join(csv_lines) + "\n")
-    payload["paths"] = {"report": report_path, "pairs": pairs_path,
-                        "run_dir": out_dir}
-    return payload
+    header = ("seed", "group", "tau_raw", "tau_fitted", "gcn_score")
+    return _finish(config, out_dir, "validate_theory", fields,
+                   {"pairs": ("pairs.csv", header, csv_rows)})
 
 
 def run_fairness_sweep(config: RunConfig, lambdas=None) -> dict:
@@ -298,12 +331,10 @@ def run_fairness_sweep(config: RunConfig, lambdas=None) -> dict:
     Rows are sorted by lambda descending.  Writes report.json and
     fairness_table.csv.
     """
-    dataset = prepare_dataset(config)
-    if dataset.t_labels is None:
-        raise ValueError("fairness sweep requires subgroup labels")
-    lambdas = tuple(config.lambda_fair if lambdas is None else lambdas)
-    out_dir = config.run_dir()
-    os.makedirs(out_dir, exist_ok=True)
+    dataset, out_dir = _open_run(config, needs_subgroups="fairness sweep")
+    lambdas = tuple(float(lam) for lam in (
+        config.lambda_fair if lambdas is None else lambdas
+    ))
 
     table_rows = []
     detail = []
@@ -340,41 +371,19 @@ def run_fairness_sweep(config: RunConfig, lambdas=None) -> dict:
             "auc_mean": a_mean, "auc_std": a_std,
         })
 
-    payload = {
-        "pipeline": "fairness_sweep",
-        "dataset": config.name,
-        "filter": config.filter_kind,
-        "config_hash": config.config_hash,
-        "config": config.to_dict(),
-        "table": table_rows,
-        "runs": detail,
-    }
-    report_path = os.path.join(out_dir, "report.json")
-    table_path = os.path.join(out_dir, "fairness_table.csv")
-    _write_json(report_path, payload)
-    lines = ["dataset,lambda_fair,delta_mean,delta_std,auc_mean,auc_std"]
-    for row in table_rows:
-        lines.append(
-            f"{row['dataset']},{float(row['lambda_fair'])!r},"
-            f"{float(row['delta_mean'])!r},{float(row['delta_std'])!r},"
-            f"{float(row['auc_mean'])!r},{float(row['auc_std'])!r}"
-        )
-    with open(table_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    payload["paths"] = {"report": report_path, "table": table_path,
-                        "run_dir": out_dir}
-    return payload
+    header = ("dataset", "lambda_fair", "delta_mean", "delta_std",
+              "auc_mean", "auc_std")
+    rows = [[row[key] for key in header] for row in table_rows]
+    return _finish(config, out_dir, "fairness_sweep",
+                   {"table": table_rows, "runs": detail},
+                   {"table": ("fairness_table.csv", header, rows)})
 
 
 def run_delta_comparison(config: RunConfig) -> dict:
     """Per seed and refined group, the trained-score gap versus the
     theoretic estimate (fitted scores pushed through the same post-sigmoid
     gap), plus the closed form; reports PCC/NRMSE of estimate vs gap."""
-    dataset = prepare_dataset(config)
-    if dataset.t_labels is None:
-        raise ValueError("gap comparison requires subgroup labels")
-    out_dir = config.run_dir()
-    os.makedirs(out_dir, exist_ok=True)
+    dataset, out_dir = _open_run(config, needs_subgroups="gap comparison")
 
     scatter = []
     for seed in config.seeds:
@@ -391,8 +400,9 @@ def run_delta_comparison(config: RunConfig) -> dict:
                                      config.filter_kind)
         rows = report.rows
         fitted_pairs = np.stack([rows["i"], rows["j"]], axis=1)
-        est = delta_hat_empirical(fitted_pairs, rows["tau_fitted"],
-                                  view.group_of, dataset.t_labels)
+        est = delta(fitted_pairs, rows["tau_fitted"], view.group_of,
+                    dataset.t_labels, mode="post_sigmoid",
+                    scope="sampled_pairs")
         closed = delta_hat(view, report.rho2, report.c1, dataset.t_labels,
                            config.filter_kind)
 
@@ -423,58 +433,31 @@ def run_delta_comparison(config: RunConfig) -> dict:
     else:
         corr_v = err_v = float("nan")
 
-    payload = {
-        "pipeline": "delta_comparison",
-        "dataset": config.name,
-        "filter": config.filter_kind,
-        "config_hash": config.config_hash,
-        "config": config.to_dict(),
+    fields = {
         "n_points": int(deltas.size),
         "pcc": corr_v,
         "nrmse": err_v,
         "points": scatter,
     }
-    report_path = os.path.join(out_dir, "report.json")
-    scatter_path = os.path.join(out_dir, "pairs.csv")
-    _write_json(report_path, payload)
-    lines = ["seed,group,delta,delta_hat,delta_hat_closed_form,disparity"]
-    for r in scatter:
-        closed_v = r["delta_hat_closed_form"]
-        disp = r["disparity"]
-        lines.append(
-            f"{r['seed']},{int(r['group'])},{float(r['delta'])!r},"
-            f"{float(r['delta_hat'])!r},"
-            f"{'' if closed_v is None else repr(float(closed_v))},"
-            f"{'' if disp is None else repr(float(disp))}"
-        )
-    with open(scatter_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    payload["paths"] = {"report": report_path, "scatter": scatter_path,
-                        "run_dir": out_dir}
-    return payload
+    header = ("seed", "group", "delta", "delta_hat", "delta_hat_closed_form",
+              "disparity")
+    rows = [[r[key] for key in header] for r in scatter]
+    return _finish(config, out_dir, "delta_comparison", fields,
+                   {"scatter": ("pairs.csv", header, rows)})
 
 
 def run_train(config: RunConfig) -> dict:
     """Train a single model (first seed, first lambda) and write the
     checkpoint, history CSV, and a summary report."""
-    dataset = prepare_dataset(config)
+    dataset, out_dir = _open_run(config)
     seed = config.seeds[0]
     lam = config.lambda_fair[0] if config.lambda_fair else 0.0
-    out_dir = config.run_dir()
-    os.makedirs(out_dir, exist_ok=True)
 
     run = run_seed(dataset, config, seed, lambda_fair=lam)
     ckpt_path = os.path.join(out_dir, "checkpoint.npz")
-    hist_path = os.path.join(out_dir, "history.csv")
     save_checkpoint(ckpt_path, run.result.model, seed, config.to_dict())
-    write_history(hist_path, run.result.history)
 
-    payload = {
-        "pipeline": "train",
-        "dataset": config.name,
-        "filter": config.filter_kind,
-        "config_hash": config.config_hash,
-        "config": config.to_dict(),
+    fields = {
         "seed": seed,
         "lambda_fair": lam,
         "best_epoch": run.result.best_epoch,
@@ -482,8 +465,7 @@ def run_train(config: RunConfig) -> dict:
         "test_auc": run.test_auc,
         "test_auc_same_group": _same_group_auc(run),
     }
-    report_path = os.path.join(out_dir, "report.json")
-    _write_json(report_path, payload)
-    payload["paths"] = {"report": report_path, "checkpoint": ckpt_path,
-                        "history": hist_path, "run_dir": out_dir}
-    return payload
+    header = ("epoch", "train_loss", "reg_term", "val_auc")
+    return _finish(config, out_dir, "train", fields,
+                   {"history": ("history.csv", header, run.result.history)},
+                   files={"checkpoint": ckpt_path})

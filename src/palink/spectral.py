@@ -15,6 +15,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .graphdata import Dataset, WithinGroupView
+from .metrics import max_degree_ratio
 
 DENSE_EIG_LIMIT = 4096
 DENSE_SVD_LIMIT = 4096
@@ -40,31 +41,6 @@ class NormalizedMatrix:
     zero_degree: np.ndarray
 
 
-def _adjacency(n: int, edges: np.ndarray, w: float) -> sp.csr_matrix:
-    if edges.size:
-        u, v = edges[:, 0], edges[:, 1]
-        rows = np.concatenate([u, v])
-        cols = np.concatenate([v, u])
-        data = np.ones(rows.size, dtype=np.float64)
-        adj = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-    else:
-        adj = sp.csr_matrix((n, n), dtype=np.float64)
-    if w != 0.0:
-        adj = adj + w * sp.identity(n, format="csr")
-    return adj
-
-
-def _scale(adj: sp.csr_matrix, degrees: np.ndarray, kind: str) -> sp.csr_matrix:
-    with np.errstate(divide="ignore"):
-        if kind == "symmetric":
-            inv_sqrt = np.where(degrees > 0, 1.0 / np.sqrt(degrees), 0.0)
-            mat = sp.diags(inv_sqrt) @ adj @ sp.diags(inv_sqrt)
-        else:
-            inv = np.where(degrees > 0, 1.0 / degrees, 0.0)
-            mat = sp.diags(inv) @ adj
-    return mat.tocsr()
-
-
 def normalized_matrix(source: Dataset | WithinGroupView, kind: str) -> NormalizedMatrix:
     """Build the normalized operator of a dataset's graph or of a
     within-group view's subgraph.
@@ -72,31 +48,13 @@ def normalized_matrix(source: Dataset | WithinGroupView, kind: str) -> Normalize
     Degrees include the self-loop weight; zero-degree rows stay zero and
     are flagged.
     """
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     if isinstance(source, Dataset):
-        n = source.n
         edges = source.edges
-        counts = np.bincount(edges.ravel(), minlength=n).astype(np.float64)
-        degrees = counts + source.self_loop_weight
-        w = source.self_loop_weight
     elif isinstance(source, WithinGroupView):
-        n = source.n
         edges = source.wg_edges
-        degrees = source.wg_degrees.astype(np.float64)
-        w = source.self_loop_weight
     else:
         raise TypeError(f"unsupported source type: {type(source).__name__}")
-
-    adj = _adjacency(n, edges, w)
-    mat = _scale(adj, degrees, kind)
-    return NormalizedMatrix(
-        kind=kind,
-        n=n,
-        matrix=mat,
-        degrees=degrees,
-        zero_degree=degrees == 0.0,
-    )
+    return matrix_from_edges(source.n, edges, source.self_loop_weight, kind)
 
 
 def matrix_from_edges(
@@ -108,10 +66,26 @@ def matrix_from_edges(
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     counts = np.bincount(edges.ravel(), minlength=n).astype(np.float64)
     degrees = counts + self_loop_weight
-    adj = _adjacency(n, edges, self_loop_weight)
-    mat = _scale(adj, degrees, kind)
+    if edges.size:
+        u, v = edges[:, 0], edges[:, 1]
+        rows = np.concatenate([u, v])
+        cols = np.concatenate([v, u])
+        data = np.ones(rows.size, dtype=np.float64)
+        adj = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    else:
+        adj = sp.csr_matrix((n, n), dtype=np.float64)
+    if self_loop_weight != 0.0:
+        adj = adj + self_loop_weight * sp.identity(n, format="csr")
+    with np.errstate(divide="ignore"):
+        if kind == "symmetric":
+            inv_sqrt = np.where(degrees > 0, 1.0 / np.sqrt(degrees), 0.0)
+            mat = sp.diags(inv_sqrt) @ adj @ sp.diags(inv_sqrt)
+        else:
+            inv = np.where(degrees > 0, 1.0 / degrees, 0.0)
+            mat = sp.diags(inv) @ adj
     return NormalizedMatrix(
-        kind=kind, n=n, matrix=mat, degrees=degrees, zero_degree=degrees == 0.0
+        kind=kind, n=n, matrix=mat.tocsr(), degrees=degrees,
+        zero_degree=degrees == 0.0,
     )
 
 
@@ -140,19 +114,17 @@ class SpectralSummary:
         return np.array([g.degenerate for g in self.groups])
 
 
-def _sym_block(view: WithinGroupView, nodes: np.ndarray) -> sp.csr_matrix:
+def _sym_block(view: WithinGroupView, gid: int, nodes: np.ndarray) -> sp.csr_matrix:
+    # A refined group is a connected component of the within-group graph,
+    # so its edges are those whose first endpoint lies in it, and their
+    # degrees are its nodes' within-group degrees.
     pos = -np.ones(view.n, dtype=np.int64)
     pos[nodes] = np.arange(nodes.size)
     edges = view.wg_edges
-    if edges.size:
-        mask = np.isin(edges[:, 0], nodes)
-        sub = edges[mask]
-    else:
-        sub = edges
-    k = nodes.size
-    adj = _adjacency(k, pos[sub] if sub.size else sub, view.self_loop_weight)
-    deg = view.wg_degrees[nodes]
-    return _scale(adj, deg, "symmetric")
+    sub = edges[view.group_of[edges[:, 0]] == gid]
+    return matrix_from_edges(
+        nodes.size, pos[sub], view.self_loop_weight, "symmetric"
+    ).matrix
 
 
 def block_spectrum(
@@ -172,7 +144,7 @@ def block_spectrum(
     for gid, nodes in enumerate(view.groups):
         k = nodes.size
         vol = float(view.volumes[gid])
-        block = _sym_block(view, nodes)
+        block = _sym_block(view, gid, nodes)
         degenerate = vol == 0.0
         if k <= DENSE_EIG_LIMIT:
             dense = block.toarray()
@@ -296,12 +268,7 @@ def residual_and_bounds(
     degenerate = summary.degenerate
 
     if full.kind == "random_walk":
-        pos = view.wg_degrees[view.wg_degrees > 0]
-        if pos.size == 0:
-            raise ValueError(
-                "all within-group degrees are zero: degree ratio undefined"
-            )
-        ratio = float(math.sqrt(pos.max() / pos.min()))
+        ratio = max_degree_ratio(view.wg_degrees).value
         zeta = ratio * gaps**L + cross
     else:
         ratio = None

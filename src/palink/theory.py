@@ -182,16 +182,6 @@ class TheoryReport:
             "skipped_groups": [int(g) for g in np.flatnonzero(self.skipped)],
         }
 
-    def write_csv(self, path: str) -> None:
-        """Per-pair CSV: group, tau_raw, tau_fitted, gcn_score."""
-        rows = self.rows
-        lines = ["group,tau_raw,tau_fitted,gcn_score"]
-        for g, tr, tf, sc in zip(rows["group"], rows["tau_raw"],
-                                 rows["tau_fitted"], rows["gcn_score"]):
-            lines.append(f"{int(g)},{float(tr)!r},{float(tf)!r},{float(sc)!r}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
 
 def build_theory_report(
     view: WithinGroupView, alpha_set: AlphaSet, pairs, gcn_scores,

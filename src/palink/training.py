@@ -253,12 +253,3 @@ def load_checkpoint(path: str):
         }
         model = Model(str(data["filter_kind"]), weights)
     return model, meta
-
-
-def write_history(path: str, history) -> None:
-    """History CSV: epoch, train_loss, reg_term, val_auc."""
-    lines = ["epoch,train_loss,reg_term,val_auc"]
-    for epoch, loss, reg, auc in history:
-        lines.append(f"{epoch},{loss!r},{reg!r},{auc!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

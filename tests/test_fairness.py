@@ -12,7 +12,6 @@ from palink.fairness import (
     decay_postprocess,
     delta,
     delta_hat,
-    delta_hat_empirical,
     regularizer_term,
     sampled_delta_terms,
     within_group_pairs,
@@ -313,24 +312,6 @@ class TestDeltaHat:
         b = delta_hat(view, ones, ones, 1 - toy_cs.t_labels, "symmetric")
         assert a.groups[0].delta_hat == pytest.approx(b.groups[0].delta_hat)
         assert a.groups[0].disparity == pytest.approx(-b.groups[0].disparity)
-
-    def test_empirical_mode_is_delta_on_fitted_scores(self):
-        rng = np.random.default_rng(28)
-        inst = random_delta_instance(rng)
-        pairs, scores, group_of, t_labels = inst
-        via_alias = delta_hat_empirical(pairs, scores, group_of, t_labels)
-        direct = delta(pairs, scores, group_of, t_labels,
-                       mode="post_sigmoid", scope="sampled_pairs")
-        for a, b in zip(via_alias.groups, direct.groups):
-            assert a == b
-
-    def test_csv_rows_shape(self, toy_cs):
-        view = within_group_structure(toy_cs)
-        out = delta_hat(view, np.ones(2), np.ones(2), toy_cs.t_labels,
-                        "symmetric")
-        rows = list(out.csv_rows())
-        assert len(rows) == 2
-        assert len(rows[0]) == 7
 
 
 class TestDecayPostprocess:

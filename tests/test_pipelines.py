@@ -13,6 +13,7 @@ from palink.fairness import delta
 from palink.metrics import nrmse, pcc
 from palink.pipelines import (
     RunConfig,
+    _write_csv,
     config_from_dict,
     hidden_dims_for_layers,
     prepare_dataset,
@@ -34,6 +35,13 @@ def tiny_bed(tmp_path_factory):
                       feature_dim=4, seed=0)
     paths = synth_generate(cfg, str(root / "data"))
     return root, paths
+
+
+def csv_cell(value) -> str:
+    """How a report.json value must appear in a CSV cell."""
+    if value is None:
+        return ""
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def base_config(tiny_bed, **kw):
@@ -127,6 +135,13 @@ class TestConfigParsing:
         assert leaf == f"x_rw_{cfg.config_hash}"
 
 
+def test_csv_cell_format(tmp_path):
+    path = tmp_path / "t.csv"
+    _write_csv(str(path), ("a", "b", "c", "d"),
+               [(1, 0.1, None, "x"), (np.int64(2), np.float64(1 / 3), 2.0, "")])
+    assert path.read_text() == "a,b,c,d\n1,0.1,,x\n2,0.3333333333333333,2.0,\n"
+
+
 class TestValidateTheory:
     def test_payload_and_files(self, tiny_bed):
         cfg = base_config(tiny_bed)
@@ -197,10 +212,10 @@ class TestFairnessSweep:
         assert lines[0] == \
             "dataset,lambda_fair,delta_mean,delta_std,auc_mean,auc_std"
         assert len(lines) == 1 + len(table)
-        cells = lines[1].split(",")
-        assert cells[0] == "tiny"
-        assert float(cells[1]) == table[0]["lambda_fair"]
-        assert float(cells[2]) == table[0]["delta_mean"]
+        header = lines[0].split(",")
+        report = json.load(open(payload["paths"]["report"]))
+        for line, row in zip(lines[1:], report["table"]):
+            assert line.split(",") == [csv_cell(row[k]) for k in header]
 
     def test_unpenalized_row_matches_direct_runs(self, tiny_bed):
         cfg = base_config(tiny_bed, seeds=[0, 1], lambda_fair=[0.0])
@@ -249,6 +264,10 @@ class TestDeltaComparison:
         assert lines[0] == \
             "seed,group,delta,delta_hat,delta_hat_closed_form,disparity"
         assert len(lines) == 1 + payload["n_points"]
+        header = lines[0].split(",")
+        report = json.load(open(payload["paths"]["report"]))
+        for line, point in zip(lines[1:], report["points"]):
+            assert line.split(",") == [csv_cell(point[k]) for k in header]
 
 
 class TestRunTrain:
@@ -270,6 +289,13 @@ class TestRunTrain:
         assert len(lines) == 1 + cfg.epochs
         regs = [float(line.split(",")[2]) for line in lines[1:]]
         assert all(r >= 0.0 for r in regs)
+        # repr round-trip keeps full float precision
+        run = run_seed(prepare_dataset(cfg), cfg, 1, lambda_fair=1.0)
+        for line, (epoch, loss, reg, auc) in zip(lines[1:],
+                                                 run.result.history):
+            cells = line.split(",")
+            assert int(cells[0]) == epoch
+            assert [float(c) for c in cells[1:]] == [loss, reg, auc]
 
 
 class TestCli:

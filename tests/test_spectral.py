@@ -216,7 +216,7 @@ class TestBounds:
         full = normalized_matrix(ds, "random_walk")
         within = normalized_matrix(view, "random_walk")
         summary = block_spectrum(view, "random_walk")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="positive degree"):
             residual_and_bounds(full, within, summary, L=1, view=view)
 
     def test_kind_mismatch_and_bad_L(self, k3):

@@ -15,7 +15,6 @@ from palink.training import (
     save_checkpoint,
     split_links,
     train,
-    write_history,
 )
 
 from conftest import random_planted_dataset
@@ -280,20 +279,3 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_checkpoint(path)
 
-
-class TestHistoryFile:
-    def test_format(self, tmp_path):
-        path = str(tmp_path / "history.csv")
-        history = [(1, 0.6931471805599453, 0.0, 0.5),
-                   (2, 0.25, 0.125, 0.9875)]
-        write_history(path, history)
-        lines = open(path).read().splitlines()
-        assert lines[0] == "epoch,train_loss,reg_term,val_auc"
-        assert len(lines) == 3
-        for line, row in zip(lines[1:], history):
-            cells = line.split(",")
-            assert int(cells[0]) == row[0]
-            # repr round-trip keeps full float precision
-            assert float(cells[1]) == row[1]
-            assert float(cells[2]) == row[2]
-            assert float(cells[3]) == row[3]

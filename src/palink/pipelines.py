@@ -158,14 +158,15 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _csv_cell(value) -> str:
-    if value is None:
+    if value is None or (isinstance(value, float) and math.isnan(value)):
         return ""
     return repr(float(value)) if isinstance(value, float) else str(value)
 
 
 def _write_csv(path: str, header, rows) -> None:
     """Comma-separated file: ints bare, floats by ``repr`` (full
-    precision), ``None`` as an empty cell, anything else as ``str``."""
+    precision), ``None`` and NaN as an empty cell (``null`` in
+    report.json), anything else as ``str``."""
     lines = [",".join(header)]
     lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
     with open(path, "w") as fh:
@@ -324,7 +325,7 @@ def run_validate_theory(config: RunConfig) -> dict:
                    {"pairs": ("pairs.csv", header, csv_rows)})
 
 
-def run_fairness_sweep(config: RunConfig, lambdas=None) -> dict:
+def run_fairness_sweep(config: RunConfig) -> dict:
     """Per penalty weight, train over the seed set and tabulate the mean
     subgroup gap (post-sigmoid, same-group test pairs) and test AUC.
 
@@ -332,9 +333,7 @@ def run_fairness_sweep(config: RunConfig, lambdas=None) -> dict:
     fairness_table.csv.
     """
     dataset, out_dir = _open_run(config, needs_subgroups="fairness sweep")
-    lambdas = tuple(float(lam) for lam in (
-        config.lambda_fair if lambdas is None else lambdas
-    ))
+    lambdas = tuple(float(lam) for lam in config.lambda_fair)
 
     table_rows = []
     detail = []

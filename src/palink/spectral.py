@@ -18,10 +18,7 @@ from .graphdata import Dataset, WithinGroupView
 from .metrics import max_degree_ratio
 
 DENSE_EIG_LIMIT = 4096
-DENSE_SVD_LIMIT = 4096
 DENSE_POWER_LIMIT = 5000
-POWER_ITER_TOL = 1e-8
-POWER_ITER_CAP = 10000
 
 KINDS = ("symmetric", "random_walk")
 
@@ -127,6 +124,12 @@ def _sym_block(view: WithinGroupView, gid: int, nodes: np.ndarray) -> sp.csr_mat
     ).matrix
 
 
+def _start_vector(n: int) -> np.ndarray:
+    # ARPACK draws a fresh random start vector on every call unless given
+    # one, so identical calls would differ in their last bits.
+    return np.random.default_rng(0).standard_normal(n)
+
+
 def block_spectrum(
     view: WithinGroupView, kind: str = "symmetric", compute_vectors: bool = False
 ):
@@ -157,8 +160,9 @@ def block_spectrum(
             ev = ev[::-1]
             method = "dense"
         else:
-            top = spla.eigsh(block, k=2, which="LA", return_eigenvectors=False)
-            bot = spla.eigsh(block, k=1, which="SA", return_eigenvectors=False)
+            opts = dict(v0=_start_vector(k), return_eigenvectors=False)
+            top = spla.eigsh(block, k=2, which="LA", **opts)
+            bot = spla.eigsh(block, k=1, which="SA", **opts)
             ev = np.array([top.max(), top.min(), bot.min()])
             vectors.append(None)
             method = "iterative"
@@ -184,35 +188,27 @@ def block_spectrum(
 
 
 def operator_norm(mat) -> float:
-    """Spectral norm (largest singular value).
+    """Spectral norm (largest singular value) of a sparse or dense matrix.
 
-    Dense SVD up to ``DENSE_SVD_LIMIT``; above that, power iteration on
-    M^T M with tolerance 1e-8 and a 10000-iteration cap.
+    Lanczos (ARPACK ``eigsh``) for the largest eigenvalue of the Gram
+    operator M^T M, to machine precision at every size; the norm is its
+    square root.  An all-zero matrix has norm 0 and a single row or column
+    its vector 2-norm, the two inputs ARPACK cannot take.
     """
-    if sp.issparse(mat):
-        n = max(mat.shape)
-        if n <= DENSE_SVD_LIMIT:
-            return float(np.linalg.svd(mat.toarray(), compute_uv=False)[0])
-        v = np.ones(mat.shape[1]) / math.sqrt(mat.shape[1])
-        v += np.linspace(0.0, 1e-3, mat.shape[1])
-        v /= np.linalg.norm(v)
-        sigma = 0.0
-        for _ in range(POWER_ITER_CAP):
-            u = mat @ v
-            v_new = mat.T @ u
-            norm = np.linalg.norm(v_new)
-            if norm == 0.0:
-                return 0.0
-            v_new /= norm
-            sigma_new = math.sqrt(norm)
-            if abs(sigma_new - sigma) <= POWER_ITER_TOL * max(sigma_new, 1.0):
-                return sigma_new
-            sigma, v = sigma_new, v_new
-        return sigma
-    arr = np.asarray(mat, dtype=np.float64)
-    if arr.size == 0:
+    mat = sp.csr_matrix(mat, dtype=np.float64)
+    if min(mat.shape) <= 1:
+        return float(spla.norm(mat))
+    if mat.count_nonzero() == 0:
         return 0.0
-    return float(np.linalg.svd(arr, compute_uv=False)[0])
+    n = mat.shape[1]
+    # Transposed once: a fresh ``mat.T`` per product dominates small inputs.
+    mat_t = mat.T.tocsr()
+    gram = spla.LinearOperator(
+        (n, n), matvec=lambda x: mat_t @ (mat @ x), dtype=np.float64
+    )
+    top = spla.eigsh(gram, k=1, which="LA", tol=0, v0=_start_vector(n),
+                     return_eigenvectors=False)
+    return math.sqrt(float(top[0]))
 
 
 @dataclass(frozen=True)
@@ -252,7 +248,8 @@ def residual_and_bounds(
 
     For the symmetric kind the radius of group b is
     ``lambda_b^L + cross_term``; the random-walk kind additionally carries
-    the global degree ratio sqrt(max D / min positive D).
+    the global degree ratio sqrt(max D / min positive D).  Both norms in
+    the cross term come from ``operator_norm`` (Lanczos, every size).
     """
     if L < 1:
         raise ValueError("L must be >= 1")

@@ -138,8 +138,10 @@ class TestConfigParsing:
 def test_csv_cell_format(tmp_path):
     path = tmp_path / "t.csv"
     _write_csv(str(path), ("a", "b", "c", "d"),
-               [(1, 0.1, None, "x"), (np.int64(2), np.float64(1 / 3), 2.0, "")])
-    assert path.read_text() == "a,b,c,d\n1,0.1,,x\n2,0.3333333333333333,2.0,\n"
+               [(1, 0.1, None, "x"), (np.int64(2), np.float64(1 / 3), 2.0, ""),
+                (3, float("nan"), np.float64("nan"), "y")])
+    assert path.read_text() == (
+        "a,b,c,d\n1,0.1,,x\n2,0.3333333333333333,2.0,\n3,,,y\n")
 
 
 class TestValidateTheory:

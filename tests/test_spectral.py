@@ -145,6 +145,17 @@ class TestBlockSpectrum:
             assert it.method == "iterative"
             assert it.lambda_gap == pytest.approx(d.lambda_gap, abs=1e-7)
 
+    def test_iterative_path_bitwise_repeatable(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        ds = random_planted_dataset(rng, n_max=40, b_max=1,
+                                    p_in_range=(0.4, 0.6), weights=(1.0,))
+        view = within_group_structure(ds)
+        monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", 2)
+        first, second = block_spectrum(view), block_spectrum(view)
+        assert any(g.method == "iterative" for g in first.groups)
+        for a, b in zip(first.groups, second.groups):
+            np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
+
     def test_eigenvectors_orthonormal(self, k4):
         view = within_group_structure(k4)
         summary, vectors = block_spectrum(view, compute_vectors=True)
@@ -155,22 +166,74 @@ class TestBlockSpectrum:
 class TestOperatorNorm:
     def test_matches_svd_on_random_sparse(self):
         rng = np.random.default_rng(6)
-        for _ in range(5):
-            dense = rng.normal(size=(12, 12))
+        for shape in [(12, 12)] * 5 + [(30, 30)]:
+            dense = rng.normal(size=shape)  # not symmetric
             mat = sp.csr_matrix(dense)
             expected = np.linalg.svd(dense, compute_uv=False)[0]
             assert operator_norm(mat) == pytest.approx(expected, rel=1e-12)
 
-    def test_power_iteration_path(self, monkeypatch):
+    @pytest.mark.parametrize("case", ["bipartite", "one_by_one", "two_by_two",
+                                      "row", "column"])
+    def test_matches_dense_svd(self, case):
         rng = np.random.default_rng(7)
-        dense = rng.normal(size=(30, 30))
+        if case == "bipartite":
+            # eigenvalues come in +-pairs, so the top |eigenvalue| is tied
+            b = rng.normal(size=(8, 5))
+            dense = np.block([[np.zeros((8, 8)), b], [b.T, np.zeros((5, 5))]])
+        elif case == "one_by_one":
+            dense = np.array([[-2.5]])
+        elif case == "two_by_two":
+            dense = rng.normal(size=(2, 2))
+        elif case == "row":
+            dense = rng.normal(size=(1, 17))
+        else:
+            dense = rng.normal(size=(17, 1))
         expected = np.linalg.svd(dense, compute_uv=False)[0]
-        monkeypatch.setattr(spectral, "DENSE_SVD_LIMIT", 4)
-        got = operator_norm(sp.csr_matrix(dense))
-        assert got == pytest.approx(expected, rel=1e-6)
+        assert operator_norm(sp.csr_matrix(dense)) == pytest.approx(
+            expected, rel=1e-12)
+        assert operator_norm(dense) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_matrix(self):
         assert operator_norm(sp.csr_matrix((5, 5))) == 0.0
+        explicit = sp.csr_matrix((np.zeros(3), (np.arange(3), np.arange(3))),
+                                 shape=(4, 4))
+        assert explicit.nnz == 3
+        assert operator_norm(explicit) == 0.0
+
+    @pytest.mark.parametrize("kind", ["symmetric", "random_walk"])
+    def test_planted_residual_matches_dense_svd(self, kind):
+        rng = np.random.default_rng(10)
+        for _ in range(8):
+            ds = random_planted_dataset(rng, weights=(1.0,))
+            view = within_group_structure(ds)
+            xi = (normalized_matrix(ds, kind).matrix
+                  - normalized_matrix(view, kind).matrix).tocsr()
+            expected = np.linalg.svd(xi.toarray(), compute_uv=False)[0]
+            if expected == 0.0:
+                assert operator_norm(xi) == 0.0
+            else:
+                assert operator_norm(xi) == pytest.approx(expected, rel=1e-12)
+
+    def test_repeated_calls_bitwise_equal(self):
+        rng = np.random.default_rng(11)
+        mat = sp.random(200, 200, density=0.05, random_state=rng,
+                        format="csr")
+        first = operator_norm(mat)
+        assert all(operator_norm(mat) == first for _ in range(3))
+
+    def test_large_connected_graph_symmetric_norm_is_one(self):
+        # Too large for a dense oracle: a connected graph with self-loops
+        # has a symmetric operator with top eigenvalue 1, every other one
+        # strictly inside (-1, 1).
+        n = 6000
+        rng = np.random.default_rng(12)
+        ring = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
+        extra = rng.integers(0, n, size=(4 * n, 2))
+        extra = extra[extra[:, 0] != extra[:, 1]]
+        edges = np.unique(np.sort(np.concatenate([ring, extra]), axis=1),
+                          axis=0)
+        nm = matrix_from_edges(n, edges, 1.0, "symmetric")
+        assert operator_norm(nm.matrix) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestBounds:

@@ -3,11 +3,9 @@ and subgroup-fairness quantification and training."""
 from .fairness import (
     FairnessAssessment,
     GroupFairness,
-    decay_postprocess,
     delta,
     delta_hat,
     regularizer_term,
-    within_group_pairs,
 )
 from .gcn import Model, forward, init_model, loss_and_gradients, score_pairs, sigmoid
 from .graphdata import (
@@ -21,7 +19,6 @@ from .graphdata import (
 )
 from .metrics import (
     MetricValue,
-    deviation_analysis,
     max_degree_ratio,
     nrmse,
     pcc,
@@ -41,7 +38,6 @@ from .spectral import (
     NormalizedMatrix,
     SpectralSummary,
     block_spectrum,
-    dense_power_entries,
     matrix_from_edges,
     normalized_matrix,
     operator_norm,
@@ -55,7 +51,6 @@ from .theory import (
     build_theory_report,
     estimate_rho,
     group_c1,
-    linearized_representations,
     raw_theoretic_scores,
 )
 from .training import (

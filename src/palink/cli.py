@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .pipelines import (
     FILTER_ALIASES,
@@ -65,6 +65,9 @@ def _cmd_synth(args) -> int:
     for key in ("t1_fraction", "disparity_boost"):
         if key in raw and isinstance(raw[key], list):
             raw[key] = tuple(raw[key])
+    unknown = sorted(set(raw) - {f.name for f in fields(SynthConfig)})
+    if unknown:
+        raise ValueError(f"unknown synth config keys: {unknown}")
     config = SynthConfig(**raw)
     paths = synth_generate(config, out_dir)
     print(json.dumps(paths, indent=2, sort_keys=True))

@@ -1,6 +1,6 @@
 """Within-group score parity: the gap between mean link scores anchored at
-each subgroup, its closed-form degree-driven estimate, the corresponding
-training penalty, and a degree-decay post-processing of scores.
+each subgroup, its closed-form degree-driven estimate, and the
+corresponding training penalty.
 
 Subgroup id 0 plays the role of the first anchor set (T1) throughout; the
 gap itself is symmetric under swapping the two subgroups.
@@ -44,26 +44,6 @@ class FairnessAssessment:
     def mean_delta(self) -> float:
         vals = [g.delta for g in self.active() if g.delta is not None]
         return float(np.mean(vals)) if vals else float("nan")
-
-    @property
-    def mean_delta_hat(self) -> float:
-        vals = [g.delta_hat for g in self.active() if g.delta_hat is not None]
-        return float(np.mean(vals)) if vals else float("nan")
-
-
-def within_group_pairs(group_of) -> np.ndarray:
-    """All unordered same-group pairs (i < j); self-pairs excluded."""
-    group_of = np.asarray(group_of)
-    out = []
-    for g in np.unique(group_of):
-        nodes = np.flatnonzero(group_of == g)
-        if nodes.size < 2:
-            continue
-        ii, jj = np.triu_indices(nodes.size, k=1)
-        out.append(np.stack([nodes[ii], nodes[jj]], axis=1))
-    if not out:
-        return np.zeros((0, 2), dtype=np.int64)
-    return np.concatenate(out, axis=0)
 
 
 def _orientation_stats(pairs, values, group_of, t_labels, n_groups):
@@ -214,15 +194,10 @@ def sampled_delta_terms(pairs, probs, group_of, t_labels):
 
 
 def regularizer_term(deltas, lam: float) -> float:
-    """(lam / B) * sum of per-group gaps over the B non-skipped groups."""
+    """(lam / B) * sum of the B per-group gaps in ``deltas`` (group -> gap)."""
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    if isinstance(deltas, FairnessAssessment):
-        vals = [g.delta for g in deltas.active() if g.delta is not None]
-    elif isinstance(deltas, dict):
-        vals = list(deltas.values())
-    else:
-        vals = list(deltas)
+    vals = list(deltas.values())
     if not vals:
         return 0.0
     return float(lam * np.sum(vals) / len(vals))
@@ -286,25 +261,3 @@ def delta_hat(
         )
     return FairnessAssessment(groups=tuple(groups), mode="closed_form",
                               scope="all_pairs")
-
-
-def decay_postprocess(scores, pairs, wg_degrees, alpha: float):
-    """Rescale scores by (sqrt(D_ii * D_jj))^(-alpha).
-
-    alpha = 0 leaves scores unchanged; negative alpha is rejected.  Pairs
-    whose degree product is zero are left unscaled and their indices
-    returned as flags.
-    """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    scores = np.asarray(scores, dtype=np.float64)
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    if scores.shape != (pairs.shape[0],):
-        raise ValueError("scores must align with pairs")
-    deg = np.asarray(wg_degrees, dtype=np.float64)
-    dp = deg[pairs[:, 0]] * deg[pairs[:, 1]]
-    zero = np.flatnonzero(dp == 0.0)
-    factor = np.ones_like(scores)
-    nz = dp > 0.0
-    factor[nz] = dp[nz] ** (-alpha / 2.0)
-    return scores * factor, zero

@@ -322,9 +322,6 @@ class WithinGroupView:
     def zero_volume(self) -> np.ndarray:
         return self.volumes == 0.0
 
-    def group_sizes(self) -> np.ndarray:
-        return np.array([g.size for g in self.groups], dtype=np.int64)
-
 
 def within_group_structure(dataset: Dataset) -> WithinGroupView:
     """Build the within-group view of a dataset.

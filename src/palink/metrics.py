@@ -1,5 +1,5 @@
 """Evaluation metrics: ROC-AUC, NRMSE, Pearson correlation, and the
-degree/similarity deviation diagnostics.
+within-group degree ratio.
 
 All metrics return a MetricValue carrying the number of samples and any
 degeneracy flags instead of raising on flat inputs.
@@ -84,83 +84,6 @@ def pcc(x, y) -> MetricValue:
         )
     value = float((xc * yc).sum() / (sx * sy))
     return MetricValue(name="pcc", value=min(1.0, max(-1.0, value)), n=x.size)
-
-
-@dataclass(frozen=True)
-class BinStat:
-    lo: float
-    hi: float
-    count: int
-    mean_deviation: float
-
-
-@dataclass(frozen=True)
-class DeviationReport:
-    pcc_log_degree: MetricValue
-    pcc_similarity: MetricValue
-    degree_bins: tuple[BinStat, ...]
-    similarity_bins: tuple[BinStat, ...]
-    n_excluded_zero_degree_product: int
-
-
-def _decile_bins(x: np.ndarray, dev: np.ndarray) -> tuple[BinStat, ...]:
-    edges = np.unique(np.quantile(x, np.linspace(0.0, 1.0, 11)))
-    if edges.size < 2:
-        return (BinStat(float(edges[0]), float(edges[0]), x.size, float(dev.mean())),)
-    idx = np.clip(np.digitize(x, edges[1:-1], right=True), 0, edges.size - 2)
-    stats = []
-    for b in range(edges.size - 1):
-        mask = idx == b
-        if not mask.any():
-            continue
-        stats.append(
-            BinStat(float(edges[b]), float(edges[b + 1]), int(mask.sum()),
-                    float(dev[mask].mean()))
-        )
-    return tuple(stats)
-
-
-def deviation_analysis(deviations, degree_products, similarities) -> DeviationReport:
-    """Associate per-pair deviations with log degree products and with a
-    per-pair similarity value, via PCC and decile-binned means.
-
-    Pairs with zero degree product are excluded from the log-degree axis
-    (and counted); the similarity axis keeps all pairs.
-    """
-    dev = np.asarray(deviations, dtype=np.float64)
-    dp = np.asarray(degree_products, dtype=np.float64)
-    sim = np.asarray(similarities, dtype=np.float64)
-    if not (dev.shape == dp.shape == sim.shape) or dev.ndim != 1:
-        raise ValueError("inputs must be aligned 1-d arrays")
-    if dev.size == 0:
-        raise ValueError("deviation_analysis needs at least one pair")
-
-    keep = dp > 0
-    n_excluded = int((~keep).sum())
-    if keep.sum() >= 2:
-        log_dp = np.log10(dp[keep])
-        pcc_deg = pcc(dev[keep], log_dp)
-        deg_bins = _decile_bins(log_dp, dev[keep])
-    else:
-        pcc_deg = MetricValue("pcc", float("nan"), int(keep.sum()),
-                              ("insufficient_samples",))
-        deg_bins = ()
-
-    if sim.size >= 2:
-        pcc_sim = pcc(dev, sim)
-        sim_bins = _decile_bins(sim, dev)
-    else:
-        pcc_sim = MetricValue("pcc", float("nan"), sim.size,
-                              ("insufficient_samples",))
-        sim_bins = ()
-
-    return DeviationReport(
-        pcc_log_degree=pcc_deg,
-        pcc_similarity=pcc_sim,
-        degree_bins=deg_bins,
-        similarity_bins=sim_bins,
-        n_excluded_zero_degree_product=n_excluded,
-    )
 
 
 def max_degree_ratio(wg_degrees) -> MetricValue:

@@ -18,7 +18,6 @@ from .graphdata import Dataset, WithinGroupView
 from .metrics import max_degree_ratio
 
 DENSE_EIG_LIMIT = 4096
-DENSE_POWER_LIMIT = 5000
 
 KINDS = ("symmetric", "random_walk")
 
@@ -130,41 +129,30 @@ def _start_vector(n: int) -> np.ndarray:
     return np.random.default_rng(0).standard_normal(n)
 
 
-def block_spectrum(
-    view: WithinGroupView, kind: str = "symmetric", compute_vectors: bool = False
-):
+def block_spectrum(view: WithinGroupView, kind: str = "symmetric") -> SpectralSummary:
     """Per refined group, the spectrum of its normalized block.
 
     The random-walk block is similar to the symmetric one via D^1/2, so
-    both kinds share eigenvalues; vectors (when requested) are those of the
-    symmetric block.  Blocks larger than ``DENSE_EIG_LIMIT`` get only their
-    extremal eigenvalues (lambda_1, lambda_2, lambda_min) via Lanczos.
+    both kinds share eigenvalues.  Blocks larger than ``DENSE_EIG_LIMIT``
+    get only their extremal eigenvalues (lambda_1, lambda_2, lambda_min)
+    via Lanczos.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     specs = []
-    vectors: list[np.ndarray | None] = []
     for gid, nodes in enumerate(view.groups):
         k = nodes.size
         vol = float(view.volumes[gid])
         block = _sym_block(view, gid, nodes)
         degenerate = vol == 0.0
         if k <= DENSE_EIG_LIMIT:
-            dense = block.toarray()
-            if compute_vectors:
-                ev, evec = np.linalg.eigh(dense)
-                vectors.append(evec[:, ::-1])
-            else:
-                ev = np.linalg.eigvalsh(dense)
-                vectors.append(None)
-            ev = ev[::-1]
+            ev = np.linalg.eigvalsh(block.toarray())[::-1]
             method = "dense"
         else:
             opts = dict(v0=_start_vector(k), return_eigenvectors=False)
             top = spla.eigsh(block, k=2, which="LA", **opts)
             bot = spla.eigsh(block, k=1, which="SA", **opts)
             ev = np.array([top.max(), top.min(), bot.min()])
-            vectors.append(None)
             method = "iterative"
         if k == 1:
             gap = 0.0
@@ -181,10 +169,7 @@ def block_spectrum(
                 method=method,
             )
         )
-    summary = SpectralSummary(kind=kind, groups=tuple(specs))
-    if compute_vectors:
-        return summary, vectors
-    return summary
+    return SpectralSummary(kind=kind, groups=tuple(specs))
 
 
 def operator_norm(mat) -> float:
@@ -282,18 +267,3 @@ def residual_and_bounds(
         lambda_gaps=gaps,
         degree_ratio=ratio,
     )
-
-
-def dense_power_entries(nm: NormalizedMatrix, L: int) -> np.ndarray:
-    """P^L by repeated dense multiplication; guarded to n <= 5000."""
-    if L < 0:
-        raise ValueError("L must be >= 0")
-    if nm.n > DENSE_POWER_LIMIT:
-        raise ValueError(
-            f"dense powers limited to n <= {DENSE_POWER_LIMIT}, got n = {nm.n}"
-        )
-    dense = nm.matrix.toarray()
-    out = np.eye(nm.n)
-    for _ in range(L):
-        out = out @ dense
-    return out

@@ -227,16 +227,3 @@ def build_theory_report(
         skipped=est.skipped, skip_reasons=est.reasons, nrmse=err, pcc=corr,
         n_dropped_cross=n_dropped,
     )
-
-
-def linearized_representations(power_entries: np.ndarray, alpha_set: AlphaSet,
-                               rho) -> np.ndarray:
-    """Expected representations diag(rho) @ P^L @ alphas; ``rho`` may be a
-    scalar or one activation factor per node."""
-    rho = np.asarray(rho, dtype=np.float64)
-    base = power_entries @ alpha_set.alphas
-    if rho.ndim == 0:
-        return rho * base
-    if rho.shape != (base.shape[0],):
-        raise ValueError("rho must be scalar or one value per node")
-    return rho[:, None] * base

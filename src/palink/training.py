@@ -31,27 +31,30 @@ class LinkSplit:
     ratios: tuple[float, float, float]
 
 
-def _pair_keys(pairs: np.ndarray, n: int) -> np.ndarray:
-    lo = np.minimum(pairs[:, 0], pairs[:, 1]).astype(np.int64)
-    hi = np.maximum(pairs[:, 0], pairs[:, 1]).astype(np.int64)
-    return lo * n + hi
-
-
 def sample_negatives(n: int, edges, count: int, rng, exclude=None) -> np.ndarray:
     """Sample ``count`` distinct non-adjacent unordered pairs uniformly.
 
     ``exclude`` removes further pairs from the candidate pool (e.g. the
     other split's negatives).  Raises if fewer than ``count`` candidates
-    exist.
+    exist.  One draw of ``count`` distinct ranks among the free pairs
+    (``rng.choice`` without replacement), each mapped to its pair in
+    row-major upper-triangle order: exact at any ``n``, with memory linear
+    in ``count``, ``n`` and the banned pairs (no n x n mask).
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    banned = _pair_keys(edges, n)
+    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if exclude is not None:
         exclude = np.asarray(exclude, dtype=np.int64).reshape(-1, 2)
-        banned = np.concatenate([banned, _pair_keys(exclude, n)])
-    banned = np.unique(banned)
+        pairs = np.concatenate([pairs, exclude])
+    lo = np.minimum(pairs[:, 0], pairs[:, 1])
+    hi = np.maximum(pairs[:, 0], pairs[:, 1])
+    if lo.size and (lo.min() < 0 or hi.max() >= n or np.any(lo == hi)):
+        raise ValueError("banned pairs must join two distinct nodes in [0, n)")
+    # Index of pair (i, j), i < j, in the row-major upper triangle, sorted
+    # and deduplicated (a sort: NumPy 2's hashing np.unique is far slower).
+    banned = np.sort(lo * n - lo * (lo + 1) // 2 + hi - lo - 1)
+    banned = banned[np.diff(banned, prepend=-1) > 0]
 
     total = n * (n - 1) // 2
     available = total - banned.size
@@ -63,34 +66,16 @@ def sample_negatives(n: int, edges, count: int, rng, exclude=None) -> np.ndarray
     if count == 0:
         return np.zeros((0, 2), dtype=np.int64)
 
-    # Dense enumeration when the pool is tight or the graph is small.
-    if n <= 2048 and (available < 4 * count or total <= 50_000):
-        mask = np.triu(np.ones((n, n), dtype=bool), k=1)
-        mask.flat[banned[banned < n * n]] = False  # keys are lo*n+hi
-        cand = np.argwhere(mask)
-        idx = rng.choice(cand.shape[0], size=count, replace=False)
-        return cand[np.sort(idx)].astype(np.int64)
-
-    chosen = np.zeros(0, dtype=np.int64)
-    for _ in range(1000):
-        need = count - chosen.size
-        if need <= 0:
-            break
-        batch = max(4 * need, 1024)
-        u = rng.integers(0, n, size=batch, dtype=np.int64)
-        v = rng.integers(0, n, size=batch, dtype=np.int64)
-        ok = u != v
-        u, v = u[ok], v[ok]
-        keys = np.minimum(u, v) * n + np.maximum(u, v)
-        keys = keys[~np.isin(keys, banned)]
-        keys = np.unique(keys)
-        keys = keys[~np.isin(keys, chosen)]
-        rng.shuffle(keys)
-        chosen = np.concatenate([chosen, keys[:need]])
-    else:
-        raise RuntimeError("negative sampling failed to converge")
-    chosen = np.sort(chosen)
-    return np.stack([chosen // n, chosen % n], axis=1)
+    ranks = np.sort(rng.choice(available, size=count, replace=False))
+    # banned[k] - k free pairs precede banned[k], so the free pair of rank
+    # r sits at r plus the number of k with banned[k] - k <= r.
+    tri = ranks + np.searchsorted(banned - np.arange(banned.size), ranks,
+                                  side="right")
+    rows = np.arange(n - 1, dtype=np.int64)
+    starts = rows * n - rows * (rows + 1) // 2
+    i = np.searchsorted(starts, tri, side="right") - 1
+    j = tri - starts[i] + i + 1
+    return np.stack([i, j], axis=1)
 
 
 def split_links(dataset: Dataset, ratios=DEFAULT_RATIOS, seed: int = 0) -> LinkSplit:

@@ -27,7 +27,6 @@ from palink.pipelines import (
 )
 from palink.spectral import (
     block_spectrum,
-    dense_power_entries,
     normalized_matrix,
     residual_and_bounds,
 )
@@ -35,6 +34,7 @@ from palink.synth import SynthConfig, synth_generate
 from palink.theory import alpha_vectors, raw_theoretic_scores
 
 from conftest import random_planted_dataset
+from oracles import dense_power_entries
 
 
 def _emit(tag: str, ok: bool, detail: str) -> None:

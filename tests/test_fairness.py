@@ -1,5 +1,5 @@
 """Subgroup score-gap quantification: enumeration oracles, closed-form
-brute force, gradient terms, and the decay post-processing."""
+brute force, and gradient terms."""
 from __future__ import annotations
 
 import math
@@ -9,16 +9,15 @@ import pytest
 from scipy.special import expit
 
 from palink.fairness import (
-    decay_postprocess,
     delta,
     delta_hat,
     regularizer_term,
     sampled_delta_terms,
-    within_group_pairs,
 )
 from palink.graphdata import make_dataset, within_group_structure
 
 from conftest import random_planted_dataset
+from oracles import within_group_pairs
 
 
 def delta_enumeration_oracle(pairs, values, group_of, t_labels):
@@ -234,7 +233,8 @@ class TestRegularizer:
 
     def test_accepts_assessment(self):
         out = delta([(0, 1)], [0.0], [0, 0], [0, 1], mode="pre_activation")
-        assert regularizer_term(out, 3.0) == pytest.approx(0.0)
+        deltas = {g.group_id: g.delta for g in out.active()}
+        assert regularizer_term(deltas, 3.0) == pytest.approx(0.0)
 
 
 def delta_hat_brute_force(view, rho2, c1, t_labels, g):
@@ -312,30 +312,6 @@ class TestDeltaHat:
         b = delta_hat(view, ones, ones, 1 - toy_cs.t_labels, "symmetric")
         assert a.groups[0].delta_hat == pytest.approx(b.groups[0].delta_hat)
         assert a.groups[0].disparity == pytest.approx(-b.groups[0].disparity)
-
-
-class TestDecayPostprocess:
-    def test_hand_value(self):
-        scaled, flagged = decay_postprocess([2.0], [(0, 1)], [4.0, 9.0],
-                                            alpha=1.0)
-        assert scaled[0] == pytest.approx(2.0 / 6.0)
-        assert flagged.size == 0
-
-    def test_alpha_zero_is_identity(self):
-        scores = np.array([1.0, -2.0, 0.5])
-        pairs = [(0, 1), (1, 2), (0, 2)]
-        scaled, _ = decay_postprocess(scores, pairs, [1.0, 2.0, 3.0], 0.0)
-        np.testing.assert_array_equal(scaled, scores)
-
-    def test_zero_degree_product_unscaled_and_flagged(self):
-        scaled, flagged = decay_postprocess([3.0, 1.0], [(0, 1), (1, 2)],
-                                            [0.0, 2.0, 2.0], alpha=0.5)
-        assert scaled[0] == 3.0
-        np.testing.assert_array_equal(flagged, [0])
-
-    def test_negative_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            decay_postprocess([1.0], [(0, 1)], [1.0, 1.0], alpha=-0.1)
 
 
 class TestWithinGroupPairs:

@@ -1,12 +1,11 @@
-"""Metric oracles: pair-counting AUC, hand-formula NRMSE/PCC, deviation
-analysis, and the degree-ratio diagnostic."""
+"""Metric oracles: pair-counting AUC, hand-formula NRMSE/PCC, and the
+degree-ratio diagnostic."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
 from palink.metrics import (
-    deviation_analysis,
     max_degree_ratio,
     nrmse,
     pcc,
@@ -133,43 +132,6 @@ class TestPcc:
         base = pcc(x, y).value
         assert pcc(2.0 * x + 5.0, y).value == pytest.approx(base, abs=1e-12)
         assert pcc(x, -3.0 * y).value == pytest.approx(-base, abs=1e-12)
-
-
-class TestDeviationAnalysis:
-    def test_zero_degree_products_excluded(self):
-        dev = np.array([1.0, 2.0, 3.0, 4.0])
-        dp = np.array([1.0, 0.0, 4.0, 9.0])
-        sim = np.array([0.1, 0.2, 0.3, 0.4])
-        report = deviation_analysis(dev, dp, sim)
-        assert report.n_excluded_zero_degree_product == 1
-        assert report.pcc_log_degree.n == 3
-
-    def test_pcc_matches_direct_computation(self):
-        rng = np.random.default_rng(17)
-        dev = np.abs(rng.normal(size=40))
-        dp = rng.uniform(0.5, 100.0, size=40)
-        sim = rng.uniform(size=40)
-        report = deviation_analysis(dev, dp, sim)
-        assert report.pcc_log_degree.value == pytest.approx(
-            pcc(dev, np.log10(dp)).value, abs=1e-13
-        )
-        assert report.pcc_similarity.value == pytest.approx(
-            pcc(dev, sim).value, abs=1e-13
-        )
-
-    def test_bins_cover_all_pairs(self):
-        rng = np.random.default_rng(18)
-        dev = np.abs(rng.normal(size=100))
-        dp = rng.uniform(0.5, 50.0, size=100)
-        sim = rng.uniform(size=100)
-        report = deviation_analysis(dev, dp, sim)
-        assert sum(b.count for b in report.degree_bins) == 100
-        assert sum(b.count for b in report.similarity_bins) == 100
-        assert len(report.degree_bins) <= 10
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            deviation_analysis([], [], [])
 
 
 class TestMaxDegreeRatio:

@@ -367,3 +367,13 @@ class TestCli:
         code = main(["fairness-sweep", "--config", config_path])
         assert code == 2
         assert "unknown config keys" in capsys.readouterr().err
+
+    def test_bad_synth_config_key_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "synth.json"
+        path.write_text(json.dumps({"sizes": [10, 10], "bogus": 1,
+                                    "out": str(tmp_path / "data")}))
+        code = main(["synth", "--config", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.strip() == "error: unknown synth config keys: ['bogus']"
+        assert not (tmp_path / "data").exists()

@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 
-from palink.fairness import within_group_pairs
 from palink.gcn import Model, forward, init_model, score_pairs
 from palink.graphdata import make_dataset, within_group_structure
 from palink.spectral import (
@@ -21,11 +20,11 @@ from palink.theory import (
     build_theory_report,
     estimate_rho,
     group_c1,
-    linearized_representations,
     raw_theoretic_scores,
 )
 
 from conftest import random_planted_dataset
+from oracles import within_group_pairs
 
 
 def k3_unit_alphas():
@@ -239,24 +238,6 @@ class TestTheoryReport:
         view, aset, pairs, scores, _ = self.build(seed=69)
         with pytest.raises(ValueError):
             build_theory_report(view, aset, pairs, scores[:-1], "symmetric")
-
-
-class TestLinearized:
-    def test_scalar_and_vector_rho(self):
-        rng = np.random.default_rng(70)
-        pl = rng.normal(size=(5, 5))
-        aset = AlphaSet(rng.normal(size=(5, 3)), 1.0)
-        base = pl @ aset.alphas
-        np.testing.assert_allclose(
-            linearized_representations(pl, aset, 2.0), 2.0 * base, atol=1e-14
-        )
-        rho = rng.normal(size=5)
-        np.testing.assert_allclose(
-            linearized_representations(pl, aset, rho), rho[:, None] * base,
-            atol=1e-14,
-        )
-        with pytest.raises(ValueError):
-            linearized_representations(pl, aset, np.ones(4))
 
 
 class TestScoreConcentration:

@@ -18,6 +18,7 @@ from palink.training import (
 )
 
 from conftest import random_planted_dataset
+from oracles import dense_negatives
 
 
 def pair_set(pairs):
@@ -116,29 +117,60 @@ class TestSampleNegatives:
         out = sample_negatives(5, [(0, 1)], 0, np.random.default_rng(0))
         assert out.shape == (0, 2)
 
-    def test_dense_path_properties(self):
-        rng = np.random.default_rng(2)
-        ds = sized_dataset(120, n=30)
-        got = sample_negatives(30, ds.edges, 40, rng)
-        assert got.shape == (40, 2)
-        chosen = pair_set(got)
-        assert len(chosen) == 40
-        assert not (chosen & pair_set(ds.edges))
-        assert np.all(got[:, 0] < got[:, 1])
+    @pytest.mark.parametrize("n, m, n_exclude, pool", [
+        pytest.param(4, 3, 0, "full", id="n4-full"),
+        pytest.param(30, 200, 0, "tight", id="n30-tight"),
+        pytest.param(30, 200, 40, "wide", id="n30-wide-exclude"),
+        pytest.param(90, 3000, 500, "full", id="n90-full-exclude"),
+        pytest.param(400, 3000, 0, "wide", id="n400-wide"),
+        pytest.param(400, 3000, 2000, "wide", id="n400-wide-exclude"),
+    ])
+    def test_equals_dense_enumeration(self, n, m, n_exclude, pool):
+        rng = np.random.default_rng(n + m + n_exclude)
+        iu = np.triu_indices(n, k=1)
 
-    def test_rejection_path_properties(self):
-        # n*(n-1)/2 = 79800 > 50000 and the pool is wide, which routes
-        # sampling through rejection batches instead of enumeration.
-        n = 400
-        rng = np.random.default_rng(3)
-        edges = sample_negatives(n, np.zeros((0, 2), int), 200, rng)
-        got = sample_negatives(n, edges, 50, np.random.default_rng(4))
-        again = sample_negatives(n, edges, 50, np.random.default_rng(4))
-        np.testing.assert_array_equal(got, again)
-        chosen = pair_set(got)
-        assert len(chosen) == 50
-        assert not (chosen & pair_set(edges))
-        assert np.all(got[:, 0] < got[:, 1])
+        def random_pairs(size):
+            keys = rng.choice(iu[0].size, size=size, replace=False)
+            pairs = np.stack([iu[0][keys], iu[1][keys]], axis=1)
+            flip = rng.random(size) < 0.5
+            pairs[flip] = pairs[flip][:, ::-1]
+            return pairs
+
+        edges = random_pairs(m)
+        # Drawn independently of the edges, so the two may overlap.
+        exclude = random_pairs(n_exclude) if n_exclude else None
+        banned = edges if exclude is None else np.concatenate([edges, exclude])
+        available = iu[0].size - len(pair_set(np.sort(banned, axis=1)))
+        count = {"full": available, "tight": available // 2,
+                 "wide": available // 20}[pool]
+        for seed in range(3):
+            got = sample_negatives(n, edges, count,
+                                   np.random.default_rng(seed), exclude)
+            ref = dense_negatives(n, edges, count,
+                                  np.random.default_rng(seed), exclude)
+            assert got.dtype == ref.dtype == np.int64
+            np.testing.assert_array_equal(got, ref)
+
+    def test_two_million_nodes(self):
+        # An n x n mask here would take 4 TB.
+        n = 2_000_000
+        ring = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
+        got = sample_negatives(n, ring, 100_000, np.random.default_rng(5))
+        assert got.shape == (100_000, 2)
+        assert np.all((0 <= got[:, 0]) & (got[:, 0] < got[:, 1])
+                      & (got[:, 1] < n))
+        keys = got[:, 0] * n + got[:, 1]
+        assert np.all(np.diff(keys) > 0)  # sorted and distinct
+        ring_keys = ring.min(axis=1) * n + ring.max(axis=1)
+        assert not np.isin(keys, ring_keys).any()
+
+    def test_invalid_banned_pairs_rejected(self):
+        for edges in ([(0, 4)], [(-1, 2)], [(2, 2)]):
+            with pytest.raises(ValueError, match="distinct nodes"):
+                sample_negatives(4, edges, 1, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="distinct nodes"):
+            sample_negatives(4, [(0, 1)], 1, np.random.default_rng(0),
+                             exclude=[(1, 1)])
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):

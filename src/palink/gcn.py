@@ -5,6 +5,14 @@ at the top; no biases.  Link scores are inner products of the final
 representations.  Gradients are exact reverse-mode derivatives of the
 binary cross-entropy plus the subgroup-gap penalty, written out by hand so
 they can be checked against finite differences.
+
+Pair scores are computed in fixed blocks of rows through two reusable
+buffers, and the gradient with respect to the final representations is one
+sparse pair-matrix product, so a training step never gathers a
+``pairs x dim`` array.  ``loss_and_gradients`` takes an optional forward
+cache, the ``_forward_cached`` triple, which must have been computed at the
+model's current weights; training passes the forward it already ran for
+validation after the previous step.
 """
 from __future__ import annotations
 
@@ -18,6 +26,10 @@ from .fairness import regularizer_term, sampled_delta_terms
 from .spectral import KINDS, NormalizedMatrix
 
 sigmoid = expit
+
+# Rows per block in ``score_pairs``: the two gather buffers stay small
+# enough to be reused without fresh page faults.
+_PAIR_BLOCK = 1024
 
 
 @dataclass
@@ -109,10 +121,46 @@ def forward(model: Model, nm: NormalizedMatrix, features, linear: bool = False):
 
 
 def score_pairs(representations: np.ndarray, pairs) -> np.ndarray:
-    """Inner-product link scores h_i . h_j for each pair."""
+    """Inner-product link scores h_i . h_j for each pair.
+
+    The pairs are walked in blocks of ``_PAIR_BLOCK`` rows, gathered into
+    two buffers allocated once per call; each row is the same einsum as
+    over the whole gather, so the scores do not depend on the block size.
+    """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    h = representations
-    return np.einsum("ij,ij->i", h[pairs[:, 0]], h[pairs[:, 1]])
+    h = np.asarray(representations)
+    m = pairs.shape[0]
+    if m and (pairs.min() < 0 or pairs.max() >= h.shape[0]):
+        raise ValueError("pair indices must lie in [0, n)")
+    out = np.empty(m, dtype=h.dtype)
+    rows = min(_PAIR_BLOCK, m)
+    left = np.empty((rows, h.shape[1]), dtype=h.dtype)
+    right = np.empty_like(left)
+    for start in range(0, m, _PAIR_BLOCK):
+        stop = min(start + _PAIR_BLOCK, m)
+        k = stop - start
+        # mode="clip" is a no-op on the checked indices and, unlike the
+        # default, writes straight into ``out`` without a temporary copy.
+        np.take(h, pairs[start:stop, 0], axis=0, out=left[:k], mode="clip")
+        np.take(h, pairs[start:stop, 1], axis=0, out=right[:k], mode="clip")
+        np.einsum("ij,ij->i", left[:k], right[:k], out=out[start:stop])
+    return out
+
+
+def _pair_gradient(h: np.ndarray, pairs: np.ndarray,
+                   dscore: np.ndarray) -> np.ndarray:
+    """Gradient with respect to ``h`` of ``sum_k dscore_k * h_i . h_j`` over
+    the pairs (i, j): dh_u sums dscore * h_partner over the pairs holding u.
+
+    That is ``S @ h`` for the symmetric pair matrix S with dscore at (i, j)
+    and at (j, i).  Duplicate entries add up in the product, which keeps
+    repeated pairs and (u, u) pairs exact, and no row of h is gathered.
+    """
+    n = h.shape[0]
+    both = np.concatenate([dscore, dscore])
+    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    return sparse.coo_matrix((both, (rows, cols)), shape=(n, n)) @ h
 
 
 def bce_from_logits(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -132,7 +180,7 @@ def loss_and_gradients(
     lambda_fair: float = 0.0,
     group_of=None,
     t_labels=None,
-    px=None,
+    forward_cache=None,
 ):
     """Training objective and its exact gradients.
 
@@ -140,6 +188,12 @@ def loss_and_gradients(
     ``(lambda_fair / B) * sum_b gap_b`` where the per-group gap is computed
     post-sigmoid over the same pairs.  Returns
     ``(loss, bce, penalty, grads)`` with one gradient per weight matrix.
+
+    ``forward_cache`` optionally supplies the ``_forward_cached(model, nm,
+    features)`` triple, which is then not recomputed.  It must be the
+    forward pass at the model's current weights, operator and features;
+    nothing checks this.  Given that, the result is bitwise identical to
+    the call without it.
     """
     pos_pairs = np.asarray(pos_pairs, dtype=np.int64).reshape(-1, 2)
     neg_pairs = np.asarray(neg_pairs, dtype=np.int64).reshape(-1, 2)
@@ -149,7 +203,9 @@ def loss_and_gradients(
     labels = np.zeros(pairs.shape[0])
     labels[: pos_pairs.shape[0]] = 1.0
 
-    h, propagated, pre = _forward_cached(model, nm, features, px=px)
+    if forward_cache is None:
+        forward_cache = _forward_cached(model, nm, features)
+    h, propagated, pre = forward_cache
     scores = score_pairs(h, pairs)
     probs = expit(scores)
 
@@ -170,21 +226,9 @@ def loss_and_gradients(
         if n_active:
             dscore = dscore + (lambda_fair / n_active) * dprob * probs * (1.0 - probs)
 
-    # d loss / d representations: dh_u = sum over pairs containing u of
-    # dscore * h_partner, accumulated via sparse carriers.
-    m_pairs = pairs.shape[0]
-    cols = np.arange(m_pairs)
-    lift_i = sparse.csr_matrix(
-        (dscore, (pairs[:, 0], cols)), shape=(h.shape[0], m_pairs)
-    )
-    lift_j = sparse.csr_matrix(
-        (dscore, (pairs[:, 1], cols)), shape=(h.shape[0], m_pairs)
-    )
-    dh = lift_i @ h[pairs[:, 1]] + lift_j @ h[pairs[:, 0]]
-
     L = model.n_layers
     grads: list[np.ndarray] = [np.empty(0)] * L
-    g = dh
+    g = _pair_gradient(h, pairs, dscore)
     for l in range(L - 1, -1, -1):
         if l < L - 1:
             g = g * (pre[l] > 0.0)

@@ -289,7 +289,7 @@ def run_validate_theory(config: RunConfig) -> dict:
             run.test_scores[run.same_group], config.filter_kind,
         )
         if bool(report.skipped.all()):
-            raise RuntimeError(
+            raise ValueError(
                 f"seed {seed}: every refined group was skipped; "
                 "theory comparison has no support"
             )

@@ -139,6 +139,10 @@ def train(dataset: Dataset, split: LinkSplit, config: TrainConfig) -> TrainResul
     One optimizer step per epoch; training negatives are resampled each
     epoch (1:1 with training positives) while validation pairs stay fixed.
     Identical dataset, split, and config give bitwise-identical results.
+    The forward pass that scores the validation pairs after each step is
+    the one the next epoch's loss starts from, so each epoch runs one
+    forward pass.  A non-finite loss or weight raises ``ValueError`` naming
+    the epoch.
     """
     if config.epochs < 1:
         raise ValueError("epochs must be >= 1")
@@ -170,13 +174,17 @@ def train(dataset: Dataset, split: LinkSplit, config: TrainConfig) -> TrainResul
     best_weights = [w.copy() for w in model.weights]
 
     n_train = split.train_pos.shape[0]
+    cache = _forward_cached(model, nm, features, px=px)
     for epoch in range(1, config.epochs + 1):
         neg = sample_negatives(dataset.n, dataset.edges, n_train, neg_rng)
         loss, _, penalty, grads = loss_and_gradients(
             model, nm, features, split.train_pos, neg,
             lambda_fair=config.lambda_fair,
-            group_of=view.group_of, t_labels=dataset.t_labels, px=px,
+            group_of=view.group_of, t_labels=dataset.t_labels,
+            forward_cache=cache,
         )
+        if not np.isfinite(loss):
+            raise ValueError(f"epoch {epoch}: training loss is {loss}")
         for w, g, m_buf, v_buf in zip(model.weights, grads, adam_m, adam_v):
             m_buf *= config.beta1
             m_buf += (1.0 - config.beta1) * g
@@ -185,9 +193,14 @@ def train(dataset: Dataset, split: LinkSplit, config: TrainConfig) -> TrainResul
             m_hat = m_buf / (1.0 - config.beta1**epoch)
             v_hat = v_buf / (1.0 - config.beta2**epoch)
             w -= config.lr * m_hat / (np.sqrt(v_hat) + config.eps)
+        for l, w in enumerate(model.weights, start=1):
+            if not np.isfinite(w).all():
+                raise ValueError(
+                    f"epoch {epoch}: weight W_{l} is no longer finite"
+                )
 
-        h = _forward_cached(model, nm, features, px=px)[0]
-        val_auc = roc_auc(score_pairs(h, val_pairs), val_labels).value
+        cache = _forward_cached(model, nm, features, px=px)
+        val_auc = roc_auc(score_pairs(cache[0], val_pairs), val_labels).value
         history.append((epoch, float(loss), float(penalty), float(val_auc)))
         if val_auc > best_auc:
             best_auc = val_auc

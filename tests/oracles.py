@@ -6,6 +6,7 @@ dense matrices), so it is only fit for small inputs.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sparse
 
 DENSE_POWER_LIMIT = 5000
 
@@ -54,3 +55,24 @@ def dense_negatives(n: int, edges, count: int, rng, exclude=None) -> np.ndarray:
     cand = np.argwhere(mask)
     idx = rng.choice(cand.shape[0], size=count, replace=False)
     return cand[np.sort(idx)].astype(np.int64)
+
+
+def einsum_scores(h, pairs) -> np.ndarray:
+    """``score_pairs`` as one einsum over the full gathers of both
+    endpoints, with no blocking."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    return np.einsum("ij,ij->i", h[pairs[:, 0]], h[pairs[:, 1]])
+
+
+def lifted_pair_gradient(h, pairs, dscore) -> np.ndarray:
+    """Gradient of ``sum_k dscore_k * h_i . h_j`` with respect to ``h`` by
+    two ``n x m_pairs`` lift matrices applied to the gathered partner rows:
+    dh = lift_i @ h[j] + lift_j @ h[i]."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    n, m_pairs = h.shape[0], pairs.shape[0]
+    cols = np.arange(m_pairs)
+    lift_i = sparse.csr_matrix((dscore, (pairs[:, 0], cols)),
+                               shape=(n, m_pairs))
+    lift_j = sparse.csr_matrix((dscore, (pairs[:, 1], cols)),
+                               shape=(n, m_pairs))
+    return lift_i @ h[pairs[:, 1]] + lift_j @ h[pairs[:, 0]]

@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+import palink.gcn as gcn
 from palink.fairness import delta, regularizer_term
 from palink.gcn import (
     Model,
+    _forward_cached,
+    _pair_gradient,
     bce_from_logits,
     forward,
     init_model,
@@ -21,7 +24,7 @@ from palink.graphdata import make_dataset
 from palink.spectral import normalized_matrix
 
 from conftest import complete_graph, random_planted_dataset
-from oracles import dense_power_entries
+from oracles import dense_power_entries, einsum_scores, lifted_pair_gradient
 
 
 def two_path():
@@ -162,6 +165,25 @@ class TestScoresAndLoss:
         np.testing.assert_array_equal(score_pairs(h, pairs),
                                       score_pairs(h, pairs[:, ::-1]))
 
+    @pytest.mark.parametrize("block", [1, 7, 10**6])
+    def test_blocked_scores_bitwise_equal_unblocked(self, block, monkeypatch):
+        monkeypatch.setattr(gcn, "_PAIR_BLOCK", block)
+        rng = np.random.default_rng(65)
+        h = rng.normal(size=(40, 13))
+        # no pairs, one pair, exactly one block, several blocks with a
+        # partial last block (a single partial block when block is large)
+        for count in (0, 1, min(block, 300), min(3 * block + 2, 500)):
+            pairs = rng.integers(0, 40, size=(count, 2))
+            got = score_pairs(h, pairs)
+            assert got.shape == (count,)
+            np.testing.assert_array_equal(got, einsum_scores(h, pairs))
+
+    def test_out_of_range_pair_rejected(self):
+        h = np.ones((4, 2))
+        for bad in ([(0, 4)], [(-1, 2)]):
+            with pytest.raises(ValueError):
+                score_pairs(h, bad)
+
     def test_bce_zero_scores_is_log_two(self):
         scores = np.zeros(6)
         labels = np.array([1, 0, 1, 1, 0, 0], dtype=float)
@@ -277,13 +299,34 @@ class TestGradients:
         with pytest.raises(ValueError):
             loss_and_gradients(model, nm, ds.features, empty, empty)
 
-    def test_precomputed_propagation_is_bitwise_identical(self):
+    def test_forward_cache_is_bitwise_identical(self):
         ds, nm, model, pos, neg, group_of, t = gradient_instance(48)
-        px = nm.matrix @ ds.features
         a = loss_and_gradients(model, nm, ds.features, pos, neg, 1.0,
                                group_of, t)
-        b = loss_and_gradients(model, nm, ds.features, pos, neg, 1.0,
-                               group_of, t, px=px)
-        assert a[0] == b[0]
-        for ga, gb in zip(a[3], b[3]):
-            np.testing.assert_array_equal(ga, gb)
+        # with and without the first layer's propagation precomputed, as
+        # training supplies it
+        px = nm.matrix @ ds.features
+        for cache in (_forward_cached(model, nm, ds.features),
+                      _forward_cached(model, nm, ds.features, px=px)):
+            b = loss_and_gradients(model, nm, ds.features, pos, neg, 1.0,
+                                   group_of, t, forward_cache=cache)
+            assert a[:3] == b[:3]
+            for ga, gb in zip(a[3], b[3]):
+                np.testing.assert_array_equal(ga, gb)
+
+    def test_pair_matrix_gradient_matches_two_lifts(self):
+        rng = np.random.default_rng(49)
+        n = 12
+        h = rng.normal(size=(n, 5))
+        pairs = rng.integers(0, n, size=(60, 2))
+        # repeated pairs, both orientations of one pair, a (u, u) pair and
+        # a node (n - 1) that no pair touches
+        pairs = np.concatenate([
+            pairs % (n - 1), [(3, 7), (3, 7), (7, 3), (5, 5), (5, 5)],
+        ])
+        dscore = rng.normal(size=pairs.shape[0])
+        got = _pair_gradient(h, pairs, dscore)
+        want = lifted_pair_gradient(h, pairs, dscore)
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+        np.testing.assert_array_equal(got[n - 1], 0.0)

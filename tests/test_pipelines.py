@@ -2,12 +2,14 @@
 and the command-line entry point."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
+from palink import pipelines
 from palink.cli import main
 from palink.fairness import delta
 from palink.metrics import nrmse, pcc
@@ -356,6 +358,35 @@ class TestCli:
         paths = json.loads(capsys.readouterr().out)
         report = json.load(open(paths["report"]))
         assert report["lambda_fair"] == 2.0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_training_exits_2(self, tmp_path, tiny_bed, capsys):
+        config_path = self.write_config(tmp_path, tiny_bed, lr=1e200,
+                                        epochs=4)
+        code = main(["train", "--config", config_path])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.strip() == "error: epoch 2: training loss is nan"
+
+    def test_theory_without_support_exits_2(self, tmp_path, tiny_bed,
+                                            capsys, monkeypatch):
+        real = pipelines.build_theory_report
+
+        def skip_every_group(*args, **kwargs):
+            report = real(*args, **kwargs)
+            return dataclasses.replace(
+                report, skipped=np.ones_like(report.skipped))
+
+        monkeypatch.setattr(pipelines, "build_theory_report",
+                            skip_every_group)
+        config_path = self.write_config(tmp_path, tiny_bed)
+        code = main(["validate-theory", "--config", config_path])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.strip() == (
+            "error: seed 0: every refined group was skipped; "
+            "theory comparison has no support"
+        )
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = main(["train", "--config", str(tmp_path / "nope.json")])

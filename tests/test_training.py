@@ -250,6 +250,39 @@ class TestTrain:
             expected = w0 - config.lr * g / (np.abs(g) + config.eps)
             np.testing.assert_allclose(w1, expected, rtol=1e-12, atol=1e-15)
 
+    def test_reused_forward_matches_fresh_forward_per_epoch(self):
+        # train() feeds each epoch's loss the forward pass it ran for
+        # validation after the previous step; recomputing that forward
+        # inside every loss must give the same bits.
+        ds = trainable_dataset()
+        split = split_links(ds, seed=1)
+        config = TrainConfig(hidden_dims=(5, 3), epochs=4, seed=8)
+        result = train(ds, split, config)
+
+        model = init_model(ds.feature_dim, (5, 3), "symmetric", seed=8)
+        nm = matrix_from_edges(ds.n, split.train_pos, ds.self_loop_weight,
+                               "symmetric")
+        neg_rng = np.random.default_rng(np.random.SeedSequence([8, 1]))
+        adam_m = [np.zeros_like(w) for w in model.weights]
+        adam_v = [np.zeros_like(w) for w in model.weights]
+        for epoch in range(1, config.epochs + 1):
+            neg = sample_negatives(ds.n, ds.edges, split.train_pos.shape[0],
+                                   neg_rng)
+            loss, _, _, grads = loss_and_gradients(
+                model, nm, ds.features, split.train_pos, neg)
+            assert loss == result.history[epoch - 1][1]
+            for w, g, m_buf, v_buf in zip(model.weights, grads, adam_m,
+                                          adam_v):
+                m_buf *= config.beta1
+                m_buf += (1.0 - config.beta1) * g
+                v_buf *= config.beta2
+                v_buf += (1.0 - config.beta2) * g * g
+                m_hat = m_buf / (1.0 - config.beta1**epoch)
+                v_hat = v_buf / (1.0 - config.beta2**epoch)
+                w -= config.lr * m_hat / (np.sqrt(v_hat) + config.eps)
+        for w, w_trained in zip(model.weights, result.final_model.weights):
+            np.testing.assert_array_equal(w, w_trained)
+
     def test_message_passing_uses_training_positives_only(self):
         ds = trainable_dataset()
         split = split_links(ds, seed=2)
@@ -282,6 +315,25 @@ class TestTrain:
         split = split_links(ds, seed=0)
         with pytest.raises(ValueError):
             train(ds, split, TrainConfig(epochs=1, lambda_fair=1.0))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loss_is_named(self):
+        # the first step moves every weight by ~1e200; the next forward
+        # overflows, so epoch 2's loss is NaN
+        ds = trainable_dataset()
+        split = split_links(ds, seed=1)
+        config = TrainConfig(hidden_dims=(8, 4), epochs=5, lr=1e200, seed=2)
+        with pytest.raises(ValueError, match=r"^epoch 2: training loss is"):
+            train(ds, split, config)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_weight_is_named(self):
+        ds = trainable_dataset()
+        split = split_links(ds, seed=1)
+        config = TrainConfig(hidden_dims=(8, 4), epochs=5, lr=np.inf, seed=2)
+        with pytest.raises(ValueError,
+                           match=r"^epoch 1: weight W_1 is no longer finite"):
+            train(ds, split, config)
 
     def test_epoch_validation(self):
         ds = trainable_dataset()

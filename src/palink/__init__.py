@@ -7,7 +7,7 @@ from .fairness import (
     delta_hat,
     regularizer_term,
 )
-from .gcn import Model, forward, init_model, loss_and_gradients, score_pairs, sigmoid
+from .gcn import Model, forward, init_model, loss_and_gradients, score_pairs
 from .graphdata import (
     Dataset,
     DatasetError,

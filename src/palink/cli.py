@@ -113,7 +113,7 @@ def main(argv=None) -> int:
         if args.command == "synth":
             return _cmd_synth(args)
         return _run_pipeline(args, args.runner)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,15 +7,13 @@ gap itself is symmetric under swapping the two subgroups.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
 from .graphdata import WithinGroupView
-
-MODES = ("post_sigmoid", "pre_activation")
-SCOPES = ("sampled_pairs", "all_pairs")
 
 
 @dataclass(frozen=True)
@@ -34,8 +32,6 @@ class GroupFairness:
 @dataclass(frozen=True)
 class FairnessAssessment:
     groups: tuple[GroupFairness, ...]
-    mode: str = ""
-    scope: str = ""
 
     def active(self) -> tuple[GroupFairness, ...]:
         return tuple(g for g in self.groups if not g.skipped)
@@ -65,7 +61,19 @@ def _orientation_stats(pairs, values, group_of, t_labels, n_groups):
     return gid, a1, a2, c1, c2, sum1, sum2
 
 
-def _validate_pair_input(pairs, scores, group_of, t_labels):
+def delta(pairs, scores, group_of, t_labels) -> FairnessAssessment:
+    """Per-group absolute difference of subgroup-anchored mean scores,
+    taken on post-sigmoid scores.
+
+    Parameters
+    ----------
+    pairs : (m, 2) int array
+        Unordered scored pairs; cross-group pairs are ignored.
+    scores : (m,) float array
+        Raw scores (logits); the logistic transform is applied here.
+    group_of, t_labels : (n,) int arrays
+        Group id and binary subgroup id per node.
+    """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != (pairs.shape[0],):
@@ -76,60 +84,14 @@ def _validate_pair_input(pairs, scores, group_of, t_labels):
     t_labels = np.asarray(t_labels)
     if np.any(pairs[:, 0] == pairs[:, 1]):
         raise ValueError("self-pairs are not valid scored pairs")
-    return pairs, scores, group_of, t_labels
-
-
-def delta(
-    pairs,
-    scores,
-    group_of,
-    t_labels,
-    mode: str = "post_sigmoid",
-    scope: str = "sampled_pairs",
-) -> FairnessAssessment:
-    """Per-group absolute difference of subgroup-anchored mean scores.
-
-    Parameters
-    ----------
-    pairs : (m, 2) int array
-        Unordered scored pairs; cross-group pairs are ignored.  Under
-        ``all_pairs`` scope the input must cover every unordered same-group
-        pair exactly once.
-    scores : (m,) float array
-        Raw scores; with ``mode="post_sigmoid"`` the logistic transform is
-        applied here.
-    group_of, t_labels : (n,) int arrays
-        Group id and binary subgroup id per node.
-    """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    if scope not in SCOPES:
-        raise ValueError(f"scope must be one of {SCOPES}")
-    pairs, scores, group_of, t_labels = _validate_pair_input(
-        pairs, scores, group_of, t_labels
-    )
 
     n_groups = int(group_of.max()) + 1 if group_of.size else 0
     same = group_of[pairs[:, 0]] == group_of[pairs[:, 1]]
     pairs, scores = pairs[same], scores[same]
 
-    if scope == "all_pairs":
-        canon = np.sort(pairs, axis=1)
-        keys = canon[:, 0] * (group_of.size + 1) + canon[:, 1]
-        if np.unique(keys).size != keys.size:
-            raise ValueError("all_pairs scope: duplicate pairs supplied")
-        sizes = np.bincount(group_of, minlength=n_groups)
-        expected = int((sizes * (sizes - 1) // 2).sum())
-        if pairs.shape[0] != expected:
-            raise ValueError(
-                f"all_pairs scope: expected {expected} same-group pairs, "
-                f"got {pairs.shape[0]}"
-            )
-
-    values = expit(scores) if mode == "post_sigmoid" else scores
     if pairs.size:
         _, _, _, c1, c2, sum1, sum2 = _orientation_stats(
-            pairs, values, group_of, t_labels, n_groups
+            pairs, expit(scores), group_of, t_labels, n_groups
         )
     else:
         c1 = c2 = sum1 = sum2 = np.zeros(n_groups)
@@ -149,7 +111,7 @@ def delta(
                 GroupFairness(g, delta=float(d), n_t1=int(c1[g]),
                               n_t2=int(c2[g]))
             )
-    return FairnessAssessment(groups=tuple(groups), mode=mode, scope=scope)
+    return FairnessAssessment(groups=tuple(groups))
 
 
 def sampled_delta_terms(pairs, probs, group_of, t_labels):
@@ -228,36 +190,35 @@ def delta_hat(
     if rho2.shape != (view.n_groups,) or c1.shape != (view.n_groups,):
         raise ValueError("rho2 and c1 must have one entry per refined group")
 
+    n_groups = view.n_groups
     sqrt_deg = np.sqrt(view.wg_degrees)
+    gid = view.group_of
+    t1, t2 = t_labels == 0, t_labels == 1
+    n_t1 = np.bincount(gid[t1], minlength=n_groups)
+    n_t2 = np.bincount(gid[t2], minlength=n_groups)
+    sum1 = np.bincount(gid[t1], weights=sqrt_deg[t1], minlength=n_groups)
+    sum2 = np.bincount(gid[t2], weights=sqrt_deg[t2], minlength=n_groups)
+    total = np.bincount(gid, weights=sqrt_deg, minlength=n_groups)
+    # Skipped groups (an empty subgroup, no slope) get NaNs here, unread.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disparity = sum1 / n_t1 - sum2 / n_t2
+        dh = np.abs(rho2 * c1**2 * total * disparity) / np.diff(view.offsets)
+    if kind == "random_walk":
+        dh[:] = 0.0
+
     groups = []
-    for g, nodes in enumerate(view.groups):
-        t1 = nodes[t_labels[nodes] == 0]
-        t2 = nodes[t_labels[nodes] == 1]
-        if t1.size == 0 or t2.size == 0:
-            groups.append(
-                GroupFairness(g, n_t1=int(t1.size), n_t2=int(t2.size),
-                              skipped=True, reason="empty_subgroup")
-            )
-            continue
-        disparity = float(sqrt_deg[t1].mean() - sqrt_deg[t2].mean())
-        if not np.isfinite(rho2[g]):
-            groups.append(
-                GroupFairness(g, disparity=disparity, n_t1=int(t1.size),
-                              n_t2=int(t2.size), skipped=True,
-                              reason="no_slope")
-            )
-            continue
-        flags: tuple[str, ...] = ()
-        if rho2[g] < 0:
-            flags = ("negative_slope",)
-        if kind == "random_walk":
-            dh = 0.0
+    for g, (k1, k2, disp, est, slope) in enumerate(zip(
+        n_t1.tolist(), n_t2.tolist(), disparity.tolist(), dh.tolist(),
+        rho2.tolist(),
+    )):
+        if k1 == 0 or k2 == 0:
+            groups.append(GroupFairness(g, n_t1=k1, n_t2=k2, skipped=True,
+                                        reason="empty_subgroup"))
+        elif not math.isfinite(slope):
+            groups.append(GroupFairness(g, disparity=disp, n_t1=k1, n_t2=k2,
+                                        skipped=True, reason="no_slope"))
         else:
-            total = float(sqrt_deg[nodes].sum())
-            dh = abs(rho2[g] * c1[g] ** 2 * total * disparity) / nodes.size
-        groups.append(
-            GroupFairness(g, delta_hat=float(dh), disparity=disparity,
-                          n_t1=int(t1.size), n_t2=int(t2.size), flags=flags)
-        )
-    return FairnessAssessment(groups=tuple(groups), mode="closed_form",
-                              scope="all_pairs")
+            flags = ("negative_slope",) if slope < 0 else ()
+            groups.append(GroupFairness(g, delta_hat=est, disparity=disp,
+                                        n_t1=k1, n_t2=k2, flags=flags))
+    return FairnessAssessment(groups=tuple(groups))

@@ -25,8 +25,6 @@ from scipy.special import expit
 from .fairness import regularizer_term, sampled_delta_terms
 from .spectral import KINDS, NormalizedMatrix
 
-sigmoid = expit
-
 # Rows per block in ``score_pairs``: the two gather buffers stay small
 # enough to be reused without fresh page faults.
 _PAIR_BLOCK = 1024

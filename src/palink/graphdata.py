@@ -299,6 +299,10 @@ class WithinGroupView:
     connected components of what remains ("refined groups").  Nodes with no
     within-group edge form singleton groups, flagged via ``singleton``.
     Degrees and volumes include the dataset's self-loop weight.
+
+    The refinement is stored once, CSR-style: ``order`` lists the nodes
+    sorted by refined group (ascending within a group), and group ``g``'s
+    nodes are ``order[offsets[g]:offsets[g + 1]]``.
     """
 
     n: int
@@ -306,17 +310,23 @@ class WithinGroupView:
     wg_edges: np.ndarray
     wg_degrees: np.ndarray
     group_of: np.ndarray
-    groups: tuple[np.ndarray, ...]
+    order: np.ndarray
+    offsets: np.ndarray
     volumes: np.ndarray
     s_of_group: np.ndarray
 
     @property
     def n_groups(self) -> int:
-        return len(self.groups)
+        return int(self.offsets.size) - 1
+
+    @property
+    def groups(self) -> tuple[np.ndarray, ...]:
+        """Each refined group's nodes, ascending; views into ``order``."""
+        return tuple(np.split(self.order, self.offsets[1:-1]))
 
     @property
     def singleton(self) -> np.ndarray:
-        return np.array([g.size == 1 for g in self.groups])
+        return np.diff(self.offsets) == 1
 
     @property
     def zero_volume(self) -> np.ndarray:
@@ -327,7 +337,8 @@ def within_group_structure(dataset: Dataset) -> WithinGroupView:
     """Build the within-group view of a dataset.
 
     Refined groups are numbered by their smallest member node, so the
-    result is independent of edge order.
+    result is independent of edge order.  The nodes are sorted by group
+    once; no step scans them once per group.
     """
     s = dataset.s_labels
     edges = dataset.edges
@@ -352,18 +363,14 @@ def within_group_structure(dataset: Dataset) -> WithinGroupView:
 
     # Relabel components in order of smallest member node.
     first = np.full(n_comp, n, dtype=np.int64)
-    for node in range(n - 1, -1, -1):
-        first[raw[node]] = node
-    order = np.argsort(first, kind="stable")
+    np.minimum.at(first, raw, np.arange(n))
     relabel = np.empty(n_comp, dtype=np.int64)
-    relabel[order] = np.arange(n_comp)
+    relabel[np.argsort(first)] = np.arange(n_comp)
     group_of = relabel[raw]
 
-    groups = tuple(
-        np.flatnonzero(group_of == g) for g in range(n_comp)
-    )
-    volumes = np.array([wg_degrees[g].sum() for g in groups])
-    s_of_group = np.array([int(s[g[0]]) for g in groups], dtype=np.int64)
+    order = np.argsort(group_of, kind="stable")
+    offsets = np.zeros(n_comp + 1, dtype=np.int64)
+    np.cumsum(np.bincount(group_of, minlength=n_comp), out=offsets[1:])
 
     return WithinGroupView(
         n=n,
@@ -371,7 +378,8 @@ def within_group_structure(dataset: Dataset) -> WithinGroupView:
         wg_edges=wg_edges,
         wg_degrees=wg_degrees,
         group_of=group_of,
-        groups=groups,
-        volumes=volumes,
-        s_of_group=s_of_group,
+        order=order,
+        offsets=offsets,
+        volumes=np.bincount(group_of, weights=wg_degrees, minlength=n_comp),
+        s_of_group=s[order[offsets[:-1]]],
     )

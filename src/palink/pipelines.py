@@ -346,7 +346,6 @@ def run_fairness_sweep(config: RunConfig) -> dict:
                 run.test_pairs[run.same_group],
                 run.test_scores[run.same_group],
                 view.group_of, dataset.t_labels,
-                mode="post_sigmoid", scope="sampled_pairs",
             )
             deltas.append(assess.mean_delta)
             aucs.append(run.test_auc)
@@ -391,8 +390,7 @@ def run_delta_comparison(config: RunConfig) -> dict:
         pairs_sg = run.test_pairs[run.same_group]
         scores_sg = run.test_scores[run.same_group]
 
-        assess = delta(pairs_sg, scores_sg, view.group_of, dataset.t_labels,
-                       mode="post_sigmoid", scope="sampled_pairs")
+        assess = delta(pairs_sg, scores_sg, view.group_of, dataset.t_labels)
 
         alpha = alpha_vectors(run.result.model, dataset.features)
         report = build_theory_report(view, alpha, pairs_sg, scores_sg,
@@ -400,8 +398,7 @@ def run_delta_comparison(config: RunConfig) -> dict:
         rows = report.rows
         fitted_pairs = np.stack([rows["i"], rows["j"]], axis=1)
         est = delta(fitted_pairs, rows["tau_fitted"], view.group_of,
-                    dataset.t_labels, mode="post_sigmoid",
-                    scope="sampled_pairs")
+                    dataset.t_labels)
         closed = delta_hat(view, report.rho2, report.c1, dataset.t_labels,
                            config.filter_kind)
 

@@ -110,19 +110,6 @@ class SpectralSummary:
         return np.array([g.degenerate for g in self.groups])
 
 
-def _sym_block(view: WithinGroupView, gid: int, nodes: np.ndarray) -> sp.csr_matrix:
-    # A refined group is a connected component of the within-group graph,
-    # so its edges are those whose first endpoint lies in it, and their
-    # degrees are its nodes' within-group degrees.
-    pos = -np.ones(view.n, dtype=np.int64)
-    pos[nodes] = np.arange(nodes.size)
-    edges = view.wg_edges
-    sub = edges[view.group_of[edges[:, 0]] == gid]
-    return matrix_from_edges(
-        nodes.size, pos[sub], view.self_loop_weight, "symmetric"
-    ).matrix
-
-
 def _start_vector(n: int) -> np.ndarray:
     # ARPACK draws a fresh random start vector on every call unless given
     # one, so identical calls would differ in their last bits.
@@ -139,11 +126,16 @@ def block_spectrum(view: WithinGroupView, kind: str = "symmetric") -> SpectralSu
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    # Refined groups are components of the within-group graph, so this
+    # operator is block diagonal: permuted into group order, each group's
+    # block is a diagonal slice, with the entries of a per-group build.
+    sym = normalized_matrix(view, "symmetric").matrix[view.order][:, view.order]
+    bounds = view.offsets.tolist()
     specs = []
-    for gid, nodes in enumerate(view.groups):
-        k = nodes.size
+    for gid, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        k = b - a
         vol = float(view.volumes[gid])
-        block = _sym_block(view, gid, nodes)
+        block = sym[a:b, a:b]
         degenerate = vol == 0.0
         if k <= DENSE_EIG_LIMIT:
             ev = np.linalg.eigvalsh(block.toarray())[::-1]

@@ -57,14 +57,15 @@ def group_c1(view: WithinGroupView, alpha_set: AlphaSet, kind: str) -> np.ndarra
         raise ValueError("alpha set size does not match view")
     deg = view.wg_degrees
     weights = np.sqrt(deg) if kind == "symmetric" else deg
-    c1 = np.zeros(view.n_groups)
-    for g, nodes in enumerate(view.groups):
-        vol = view.volumes[g]
-        if vol == 0.0:
-            continue
-        v = (weights[nodes][:, None] * alpha_set.alphas[nodes]).sum(axis=0) / vol
-        c1[g] = np.linalg.norm(v)
-    return c1
+    vol = view.volumes
+    # add.at sums each group's rows in node order, and the stacked matmul
+    # takes one BLAS dot per row as np.linalg.norm does for a vector, so C1
+    # has the bits of a per-group sum and norm.
+    sums = np.zeros((vol.size, alpha_set.alphas.shape[1]))
+    np.add.at(sums, view.group_of, weights[:, None] * alpha_set.alphas)
+    v = sums / np.where(vol == 0.0, 1.0, vol)[:, None]
+    sq = (v[:, None, :] @ v[:, :, None]).ravel()
+    return np.where(vol == 0.0, 0.0, np.sqrt(sq))
 
 
 def raw_theoretic_scores(
@@ -116,27 +117,18 @@ def estimate_rho(tau, scores, pair_groups, n_groups: int) -> RhoEstimate:
     if not (tau.shape == scores.shape == pair_groups.shape):
         raise ValueError("tau, scores, and pair_groups must be aligned")
 
-    rho2 = np.full(n_groups, np.nan)
-    n_pairs = np.bincount(pair_groups, minlength=n_groups) if tau.size else \
-        np.zeros(n_groups, dtype=np.int64)
-    skipped = np.ones(n_groups, dtype=bool)
-    reasons = ["no_pairs"] * n_groups
-    denom = np.bincount(pair_groups, weights=tau * tau, minlength=n_groups) \
-        if tau.size else np.zeros(n_groups)
-    numer = np.bincount(pair_groups, weights=tau * scores, minlength=n_groups) \
-        if tau.size else np.zeros(n_groups)
-    for g in range(n_groups):
-        if n_pairs[g] < 2:
-            reasons[g] = "too_few_pairs" if n_pairs[g] else "no_pairs"
-            continue
-        if denom[g] == 0.0:
-            reasons[g] = "zero_tau"
-            continue
-        rho2[g] = numer[g] / denom[g]
-        skipped[g] = False
-        reasons[g] = ""
-    return RhoEstimate(rho2=rho2, n_pairs=n_pairs.astype(np.int64),
-                       skipped=skipped, reasons=tuple(reasons))
+    n_pairs = np.bincount(pair_groups, minlength=n_groups)
+    denom = np.bincount(pair_groups, weights=tau * tau, minlength=n_groups)
+    numer = np.bincount(pair_groups, weights=tau * scores, minlength=n_groups)
+    reasons = np.select(
+        [n_pairs == 0, n_pairs < 2, denom == 0.0],
+        ["no_pairs", "too_few_pairs", "zero_tau"], default="",
+    )
+    skipped = reasons != ""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho2 = np.where(skipped, np.nan, numer / denom)
+    return RhoEstimate(rho2=rho2, n_pairs=n_pairs, skipped=skipped,
+                       reasons=tuple(reasons.tolist()))
 
 
 @dataclass(frozen=True)

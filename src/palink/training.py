@@ -174,15 +174,20 @@ def train(dataset: Dataset, split: LinkSplit, config: TrainConfig) -> TrainResul
     best_weights = [w.copy() for w in model.weights]
 
     n_train = split.train_pos.shape[0]
-    cache = _forward_cached(model, nm, features, px=px)
+    # A diverging run overflows in the forward pass and the loss; the
+    # finiteness checks below name it, so NumPy's warnings are not shown.
+    quiet = dict(over="ignore", invalid="ignore")
+    with np.errstate(**quiet):
+        cache = _forward_cached(model, nm, features, px=px)
     for epoch in range(1, config.epochs + 1):
         neg = sample_negatives(dataset.n, dataset.edges, n_train, neg_rng)
-        loss, _, penalty, grads = loss_and_gradients(
-            model, nm, features, split.train_pos, neg,
-            lambda_fair=config.lambda_fair,
-            group_of=view.group_of, t_labels=dataset.t_labels,
-            forward_cache=cache,
-        )
+        with np.errstate(**quiet):
+            loss, _, penalty, grads = loss_and_gradients(
+                model, nm, features, split.train_pos, neg,
+                lambda_fair=config.lambda_fair,
+                group_of=view.group_of, t_labels=dataset.t_labels,
+                forward_cache=cache,
+            )
         if not np.isfinite(loss):
             raise ValueError(f"epoch {epoch}: training loss is {loss}")
         for w, g, m_buf, v_buf in zip(model.weights, grads, adam_m, adam_v):
@@ -199,7 +204,8 @@ def train(dataset: Dataset, split: LinkSplit, config: TrainConfig) -> TrainResul
                     f"epoch {epoch}: weight W_{l} is no longer finite"
                 )
 
-        cache = _forward_cached(model, nm, features, px=px)
+        with np.errstate(**quiet):
+            cache = _forward_cached(model, nm, features, px=px)
         val_auc = roc_auc(score_pairs(cache[0], val_pairs), val_labels).value
         history.append((epoch, float(loss), float(penalty), float(val_auc)))
         if val_auc > best_auc:

@@ -8,6 +8,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sparse
 
+from palink.spectral import matrix_from_edges
+
 DENSE_POWER_LIMIT = 5000
 
 
@@ -76,3 +78,34 @@ def lifted_pair_gradient(h, pairs, dscore) -> np.ndarray:
     lift_j = sparse.csr_matrix((dscore, (pairs[:, 1], cols)),
                                shape=(n, m_pairs))
     return lift_i @ h[pairs[:, 1]] + lift_j @ h[pairs[:, 0]]
+
+
+def sym_block(view, gid: int) -> sparse.csr_matrix:
+    """Symmetric normalized operator of refined group ``gid`` built on its
+    own: a scan for its nodes, its within-group edges relabelled 0..k-1,
+    then ``matrix_from_edges``."""
+    nodes = np.flatnonzero(view.group_of == gid)
+    pos = -np.ones(view.n, dtype=np.int64)
+    pos[nodes] = np.arange(nodes.size)
+    edges = view.wg_edges
+    sub = edges[view.group_of[edges[:, 0]] == gid]
+    return matrix_from_edges(
+        nodes.size, pos[sub], view.self_loop_weight, "symmetric"
+    ).matrix
+
+
+def loop_group_c1(view, alpha_set, kind: str) -> np.ndarray:
+    """``group_c1`` one refined group at a time: the norm of the
+    degree-weighted alpha sum over the group's nodes, divided by its
+    volume (0 for a zero-volume group)."""
+    deg = view.wg_degrees
+    weights = np.sqrt(deg) if kind == "symmetric" else deg
+    c1 = np.zeros(int(view.group_of.max()) + 1)
+    for g in range(c1.size):
+        nodes = np.flatnonzero(view.group_of == g)
+        vol = deg[nodes].sum()
+        if vol == 0.0:
+            continue
+        v = (weights[nodes][:, None] * alpha_set.alphas[nodes]).sum(axis=0)
+        c1[g] = np.linalg.norm(v / vol)
+    return c1

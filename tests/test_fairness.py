@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import expit
+from scipy.special import expit, logit
 
 from palink.fairness import (
     delta,
@@ -53,12 +53,12 @@ def random_delta_instance(rng, n=14):
 class TestDelta:
     def test_hand_worked_instance(self):
         # group {0,1,2}: nodes 0,1 in subgroup 0, node 2 in subgroup 1.
-        # pairs (0,1)=0.8 and (0,2)=0.4 give anchored multisets
-        # T1: {0.8, 0.8, 0.4} and T2: {0.4}; gap = |2/3 - 0.4| = 4/15.
+        # pairs (0,1)=0.8 and (0,2)=0.4 after the sigmoid give anchored
+        # multisets T1: {0.8, 0.8, 0.4} and T2: {0.4};
+        # gap = |2/3 - 0.4| = 4/15.
         pairs = [(0, 1), (0, 2)]
-        scores = [0.8, 0.4]
-        out = delta(pairs, scores, [0, 0, 0], [0, 0, 1],
-                    mode="pre_activation")
+        scores = logit([0.8, 0.4])
+        out = delta(pairs, scores, [0, 0, 0], [0, 0, 1])
         assert out.groups[0].delta == pytest.approx(4.0 / 15.0)
         assert out.groups[0].n_t1 == 3
         assert out.groups[0].n_t2 == 1
@@ -71,44 +71,18 @@ class TestDelta:
             if inst is None:
                 continue
             pairs, scores, group_of, t_labels = inst
-            for mode in ("pre_activation", "post_sigmoid"):
-                values = expit(scores) if mode == "post_sigmoid" else scores
-                expected = delta_enumeration_oracle(pairs, values, group_of,
-                                                    t_labels)
-                got = delta(pairs, scores, group_of, t_labels, mode=mode)
-                for g in got.groups:
-                    if g.group_id in expected:
-                        assert not g.skipped
-                        assert g.delta == pytest.approx(
-                            expected[g.group_id], abs=1e-12
-                        )
-                        checked += 1
-                    else:
-                        assert g.skipped
+            expected = delta_enumeration_oracle(pairs, expit(scores),
+                                                group_of, t_labels)
+            got = delta(pairs, scores, group_of, t_labels)
+            for g in got.groups:
+                if g.group_id in expected:
+                    assert not g.skipped
+                    assert g.delta == pytest.approx(expected[g.group_id],
+                                                    abs=1e-12)
+                    checked += 1
+                else:
+                    assert g.skipped
         assert checked > 30
-
-    def test_all_pairs_scope_equals_full_enumeration(self):
-        rng = np.random.default_rng(22)
-        group_of = rng.integers(0, 2, size=10)
-        t_labels = rng.integers(0, 2, size=10)
-        t_labels[:2] = [0, 1]  # both subgroups present somewhere
-        pairs = within_group_pairs(group_of)
-        scores = rng.normal(size=pairs.shape[0])
-        got = delta(pairs, scores, group_of, t_labels,
-                    mode="pre_activation", scope="all_pairs")
-        expected = delta_enumeration_oracle(pairs, scores, group_of, t_labels)
-        for g in got.groups:
-            if g.group_id in expected:
-                assert g.delta == pytest.approx(expected[g.group_id],
-                                                abs=1e-12)
-
-    def test_all_pairs_scope_rejects_missing_pairs(self):
-        group_of = np.zeros(4, dtype=int)
-        t_labels = np.array([0, 0, 1, 1])
-        pairs = within_group_pairs(group_of)[:-1]
-        with pytest.raises(ValueError):
-            delta(pairs, np.ones(pairs.shape[0]), group_of, t_labels,
-                  scope="all_pairs")
 
     def test_empty_subgroup_skipped(self):
         out = delta([(0, 1)], [1.0], [0, 0], [0, 0])
@@ -119,21 +93,15 @@ class TestDelta:
     def test_cross_group_pairs_ignored(self):
         pairs = [(0, 1), (0, 2)]
         scores = [0.8, 123.0]
-        base = delta([(0, 1)], [0.8], [0, 0, 1], [0, 1, 0],
-                     mode="pre_activation")
-        with_cross = delta(pairs, scores, [0, 0, 1], [0, 1, 0],
-                           mode="pre_activation")
+        base = delta([(0, 1)], [0.8], [0, 0, 1], [0, 1, 0])
+        with_cross = delta(pairs, scores, [0, 0, 1], [0, 1, 0])
         assert with_cross.groups[0].delta == base.groups[0].delta
 
     def test_self_pair_rejected(self):
         with pytest.raises(ValueError):
             delta([(1, 1)], [0.5], [0, 0], [0, 1])
 
-    def test_mode_and_scope_validation(self):
-        with pytest.raises(ValueError):
-            delta([(0, 1)], [0.5], [0, 0], [0, 1], mode="raw")
-        with pytest.raises(ValueError):
-            delta([(0, 1)], [0.5], [0, 0], [0, 1], scope="everything")
+    def test_missing_subgroup_labels_rejected(self):
         with pytest.raises(ValueError):
             delta([(0, 1)], [0.5], [0, 0], None)
 
@@ -141,29 +109,20 @@ class TestDelta:
         rng = np.random.default_rng(23)
         inst = random_delta_instance(rng, n=12)
         pairs, scores, group_of, t_labels = inst
-        base = delta(pairs, scores, group_of, t_labels, mode="pre_activation")
+        base = delta(pairs, scores, group_of, t_labels)
 
         # swapping subgroup labels leaves the gap unchanged
-        swapped = delta(pairs, scores, group_of, 1 - t_labels,
-                        mode="pre_activation")
+        swapped = delta(pairs, scores, group_of, 1 - t_labels)
         for a, b in zip(base.groups, swapped.groups):
             assert (a.delta is None) == (b.delta is None)
             if a.delta is not None:
                 assert a.delta == pytest.approx(b.delta, abs=1e-12)
 
-        # adding a constant to every score leaves the gap unchanged
-        shifted = delta(pairs, scores + 5.0, group_of, t_labels,
-                        mode="pre_activation")
-        for a, b in zip(base.groups, shifted.groups):
-            if a.delta is not None:
-                assert a.delta == pytest.approx(b.delta, abs=1e-10)
-
         # consistent node relabeling leaves the gap unchanged
         perm = rng.permutation(group_of.size)
         inv = np.empty_like(perm)
         inv[perm] = np.arange(perm.size)
-        relabeled = delta(inv[pairs], scores, group_of[perm], t_labels[perm],
-                          mode="pre_activation")
+        relabeled = delta(inv[pairs], scores, group_of[perm], t_labels[perm])
         for a, b in zip(base.groups, relabeled.groups):
             if a.delta is not None:
                 assert a.delta == pytest.approx(b.delta, abs=1e-12)
@@ -182,7 +141,7 @@ class TestSampledDeltaTerms:
         probs = expit(scores)
         deltas, _, n_active = sampled_delta_terms(pairs, probs, group_of,
                                                   t_labels)
-        public = delta(pairs, scores, group_of, t_labels, mode="post_sigmoid")
+        public = delta(pairs, scores, group_of, t_labels)
         active = {g.group_id: g.delta for g in public.active()}
         assert deltas.keys() == active.keys()
         for g, v in deltas.items():
@@ -232,7 +191,7 @@ class TestRegularizer:
             regularizer_term({0: 0.1}, -1.0)
 
     def test_accepts_assessment(self):
-        out = delta([(0, 1)], [0.0], [0, 0], [0, 1], mode="pre_activation")
+        out = delta([(0, 1)], [0.0], [0, 0], [0, 1])
         deltas = {g.group_id: g.delta for g in out.active()}
         assert regularizer_term(deltas, 3.0) == pytest.approx(0.0)
 

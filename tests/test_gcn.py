@@ -275,7 +275,7 @@ class TestGradients:
         h = forward(model, nm, ds.features)
         pairs = np.concatenate([pos, neg], axis=0)
         scores = score_pairs(h, pairs)
-        assessment = delta(pairs, scores, group_of, t, mode="post_sigmoid")
+        assessment = delta(pairs, scores, group_of, t)
         deltas = {g.group_id: g.delta for g in assessment.active()}
         assert penalty == pytest.approx(regularizer_term(deltas, lam),
                                         abs=1e-12)

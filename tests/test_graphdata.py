@@ -1,9 +1,12 @@
 """Dataset loading, validation, normalization, and within-group structure."""
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
+from palink.fairness import delta_hat
 from palink.graphdata import (
     DatasetError,
     load_dataset,
@@ -11,6 +14,7 @@ from palink.graphdata import (
     normalize_features,
     within_group_structure,
 )
+from palink.theory import AlphaSet, group_c1
 
 from conftest import random_planted_dataset
 
@@ -226,3 +230,50 @@ class TestWithinGroupView:
             # refined groups never span two label classes
             for g in view.groups:
                 assert np.unique(ds.s_labels[g]).size == 1
+            # group g is order[offsets[g]:offsets[g + 1]], ascending, as a
+            # scan of group_of finds it
+            for g in range(view.n_groups):
+                np.testing.assert_array_equal(
+                    view.order[view.offsets[g]:view.offsets[g + 1]],
+                    np.flatnonzero(view.group_of == g),
+                )
+
+    def test_million_nodes_mostly_singletons(self):
+        # 1M nodes in 3 labels with n/4 random edges: ~920k refined groups,
+        # ~90% of them singletons.  A full-length scan per group takes
+        # minutes here; the sorted layout takes well under a second.
+        n = 1_000_000
+        rng = np.random.default_rng(8)
+        edges = rng.integers(0, n, size=(n // 4, 2))
+        edges = edges[edges[:, 0] != edges[:, 1]]
+        ds = make_dataset(edges, np.zeros((n, 1)), rng.integers(0, 3, size=n),
+                          rng.integers(0, 2, size=n))
+        start = time.perf_counter()
+        view = within_group_structure(ds)
+        assert time.perf_counter() - start < 60.0
+
+        sizes = np.diff(view.offsets)
+        assert view.offsets[0] == 0 and view.offsets[-1] == n
+        assert sizes.min() == 1 and view.singleton.mean() > 0.8
+        np.testing.assert_array_equal(
+            view.group_of[view.order], np.repeat(np.arange(view.n_groups), sizes)
+        )
+        within = np.diff(view.group_of[view.order]) == 0
+        assert np.all(np.diff(view.order)[within] > 0)
+        firsts = view.order[view.offsets[:-1]]
+        assert np.all(np.diff(firsts) > 0)  # numbered by smallest member
+        np.testing.assert_array_equal(view.s_of_group, ds.s_labels[firsts])
+        assert view.volumes.sum() == view.wg_degrees.sum()
+
+        # a singleton of degree 1 (its self-loop) has C1 = ||alpha||
+        aset = AlphaSet(rng.normal(size=(n, 2)), 0.0)
+        c1 = group_c1(view, aset, "symmetric")
+        lone = view.singleton
+        np.testing.assert_allclose(
+            c1[lone], np.linalg.norm(aset.alphas[firsts[lone]], axis=1),
+            rtol=1e-15,
+        )
+        out = delta_hat(view, np.ones(view.n_groups), c1, ds.t_labels)
+        assert len(out.groups) == view.n_groups
+        assert all(out.groups[g].reason == "empty_subgroup"
+                   for g in np.flatnonzero(lone))

@@ -234,7 +234,6 @@ class TestFairnessSweep:
                 run.test_pairs[run.same_group],
                 run.test_scores[run.same_group],
                 run.result.train_view.group_of, dataset.t_labels,
-                mode="post_sigmoid", scope="sampled_pairs",
             )
             gaps.append(assess.mean_delta)
         assert row["delta_mean"] == pytest.approx(np.mean(gaps), abs=1e-12)
@@ -359,7 +358,7 @@ class TestCli:
         report = json.load(open(paths["report"]))
         assert report["lambda_fair"] == 2.0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_training_exits_2(self, tmp_path, tiny_bed, capsys):
         config_path = self.write_config(tmp_path, tiny_bed, lr=1e200,
                                         epochs=4)
@@ -392,6 +391,11 @@ class TestCli:
         code = main(["train", "--config", str(tmp_path / "nope.json")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_directory_as_config_exits_2(self, tmp_path, capsys):
+        code = main(["train", "--config", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_bad_config_key_exits_2(self, tmp_path, tiny_bed, capsys):
         config_path = self.write_config(tmp_path, tiny_bed, widgets=3)

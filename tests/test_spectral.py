@@ -19,7 +19,7 @@ from palink.spectral import (
 )
 
 from conftest import complete_graph, random_planted_dataset
-from oracles import dense_power_entries
+from oracles import dense_power_entries, sym_block
 
 
 class TestNormalizedMatrix:
@@ -111,6 +111,18 @@ class TestBlockSpectrum:
         block = nm_rw.matrix.toarray()[np.ix_(g0, g0)]
         ev = np.sort(np.linalg.eigvals(block).real)[::-1]
         np.testing.assert_allclose(sym.groups[0].eigenvalues, ev, atol=1e-8)
+
+    def test_eigenvalues_bitwise_equal_per_group_build(self):
+        rng = np.random.default_rng(6)
+        for p_in in ((0.5, 0.95), (0.05, 0.2)):
+            for _ in range(8):
+                ds = random_planted_dataset(rng, p_in_range=p_in)
+                view = within_group_structure(ds)
+                for g in block_spectrum(view).groups:
+                    block = sym_block(view, g.group_id).toarray()
+                    np.testing.assert_array_equal(
+                        g.eigenvalues, np.linalg.eigvalsh(block)[::-1]
+                    )
 
     def test_singleton_groups(self):
         ds = make_dataset([(0, 1)], np.ones((3, 1)), [0, 0, 1],

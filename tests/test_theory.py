@@ -24,7 +24,7 @@ from palink.theory import (
 )
 
 from conftest import random_planted_dataset
-from oracles import within_group_pairs
+from oracles import loop_group_c1, within_group_pairs
 
 
 def k3_unit_alphas():
@@ -104,6 +104,19 @@ class TestGroupConstants:
             tau_rw, c1_rw = raw_theoretic_scores(view, aset, pairs,
                                                  "random_walk")
             np.testing.assert_allclose(tau_rw, c1_rw[gp] ** 2, atol=1e-12)
+
+    def test_matches_per_group_loop(self):
+        rng = np.random.default_rng(64)
+        for p_in in ((0.5, 0.95), (0.05, 0.2)):
+            for _ in range(8):
+                ds = random_planted_dataset(rng, p_in_range=p_in)
+                view = within_group_structure(ds)
+                aset = AlphaSet(rng.normal(size=(ds.n, 5)), 0.0)
+                for kind in ("symmetric", "random_walk"):
+                    np.testing.assert_allclose(
+                        group_c1(view, aset, kind),
+                        loop_group_c1(view, aset, kind), rtol=1e-12, atol=0.0,
+                    )
 
     def test_zero_volume_group_constant_is_zero(self, toy_cs):
         view = within_group_structure(toy_cs)

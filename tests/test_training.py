@@ -316,7 +316,7 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(ds, split, TrainConfig(epochs=1, lambda_fair=1.0))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_loss_is_named(self):
         # the first step moves every weight by ~1e200; the next forward
         # overflows, so epoch 2's loss is NaN
@@ -326,7 +326,7 @@ class TestTrain:
         with pytest.raises(ValueError, match=r"^epoch 2: training loss is"):
             train(ds, split, config)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_weight_is_named(self):
         ds = trainable_dataset()
         split = split_links(ds, seed=1)

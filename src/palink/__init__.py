@@ -2,7 +2,6 @@
 and subgroup-fairness quantification and training."""
 from .fairness import (
     FairnessAssessment,
-    GroupFairness,
     delta,
     delta_hat,
     regularizer_term,

@@ -13,8 +13,10 @@ from dataclasses import fields, replace
 
 from .pipelines import (
     FILTER_ALIASES,
-    config_from_dict,
+    check_list,
+    check_value,
     hidden_dims_for_layers,
+    load_config,
     run_delta_comparison,
     run_fairness_sweep,
     run_train,
@@ -43,7 +45,7 @@ def _apply_overrides(config, args):
         config = replace(config, filter_kind=FILTER_ALIASES[args.filter])
     if args.layers is not None:
         if args.layers < 1:
-            raise SystemExit("--layers must be >= 1")
+            raise ValueError("--layers must be >= 1")
         config = replace(config, hidden_dims=hidden_dims_for_layers(args.layers))
     if args.lambda_fair is not None:
         config = replace(config, lambda_fair=(args.lambda_fair,))
@@ -55,19 +57,23 @@ def _apply_overrides(config, args):
 def _cmd_synth(args) -> int:
     with open(args.config) as fh:
         raw = json.load(fh)
-    out_dir = raw.pop("out", "synth_data")
+    if not isinstance(raw, dict):
+        raise ValueError("synth config must be a JSON object")
+    out_dir = check_value("out", raw.pop("out", "synth_data"), str)
     if args.out is not None:
         out_dir = args.out
     if args.seed is not None:
         raw["seed"] = args.seed
-    if "sizes" in raw:
-        raw["sizes"] = tuple(raw["sizes"])
-    for key in ("t1_fraction", "disparity_boost"):
-        if key in raw and isinstance(raw[key], list):
-            raw[key] = tuple(raw[key])
     unknown = sorted(set(raw) - {f.name for f in fields(SynthConfig)})
     if unknown:
         raise ValueError(f"unknown synth config keys: {unknown}")
+    for key, value in raw.items():
+        kind = int if key in ("sizes", "feature_dim", "seed") else float
+        if key == "sizes" or (key in ("t1_fraction", "disparity_boost")
+                              and isinstance(value, list)):
+            raw[key] = check_list(key, value, kind)
+        else:
+            raw[key] = check_value(key, value, kind)
     config = SynthConfig(**raw)
     paths = synth_generate(config, out_dir)
     print(json.dumps(paths, indent=2, sort_keys=True))
@@ -75,9 +81,7 @@ def _cmd_synth(args) -> int:
 
 
 def _run_pipeline(args, runner) -> int:
-    with open(args.config) as fh:
-        raw = json.load(fh)
-    config = _apply_overrides(config_from_dict(raw), args)
+    config = _apply_overrides(load_config(args.config), args)
     payload = runner(config)
     paths = payload.get("paths", {})
     print(json.dumps(paths, indent=2, sort_keys=True))

@@ -7,7 +7,6 @@ gap itself is symmetric under swapping the two subgroups.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,29 +16,29 @@ from .graphdata import WithinGroupView
 
 
 @dataclass(frozen=True)
-class GroupFairness:
-    group_id: int
-    delta: float | None = None
-    delta_hat: float | None = None
-    disparity: float | None = None
-    n_t1: int = 0
-    n_t2: int = 0
-    skipped: bool = False
-    reason: str = ""
-    flags: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class FairnessAssessment:
-    groups: tuple[GroupFairness, ...]
+    """Per-group results, each an array indexed by refined-group id.
 
-    def active(self) -> tuple[GroupFairness, ...]:
-        return tuple(g for g in self.groups if not g.skipped)
+    ``delta`` is the trained-score gap (from ``delta``), ``delta_hat`` and
+    ``disparity`` the closed form and its sqrt-degree disparity (from
+    ``delta_hat``); a value the producing function does not compute, or
+    that is undefined for a skipped group, is NaN.  ``reasons`` names why
+    each skipped group was skipped ("" for active groups).
+    """
+
+    delta: np.ndarray
+    delta_hat: np.ndarray
+    disparity: np.ndarray
+    n_t1: np.ndarray
+    n_t2: np.ndarray
+    skipped: np.ndarray
+    reasons: tuple[str, ...]
+    negative_slope: np.ndarray
 
     @property
     def mean_delta(self) -> float:
-        vals = [g.delta for g in self.active() if g.delta is not None]
-        return float(np.mean(vals)) if vals else float("nan")
+        vals = self.delta[~self.skipped]
+        return float(np.mean(vals)) if vals.size else float("nan")
 
 
 def _orientation_stats(pairs, values, group_of, t_labels, n_groups):
@@ -96,22 +95,18 @@ def delta(pairs, scores, group_of, t_labels) -> FairnessAssessment:
     else:
         c1 = c2 = sum1 = sum2 = np.zeros(n_groups)
 
-    groups = []
-    for g in range(n_groups):
-        if c1[g] == 0 and c2[g] == 0:
-            groups.append(GroupFairness(g, skipped=True, reason="no_pairs"))
-        elif c1[g] == 0 or c2[g] == 0:
-            groups.append(
-                GroupFairness(g, n_t1=int(c1[g]), n_t2=int(c2[g]),
-                              skipped=True, reason="empty_subgroup")
-            )
-        else:
-            d = abs(sum1[g] / c1[g] - sum2[g] / c2[g])
-            groups.append(
-                GroupFairness(g, delta=float(d), n_t1=int(c1[g]),
-                              n_t2=int(c2[g]))
-            )
-    return FairnessAssessment(groups=tuple(groups))
+    reasons = np.select([(c1 == 0) & (c2 == 0), (c1 == 0) | (c2 == 0)],
+                        ["no_pairs", "empty_subgroup"], default="")
+    skipped = reasons != ""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gaps = np.where(skipped, np.nan, np.abs(sum1 / c1 - sum2 / c2))
+    return FairnessAssessment(
+        delta=gaps, delta_hat=np.full(n_groups, np.nan),
+        disparity=np.full(n_groups, np.nan), n_t1=c1.astype(np.int64),
+        n_t2=c2.astype(np.int64), skipped=skipped,
+        reasons=tuple(reasons.tolist()),
+        negative_slope=np.zeros(n_groups, dtype=bool),
+    )
 
 
 def sampled_delta_terms(pairs, probs, group_of, t_labels):
@@ -119,7 +114,8 @@ def sampled_delta_terms(pairs, probs, group_of, t_labels):
     their sum with respect to each pair's transformed score.
 
     Used by the training loop; cross-group pairs get zero gradient.
-    Returns (deltas: dict group -> gap, grad: (m,) array, n_active).
+    Returns (gaps: per-group array, NaN where a group is inactive,
+    grad: (m,) array, n_active).
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     probs = np.asarray(probs, dtype=np.float64)
@@ -127,42 +123,34 @@ def sampled_delta_terms(pairs, probs, group_of, t_labels):
     t_labels = np.asarray(t_labels)
 
     grad = np.zeros(probs.shape[0])
+    n_groups = int(group_of.max()) + 1 if group_of.size else 0
     same = group_of[pairs[:, 0]] == group_of[pairs[:, 1]]
     if not same.any():
-        return {}, grad, 0
+        return np.full(n_groups, np.nan), grad, 0
 
     idx = np.flatnonzero(same)
-    sub_pairs = pairs[idx]
-    sub_probs = probs[idx]
-    n_groups = int(group_of.max()) + 1
     gid, a1, a2, c1, c2, sum1, sum2 = _orientation_stats(
-        sub_pairs, sub_probs, group_of, t_labels, n_groups
+        pairs[idx], probs[idx], group_of, t_labels, n_groups
     )
 
     active = (c1 > 0) & (c2 > 0)
-    deltas: dict[int, float] = {}
-    with np.errstate(invalid="ignore", divide="ignore"):
-        diff = np.where(active, sum1 / np.where(c1 > 0, c1, 1.0)
-                        - sum2 / np.where(c2 > 0, c2, 1.0), 0.0)
-    sign = np.sign(diff) * active
-    for g in np.flatnonzero(active):
-        deltas[int(g)] = abs(float(diff[g]))
-
     safe_c1 = np.where(c1 > 0, c1, 1.0)
     safe_c2 = np.where(c2 > 0, c2, 1.0)
-    per_pair = sign[gid] * (a1 / safe_c1[gid] - a2 / safe_c2[gid])
-    grad[idx] = per_pair
-    return deltas, grad, int(active.sum())
+    diff = np.where(active, sum1 / safe_c1 - sum2 / safe_c2, 0.0)
+    sign = np.sign(diff) * active
+    grad[idx] = sign[gid] * (a1 / safe_c1[gid] - a2 / safe_c2[gid])
+    return np.where(active, np.abs(diff), np.nan), grad, int(active.sum())
 
 
-def regularizer_term(deltas, lam: float) -> float:
-    """(lam / B) * sum of the B per-group gaps in ``deltas`` (group -> gap)."""
+def regularizer_term(gaps, lam: float) -> float:
+    """(lam / B) * sum of the B defined (non-NaN) per-group gaps."""
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    vals = list(deltas.values())
-    if not vals:
+    gaps = np.asarray(gaps, dtype=np.float64)
+    vals = gaps[~np.isnan(gaps)]
+    if not vals.size:
         return 0.0
-    return float(lam * np.sum(vals) / len(vals))
+    return float(lam * np.sum(vals) / vals.size)
 
 
 def delta_hat(
@@ -199,26 +187,19 @@ def delta_hat(
     sum1 = np.bincount(gid[t1], weights=sqrt_deg[t1], minlength=n_groups)
     sum2 = np.bincount(gid[t2], weights=sqrt_deg[t2], minlength=n_groups)
     total = np.bincount(gid, weights=sqrt_deg, minlength=n_groups)
-    # Skipped groups (an empty subgroup, no slope) get NaNs here, unread.
+    # An empty subgroup's mean is 0/0, so its disparity is NaN.
     with np.errstate(divide="ignore", invalid="ignore"):
         disparity = sum1 / n_t1 - sum2 / n_t2
         dh = np.abs(rho2 * c1**2 * total * disparity) / np.diff(view.offsets)
     if kind == "random_walk":
-        dh[:] = 0.0
-
-    groups = []
-    for g, (k1, k2, disp, est, slope) in enumerate(zip(
-        n_t1.tolist(), n_t2.tolist(), disparity.tolist(), dh.tolist(),
-        rho2.tolist(),
-    )):
-        if k1 == 0 or k2 == 0:
-            groups.append(GroupFairness(g, n_t1=k1, n_t2=k2, skipped=True,
-                                        reason="empty_subgroup"))
-        elif not math.isfinite(slope):
-            groups.append(GroupFairness(g, disparity=disp, n_t1=k1, n_t2=k2,
-                                        skipped=True, reason="no_slope"))
-        else:
-            flags = ("negative_slope",) if slope < 0 else ()
-            groups.append(GroupFairness(g, delta_hat=est, disparity=disp,
-                                        n_t1=k1, n_t2=k2, flags=flags))
-    return FairnessAssessment(groups=tuple(groups))
+        dh = np.zeros(n_groups)
+    reasons = np.select([(n_t1 == 0) | (n_t2 == 0), ~np.isfinite(rho2)],
+                        ["empty_subgroup", "no_slope"], default="")
+    skipped = reasons != ""
+    return FairnessAssessment(
+        delta=np.full(n_groups, np.nan),
+        delta_hat=np.where(skipped, np.nan, dh), disparity=disparity,
+        n_t1=n_t1, n_t2=n_t2, skipped=skipped,
+        reasons=tuple(reasons.tolist()),
+        negative_slope=~skipped & (rho2 < 0),
+    )

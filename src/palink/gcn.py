@@ -217,10 +217,10 @@ def loss_and_gradients(
             raise ValueError(
                 "lambda_fair > 0 requires group and subgroup labels"
             )
-        deltas, dprob, n_active = sampled_delta_terms(
+        gaps, dprob, n_active = sampled_delta_terms(
             pairs, probs, group_of, t_labels
         )
-        penalty = regularizer_term(deltas, lambda_fair)
+        penalty = regularizer_term(gaps, lambda_fair)
         if n_active:
             dscore = dscore + (lambda_fair / n_active) * dprob * probs * (1.0 - probs)
 

@@ -83,47 +83,64 @@ def load_config(path: str) -> RunConfig:
     return config_from_dict(raw)
 
 
+_JSON_TYPES = {int: ((int,), "an integer"),
+               float: ((int, float), "a number"), str: ((str,), "a string")}
+
+
+def check_value(key: str, value, kind: type):
+    """``value`` itself if it is a JSON value of ``kind`` (int, float or
+    str; an integer also counts as a float, a boolean as neither),
+    otherwise a ValueError that names ``key``."""
+    types, name = _JSON_TYPES[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"config key {key!r} must be {name}, got {value!r}")
+    return value
+
+
+def check_list(key: str, value, kind: type, scalar: bool = False) -> tuple:
+    """A non-empty list of ``kind`` values as a tuple; with ``scalar`` a
+    bare value counts as a list of one."""
+    if scalar and not isinstance(value, (list, tuple)):
+        value = [value]
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ValueError(f"config key {key!r} must be a non-empty list, "
+                         f"got {value!r}")
+    return tuple(check_value(key, v, kind) for v in value)
+
+
 def config_from_dict(raw: dict) -> RunConfig:
+    if not isinstance(raw, dict):
+        raise ValueError("config must be a JSON object")
     raw = dict(raw)
     ds = raw.pop("dataset", None)
-    if ds is None or not {"edges", "features", "labels"} <= set(ds):
+    if not isinstance(ds, dict) or not {"edges", "features", "labels"} <= set(ds):
         raise ValueError("config needs dataset.{name,edges,features,labels}")
     kwargs = {
-        "name": ds.get("name", "dataset"),
-        "edges": ds["edges"],
-        "features": ds["features"],
-        "labels": ds["labels"],
+        key: check_value(f"dataset.{key}", ds.get(key, "dataset"), str)
+        for key in ("name", "edges", "features", "labels")
     }
     if "filter" in raw:
-        kind = raw.pop("filter")
+        kind = check_value("filter", raw.pop("filter"), str)
         if kind not in FILTER_ALIASES:
             raise ValueError(f"unknown filter: {kind!r}")
         kwargs["filter_kind"] = FILTER_ALIASES[kind]
-    if "layers" in raw and "hidden_dims" not in raw:
-        n_layers = int(raw.pop("layers"))
+    if "hidden_dims" in raw:
+        raw.pop("layers", None)
+    elif "layers" in raw:
+        n_layers = check_value("layers", raw.pop("layers"), int)
         if n_layers < 1:
             raise ValueError("layers must be >= 1")
         kwargs["hidden_dims"] = hidden_dims_for_layers(n_layers)
-    if "hidden_dims" in raw:
-        kwargs["hidden_dims"] = tuple(int(d) for d in raw.pop("hidden_dims"))
-        raw.pop("layers", None)
-    for key in ("normalization", "self_loop_weight", "epochs", "lr"):
+    for key, kind in (("normalization", str), ("self_loop_weight", float),
+                      ("epochs", int), ("lr", float), ("out", str)):
         if key in raw:
-            kwargs[key] = raw.pop(key)
-    if "ratios" in raw:
-        kwargs["ratios"] = tuple(float(r) for r in raw.pop("ratios"))
-    if "seeds" in raw:
-        seeds = raw.pop("seeds")
-        kwargs["seeds"] = tuple(int(s) for s in (
-            seeds if isinstance(seeds, (list, tuple)) else [seeds]
-        ))
-    if "lambda_fair" in raw:
-        lam = raw.pop("lambda_fair")
-        kwargs["lambda_fair"] = tuple(float(x) for x in (
-            lam if isinstance(lam, (list, tuple)) else [lam]
-        ))
-    if "out" in raw:
-        kwargs["out"] = raw.pop("out")
+            kwargs[key] = check_value(key, raw.pop(key), kind)
+    for key, kind, scalar in (("hidden_dims", int, False),
+                              ("ratios", float, False), ("seeds", int, True),
+                              ("lambda_fair", float, True)):
+        if key in raw:
+            kwargs[key] = tuple(
+                kind(v) for v in check_list(key, raw.pop(key), kind, scalar))
     if raw:
         raise ValueError(f"unknown config keys: {sorted(raw)}")
     return RunConfig(**kwargs)
@@ -355,10 +372,13 @@ def run_fairness_sweep(config: RunConfig) -> dict:
                 "mean_delta": assess.mean_delta,
                 "test_auc": run.test_auc,
                 "groups": [
-                    {"group": g.group_id, "delta": g.delta,
-                     "n_t1": g.n_t1, "n_t2": g.n_t2,
-                     "skipped": g.skipped, "reason": g.reason}
-                    for g in assess.groups
+                    {"group": g, "delta": d, "n_t1": k1, "n_t2": k2,
+                     "skipped": skip, "reason": reason}
+                    for g, (d, k1, k2, skip, reason) in enumerate(zip(
+                        assess.delta.tolist(), assess.n_t1.tolist(),
+                        assess.n_t2.tolist(), assess.skipped.tolist(),
+                        assess.reasons,
+                    ))
                 ],
             })
         d_mean, d_std = _mean_std(deltas)
@@ -402,22 +422,14 @@ def run_delta_comparison(config: RunConfig) -> dict:
         closed = delta_hat(view, report.rho2, report.c1, dataset.t_labels,
                            config.filter_kind)
 
-        by_id = {g.group_id: g for g in assess.groups}
-        est_by_id = {g.group_id: g for g in est.groups}
-        closed_by_id = {g.group_id: g for g in closed.groups}
-        for gid in sorted(by_id):
-            g = by_id[gid]
-            e = est_by_id.get(gid)
-            c = closed_by_id.get(gid)
-            if g.skipped or e is None or e.skipped:
-                continue
+        for g in np.flatnonzero(~assess.skipped & ~est.skipped).tolist():
             scatter.append({
-                "seed": seed, "group": gid,
-                "delta": g.delta, "delta_hat": e.delta,
-                "delta_hat_closed_form":
-                    None if c is None or c.skipped else c.delta_hat,
-                "disparity": None if c is None else c.disparity,
-                "n_t1": g.n_t1, "n_t2": g.n_t2,
+                "seed": seed, "group": g,
+                "delta": float(assess.delta[g]),
+                "delta_hat": float(est.delta[g]),
+                "delta_hat_closed_form": float(closed.delta_hat[g]),
+                "disparity": float(closed.disparity[g]),
+                "n_t1": int(assess.n_t1[g]), "n_t2": int(assess.n_t2[g]),
             })
 
     deltas = np.array([r["delta"] for r in scatter], dtype=np.float64)
@@ -447,7 +459,7 @@ def run_train(config: RunConfig) -> dict:
     checkpoint, history CSV, and a summary report."""
     dataset, out_dir = _open_run(config)
     seed = config.seeds[0]
-    lam = config.lambda_fair[0] if config.lambda_fair else 0.0
+    lam = config.lambda_fair[0]
 
     run = run_seed(dataset, config, seed, lambda_fair=lam)
     ckpt_path = os.path.join(out_dir, "checkpoint.npz")

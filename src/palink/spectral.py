@@ -86,28 +86,13 @@ def matrix_from_edges(
 
 
 @dataclass(frozen=True)
-class GroupSpectrum:
-    group_id: int
-    size: int
-    volume: float
-    eigenvalues: np.ndarray  # descending; extremal triple on iterative path
-    lambda_gap: float
-    degenerate: bool
-    method: str
-
-
-@dataclass(frozen=True)
 class SpectralSummary:
+    """Per refined group (indexed by group id), the spectral gap of its
+    normalized block and whether the group has zero volume."""
+
     kind: str
-    groups: tuple[GroupSpectrum, ...]
-
-    @property
-    def lambda_gaps(self) -> np.ndarray:
-        return np.array([g.lambda_gap for g in self.groups])
-
-    @property
-    def degenerate(self) -> np.ndarray:
-        return np.array([g.degenerate for g in self.groups])
+    lambda_gaps: np.ndarray
+    degenerate: np.ndarray
 
 
 def _start_vector(n: int) -> np.ndarray:
@@ -117,12 +102,13 @@ def _start_vector(n: int) -> np.ndarray:
 
 
 def block_spectrum(view: WithinGroupView, kind: str = "symmetric") -> SpectralSummary:
-    """Per refined group, the spectrum of its normalized block.
+    """Per refined group, the spectral gap max(lambda_2, |lambda_min|) of
+    its normalized block.
 
     The random-walk block is similar to the symmetric one via D^1/2, so
-    both kinds share eigenvalues.  Blocks larger than ``DENSE_EIG_LIMIT``
-    get only their extremal eigenvalues (lambda_1, lambda_2, lambda_min)
-    via Lanczos.
+    both kinds share eigenvalues.  A singleton's gap is 0 without an
+    eigensolve.  Blocks larger than ``DENSE_EIG_LIMIT`` get only their
+    extremal eigenvalues via Lanczos.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
@@ -131,37 +117,20 @@ def block_spectrum(view: WithinGroupView, kind: str = "symmetric") -> SpectralSu
     # block is a diagonal slice, with the entries of a per-group build.
     sym = normalized_matrix(view, "symmetric").matrix[view.order][:, view.order]
     bounds = view.offsets.tolist()
-    specs = []
-    for gid, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-        k = b - a
-        vol = float(view.volumes[gid])
+    gaps = np.zeros(view.n_groups)
+    for gid in np.flatnonzero(np.diff(view.offsets) >= 2).tolist():
+        a, b = bounds[gid], bounds[gid + 1]
         block = sym[a:b, a:b]
-        degenerate = vol == 0.0
-        if k <= DENSE_EIG_LIMIT:
-            ev = np.linalg.eigvalsh(block.toarray())[::-1]
-            method = "dense"
+        if b - a <= DENSE_EIG_LIMIT:
+            ev = np.linalg.eigvalsh(block.toarray())
+            second, lowest = ev[-2], ev[0]
         else:
-            opts = dict(v0=_start_vector(k), return_eigenvectors=False)
-            top = spla.eigsh(block, k=2, which="LA", **opts)
-            bot = spla.eigsh(block, k=1, which="SA", **opts)
-            ev = np.array([top.max(), top.min(), bot.min()])
-            method = "iterative"
-        if k == 1:
-            gap = 0.0
-        else:
-            gap = max(float(ev[1]), abs(float(ev[-1])))
-        specs.append(
-            GroupSpectrum(
-                group_id=gid,
-                size=k,
-                volume=vol,
-                eigenvalues=ev,
-                lambda_gap=gap,
-                degenerate=degenerate,
-                method=method,
-            )
-        )
-    return SpectralSummary(kind=kind, groups=tuple(specs))
+            opts = dict(v0=_start_vector(b - a), return_eigenvectors=False)
+            second = spla.eigsh(block, k=2, which="LA", **opts).min()
+            lowest = spla.eigsh(block, k=1, which="SA", **opts).min()
+        gaps[gid] = max(float(second), abs(float(lowest)))
+    return SpectralSummary(kind=kind, lambda_gaps=gaps,
+                           degenerate=view.volumes == 0.0)
 
 
 def operator_norm(mat) -> float:

@@ -94,6 +94,13 @@ def sym_block(view, gid: int) -> sparse.csr_matrix:
     ).matrix
 
 
+def sym_block_gap(view, gid: int) -> float:
+    """Spectral gap max(lambda_2, |lambda_min|) of ``sym_block`` by a dense
+    eigensolve; 0 for a singleton."""
+    ev = np.linalg.eigvalsh(sym_block(view, gid).toarray())
+    return 0.0 if ev.size == 1 else max(float(ev[-2]), abs(float(ev[0])))
+
+
 def loop_group_c1(view, alpha_set, kind: str) -> np.ndarray:
     """``group_c1`` one refined group at a time: the norm of the
     degree-weighted alpha sum over the group's nodes, divided by its
@@ -109,3 +116,21 @@ def loop_group_c1(view, alpha_set, kind: str) -> np.ndarray:
         v = (weights[nodes][:, None] * alpha_set.alphas[nodes]).sum(axis=0)
         c1[g] = np.linalg.norm(v / vol)
     return c1
+
+
+def delta_enumeration_oracle(pairs, values, group_of, t_labels) -> np.ndarray:
+    """``fairness.delta`` on already-transformed scores by explicit loops:
+    per group, both anchored orientation multisets, then the absolute
+    difference of their means; NaN for a group where either is empty."""
+    buckets = {}
+    for (i, j), v in zip(pairs, values):
+        if group_of[i] != group_of[j]:
+            continue
+        bucket = buckets.setdefault(group_of[i], {0: [], 1: []})
+        for anchor in (i, j):
+            bucket[t_labels[anchor]].append(v)
+    out = np.full(int(np.max(group_of)) + 1, np.nan)
+    for g, bucket in buckets.items():
+        if bucket[0] and bucket[1]:
+            out[g] = abs(np.mean(bucket[0]) - np.mean(bucket[1]))
+    return out

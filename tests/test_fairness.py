@@ -17,25 +17,7 @@ from palink.fairness import (
 from palink.graphdata import make_dataset, within_group_structure
 
 from conftest import random_planted_dataset
-from oracles import within_group_pairs
-
-
-def delta_enumeration_oracle(pairs, values, group_of, t_labels):
-    """Independent oracle: build both anchored orientation multisets per
-    group with explicit loops and diff their means."""
-    sums = {}
-    for (i, j), v in zip(pairs, values):
-        if group_of[i] != group_of[j]:
-            continue
-        g = group_of[i]
-        bucket = sums.setdefault(g, {0: [], 1: []})
-        for anchor in (i, j):
-            bucket[t_labels[anchor]].append(v)
-    out = {}
-    for g, bucket in sums.items():
-        if bucket[0] and bucket[1]:
-            out[g] = abs(np.mean(bucket[0]) - np.mean(bucket[1]))
-    return out
+from oracles import delta_enumeration_oracle, within_group_pairs
 
 
 def random_delta_instance(rng, n=14):
@@ -59,9 +41,9 @@ class TestDelta:
         pairs = [(0, 1), (0, 2)]
         scores = logit([0.8, 0.4])
         out = delta(pairs, scores, [0, 0, 0], [0, 0, 1])
-        assert out.groups[0].delta == pytest.approx(4.0 / 15.0)
-        assert out.groups[0].n_t1 == 3
-        assert out.groups[0].n_t2 == 1
+        assert out.delta[0] == pytest.approx(4.0 / 15.0)
+        assert out.n_t1[0] == 3
+        assert out.n_t2[0] == 1
 
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(21)
@@ -74,28 +56,24 @@ class TestDelta:
             expected = delta_enumeration_oracle(pairs, expit(scores),
                                                 group_of, t_labels)
             got = delta(pairs, scores, group_of, t_labels)
-            for g in got.groups:
-                if g.group_id in expected:
-                    assert not g.skipped
-                    assert g.delta == pytest.approx(expected[g.group_id],
-                                                    abs=1e-12)
-                    checked += 1
-                else:
-                    assert g.skipped
+            np.testing.assert_allclose(got.delta, expected, rtol=0,
+                                       atol=1e-12)
+            np.testing.assert_array_equal(got.skipped, np.isnan(expected))
+            checked += int((~got.skipped).sum())
         assert checked > 30
 
     def test_empty_subgroup_skipped(self):
         out = delta([(0, 1)], [1.0], [0, 0], [0, 0])
-        assert out.groups[0].skipped
-        assert out.groups[0].reason == "empty_subgroup"
-        assert math.isnan(out.mean_delta)
+        assert out.skipped[0]
+        assert out.reasons == ("empty_subgroup",)
+        assert math.isnan(out.delta[0]) and math.isnan(out.mean_delta)
 
     def test_cross_group_pairs_ignored(self):
         pairs = [(0, 1), (0, 2)]
         scores = [0.8, 123.0]
         base = delta([(0, 1)], [0.8], [0, 0, 1], [0, 1, 0])
         with_cross = delta(pairs, scores, [0, 0, 1], [0, 1, 0])
-        assert with_cross.groups[0].delta == base.groups[0].delta
+        assert with_cross.delta[0] == base.delta[0]
 
     def test_self_pair_rejected(self):
         with pytest.raises(ValueError):
@@ -113,24 +91,19 @@ class TestDelta:
 
         # swapping subgroup labels leaves the gap unchanged
         swapped = delta(pairs, scores, group_of, 1 - t_labels)
-        for a, b in zip(base.groups, swapped.groups):
-            assert (a.delta is None) == (b.delta is None)
-            if a.delta is not None:
-                assert a.delta == pytest.approx(b.delta, abs=1e-12)
+        np.testing.assert_allclose(swapped.delta, base.delta, rtol=0,
+                                   atol=1e-12)
 
         # consistent node relabeling leaves the gap unchanged
         perm = rng.permutation(group_of.size)
         inv = np.empty_like(perm)
         inv[perm] = np.arange(perm.size)
         relabeled = delta(inv[pairs], scores, group_of[perm], t_labels[perm])
-        for a, b in zip(base.groups, relabeled.groups):
-            if a.delta is not None:
-                assert a.delta == pytest.approx(b.delta, abs=1e-12)
+        np.testing.assert_allclose(relabeled.delta, base.delta, rtol=0,
+                                   atol=1e-12)
 
         # non-negative everywhere
-        for g in base.groups:
-            if g.delta is not None:
-                assert g.delta >= 0.0
+        assert np.all(base.delta[~base.skipped] >= 0.0)
 
 
 class TestSampledDeltaTerms:
@@ -139,14 +112,11 @@ class TestSampledDeltaTerms:
         inst = random_delta_instance(rng)
         pairs, scores, group_of, t_labels = inst
         probs = expit(scores)
-        deltas, _, n_active = sampled_delta_terms(pairs, probs, group_of,
-                                                  t_labels)
+        gaps, _, n_active = sampled_delta_terms(pairs, probs, group_of,
+                                                t_labels)
         public = delta(pairs, scores, group_of, t_labels)
-        active = {g.group_id: g.delta for g in public.active()}
-        assert deltas.keys() == active.keys()
-        for g, v in deltas.items():
-            assert v == pytest.approx(active[g], abs=1e-12)
-        assert n_active == len(active)
+        np.testing.assert_allclose(gaps, public.delta, rtol=0, atol=1e-12)
+        assert n_active == int((~public.skipped).sum())
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(25)
@@ -156,44 +126,45 @@ class TestSampledDeltaTerms:
                 continue
             pairs, scores, group_of, t_labels = inst
             probs = expit(scores)
-            deltas, grad, _ = sampled_delta_terms(pairs, probs, group_of,
-                                                  t_labels)
-            if not deltas:
+            gaps, grad, n_active = sampled_delta_terms(pairs, probs,
+                                                       group_of, t_labels)
+            if not n_active:
                 continue
-            total = sum(deltas.values())
+            total = np.nansum(gaps)
             h = 1e-7
             for e in range(min(pairs.shape[0], 8)):
                 bumped = probs.copy()
                 bumped[e] += h
-                up = sum(sampled_delta_terms(pairs, bumped, group_of,
-                                             t_labels)[0].values())
+                up = np.nansum(sampled_delta_terms(pairs, bumped, group_of,
+                                                   t_labels)[0])
                 fd = (up - total) / h
                 assert grad[e] == pytest.approx(fd, abs=1e-5)
 
     def test_no_same_group_pairs(self):
-        deltas, grad, n = sampled_delta_terms(
+        gaps, grad, n = sampled_delta_terms(
             np.array([[0, 1]]), np.array([0.5]),
             np.array([0, 1]), np.array([0, 1])
         )
-        assert deltas == {} and n == 0
+        assert np.isnan(gaps).all() and gaps.size == 2 and n == 0
         np.testing.assert_array_equal(grad, [0.0])
 
 
 class TestRegularizer:
     def test_hand_value(self):
-        assert regularizer_term({0: 0.4, 1: 0.1}, 2.0) == pytest.approx(0.5)
+        gaps = np.array([0.4, np.nan, 0.1])  # the NaN group is inactive
+        assert regularizer_term(gaps, 2.0) == pytest.approx(0.5)
 
     def test_no_groups_gives_zero(self):
-        assert regularizer_term({}, 4.0) == 0.0
+        assert regularizer_term(np.array([]), 4.0) == 0.0
+        assert regularizer_term(np.array([np.nan]), 4.0) == 0.0
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
-            regularizer_term({0: 0.1}, -1.0)
+            regularizer_term(np.array([0.1]), -1.0)
 
     def test_accepts_assessment(self):
         out = delta([(0, 1)], [0.0], [0, 0], [0, 1])
-        deltas = {g.group_id: g.delta for g in out.active()}
-        assert regularizer_term(deltas, 3.0) == pytest.approx(0.0)
+        assert regularizer_term(out.delta, 3.0) == pytest.approx(0.0)
 
 
 def delta_hat_brute_force(view, rho2, c1, t_labels, g):
@@ -213,16 +184,17 @@ class TestDeltaHat:
         rho2 = np.ones(view.n_groups)
         c1 = np.ones(view.n_groups)
         out = delta_hat(view, rho2, c1, toy_cs.t_labels, "symmetric")
-        g0 = out.groups[0]
         # degrees {1,2,1,3,1}: sum of square roots 3 + sqrt2 + sqrt3,
         # subgroup-0 mean sqrt3, subgroup-1 mean (3 + sqrt2)/4
         total = 3.0 + math.sqrt(2.0) + math.sqrt(3.0)
         disp = math.sqrt(3.0) - (3.0 + math.sqrt(2.0)) / 4.0
-        assert g0.delta_hat == pytest.approx(total * disp / 5.0, abs=1e-12)
-        assert g0.delta_hat == pytest.approx(0.7726, abs=5e-5)
-        assert g0.disparity == pytest.approx(disp, abs=1e-12)
+        assert out.delta_hat[0] == pytest.approx(total * disp / 5.0,
+                                                 abs=1e-12)
+        assert out.delta_hat[0] == pytest.approx(0.7726, abs=5e-5)
+        assert out.disparity[0] == pytest.approx(disp, abs=1e-12)
         # the second group has only one subgroup present
-        assert out.groups[1].skipped
+        assert out.skipped[1] and out.reasons[1] == "empty_subgroup"
+        assert np.isnan(out.delta_hat[1]) and np.isnan(out.disparity[1])
 
     def test_matches_brute_force_on_random_graphs(self):
         rng = np.random.default_rng(26)
@@ -232,13 +204,11 @@ class TestDeltaHat:
             rho2 = rng.normal(size=view.n_groups) ** 2
             c1 = np.abs(rng.normal(size=view.n_groups))
             out = delta_hat(view, rho2, c1, ds.t_labels, "symmetric")
-            for g in out.groups:
-                if g.skipped:
-                    continue
+            for g in np.flatnonzero(~out.skipped):
                 expected = delta_hat_brute_force(view, rho2, c1, ds.t_labels,
-                                                 g.group_id)
-                assert g.delta_hat == pytest.approx(expected, abs=1e-9)
-                assert g.delta_hat >= 0.0
+                                                 g)
+                assert out.delta_hat[g] == pytest.approx(expected, abs=1e-9)
+                assert out.delta_hat[g] >= 0.0
 
     def test_random_walk_closed_form_is_zero(self):
         rng = np.random.default_rng(27)
@@ -246,31 +216,30 @@ class TestDeltaHat:
         view = within_group_structure(ds)
         out = delta_hat(view, np.ones(view.n_groups), np.ones(view.n_groups),
                         ds.t_labels, "random_walk")
-        for g in out.groups:
-            if not g.skipped:
-                assert g.delta_hat == 0.0
+        assert np.all(out.delta_hat[~out.skipped] == 0.0)
+        assert np.isnan(out.delta_hat[out.skipped]).all()
 
     def test_negative_slope_flagged(self, toy_cs):
         view = within_group_structure(toy_cs)
         rho2 = np.array([-1.0, 1.0])
         out = delta_hat(view, rho2, np.ones(2), toy_cs.t_labels, "symmetric")
-        assert "negative_slope" in out.groups[0].flags
-        assert out.groups[0].delta_hat >= 0.0
+        np.testing.assert_array_equal(out.negative_slope, [True, False])
+        assert out.delta_hat[0] >= 0.0
 
     def test_missing_slope_skipped(self, toy_cs):
         view = within_group_structure(toy_cs)
         rho2 = np.array([np.nan, np.nan])
         out = delta_hat(view, rho2, np.ones(2), toy_cs.t_labels, "symmetric")
-        assert out.groups[0].skipped
-        assert out.groups[0].reason == "no_slope"
+        assert out.skipped[0]
+        assert out.reasons == ("no_slope", "empty_subgroup")
 
     def test_subgroup_swap_invariance(self, toy_cs):
         view = within_group_structure(toy_cs)
         ones = np.ones(view.n_groups)
         a = delta_hat(view, ones, ones, toy_cs.t_labels, "symmetric")
         b = delta_hat(view, ones, ones, 1 - toy_cs.t_labels, "symmetric")
-        assert a.groups[0].delta_hat == pytest.approx(b.groups[0].delta_hat)
-        assert a.groups[0].disparity == pytest.approx(-b.groups[0].disparity)
+        assert a.delta_hat[0] == pytest.approx(b.delta_hat[0])
+        assert a.disparity[0] == pytest.approx(-b.disparity[0])
 
 
 class TestWithinGroupPairs:

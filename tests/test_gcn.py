@@ -276,9 +276,8 @@ class TestGradients:
         pairs = np.concatenate([pos, neg], axis=0)
         scores = score_pairs(h, pairs)
         assessment = delta(pairs, scores, group_of, t)
-        deltas = {g.group_id: g.delta for g in assessment.active()}
-        assert penalty == pytest.approx(regularizer_term(deltas, lam),
-                                        abs=1e-12)
+        assert penalty == pytest.approx(
+            regularizer_term(assessment.delta, lam), abs=1e-12)
 
     def test_zero_lambda_has_no_penalty(self):
         ds, nm, model, pos, neg, group_of, t = gradient_instance(45)

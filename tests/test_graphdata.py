@@ -274,6 +274,6 @@ class TestWithinGroupView:
             rtol=1e-15,
         )
         out = delta_hat(view, np.ones(view.n_groups), c1, ds.t_labels)
-        assert len(out.groups) == view.n_groups
-        assert all(out.groups[g].reason == "empty_subgroup"
+        assert len(out.reasons) == out.delta_hat.size == view.n_groups
+        assert all(out.reasons[g] == "empty_subgroup"
                    for g in np.flatnonzero(lone))

@@ -412,3 +412,41 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.strip() == "error: unknown synth config keys: ['bogus']"
         assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("command,config,extra,message", [
+        ("train", {"epochs": "3"}, [], "'epochs' must be an integer"),
+        ("train", {"lr": "x"}, [], "'lr' must be a number"),
+        ("train", {"self_loop_weight": "a"}, [],
+         "'self_loop_weight' must be a number"),
+        ("train", {"hidden_dims": 5}, [],
+         "'hidden_dims' must be a non-empty list"),
+        ("train", [1, 2], [], "config must be a JSON object"),
+        ("train", {}, ["--layers", "0"], "--layers must be >= 1"),
+        ("train", {"seeds": []}, [], "'seeds' must be a non-empty list"),
+        ("train", {"lambda_fair": []}, [],
+         "'lambda_fair' must be a non-empty list"),
+        ("validate-theory", {"seeds": []}, [],
+         "'seeds' must be a non-empty list"),
+        ("fairness-sweep", {"lambda_fair": []}, [],
+         "'lambda_fair' must be a non-empty list"),
+        ("synth", {"sizes": 5}, [], "'sizes' must be a non-empty list"),
+        ("synth", {"p_in": "a"}, [], "'p_in' must be a number"),
+        ("synth", [1], [], "synth config must be a JSON object"),
+    ])
+    def test_bad_config_value_exits_2(self, tmp_path, tiny_bed, capsys,
+                                      command, config, extra, message):
+        path = tmp_path / "config.json"
+        if isinstance(config, list):
+            path.write_text(json.dumps(config))
+        elif command == "synth":
+            path.write_text(json.dumps({"sizes": [10, 10],
+                                        "out": str(tmp_path / "data"),
+                                        **config}))
+        else:
+            self.write_config(tmp_path, tiny_bed, **config)
+        code = main([command, "--config", str(path), *extra])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "runs").exists()
+        assert not (tmp_path / "data").exists()

@@ -19,7 +19,7 @@ from palink.spectral import (
 )
 
 from conftest import complete_graph, random_planted_dataset
-from oracles import dense_power_entries, sym_block
+from oracles import dense_power_entries, sym_block, sym_block_gap
 
 
 class TestNormalizedMatrix:
@@ -65,26 +65,44 @@ class TestNormalizedMatrix:
             normalized_matrix(k3, "laplacian")
 
 
+def oracle_eigenvalues(view, g) -> np.ndarray:
+    """Ascending eigenvalues of group ``g``'s block, built on its own."""
+    return np.linalg.eigvalsh(sym_block(view, g).toarray())
+
+
+def counting_eigsh(monkeypatch) -> list:
+    """Replace Lanczos ``eigsh`` with a wrapper that logs each call's
+    block size; returns the log."""
+    calls = []
+    real = spectral.spla.eigsh
+
+    def eigsh(mat, *args, **kwargs):
+        calls.append(mat.shape[0])
+        return real(mat, *args, **kwargs)
+
+    monkeypatch.setattr(spectral.spla, "eigsh", eigsh)
+    return calls
+
+
 class TestBlockSpectrum:
     def test_k3_eigenvalues_and_gap(self, k3):
         view = within_group_structure(k3)
         summary = block_spectrum(view)
-        ev = summary.groups[0].eigenvalues
-        np.testing.assert_allclose(ev, [1.0, -0.5, -0.5], atol=1e-12)
-        assert summary.groups[0].lambda_gap == pytest.approx(0.5)
+        np.testing.assert_allclose(oracle_eigenvalues(view, 0),
+                                   [-0.5, -0.5, 1.0], atol=1e-12)
+        np.testing.assert_allclose(summary.lambda_gaps, [0.5])
 
     def test_k4_gap(self, k4):
         view = within_group_structure(k4)
         summary = block_spectrum(view)
-        assert summary.groups[0].lambda_gap == pytest.approx(1.0 / 3.0)
+        assert summary.lambda_gaps[0] == pytest.approx(1.0 / 3.0)
 
     def test_c4_bipartite_gap_is_one(self, c4):
         view = within_group_structure(c4)
         summary = block_spectrum(view)
-        ev = summary.groups[0].eigenvalues
-        np.testing.assert_allclose(sorted(ev), [-1.0, 0.0, 0.0, 1.0],
-                                   atol=1e-12)
-        assert summary.groups[0].lambda_gap == pytest.approx(1.0)
+        np.testing.assert_allclose(oracle_eigenvalues(view, 0),
+                                   [-1.0, 0.0, 0.0, 1.0], atol=1e-12)
+        assert summary.lambda_gaps[0] == pytest.approx(1.0)
 
     def test_leading_eigenvalue_is_one_when_volume_positive(self):
         rng = np.random.default_rng(3)
@@ -92,10 +110,11 @@ class TestBlockSpectrum:
             ds = random_planted_dataset(rng)
             view = within_group_structure(ds)
             summary = block_spectrum(view)
-            for g in summary.groups:
-                if not g.degenerate:
-                    assert g.eigenvalues[0] == pytest.approx(1.0, abs=1e-9)
-                    assert g.eigenvalues.min() >= -1.0 - 1e-9
+            assert np.all(summary.lambda_gaps <= 1.0 + 1e-9)
+            for g in np.flatnonzero(~summary.degenerate):
+                ev = oracle_eigenvalues(view, g)
+                assert ev[-1] == pytest.approx(1.0, abs=1e-9)
+                assert ev[0] >= -1.0 - 1e-9
 
     def test_random_walk_spectrum_equals_symmetric(self):
         rng = np.random.default_rng(4)
@@ -103,45 +122,44 @@ class TestBlockSpectrum:
         view = within_group_structure(ds)
         sym = block_spectrum(view, "symmetric")
         rw = block_spectrum(view, "random_walk")
-        for a, b in zip(sym.groups, rw.groups):
-            np.testing.assert_allclose(a.eigenvalues, b.eigenvalues, atol=1e-12)
+        np.testing.assert_array_equal(sym.lambda_gaps, rw.lambda_gaps)
         # cross-check against eigenvalues of the actual random-walk block
         nm_rw = normalized_matrix(view, "random_walk")
-        g0 = view.groups[0]
-        block = nm_rw.matrix.toarray()[np.ix_(g0, g0)]
-        ev = np.sort(np.linalg.eigvals(block).real)[::-1]
-        np.testing.assert_allclose(sym.groups[0].eigenvalues, ev, atol=1e-8)
+        g = int(np.argmax(np.diff(view.offsets)))
+        nodes = view.groups[g]
+        assert nodes.size > 2
+        block = nm_rw.matrix.toarray()[np.ix_(nodes, nodes)]
+        ev = np.sort(np.linalg.eigvals(block).real)
+        assert sym.lambda_gaps[g] == pytest.approx(
+            max(ev[-2], abs(ev[0])), abs=1e-8)
 
-    def test_eigenvalues_bitwise_equal_per_group_build(self):
+    def test_gaps_bitwise_equal_per_group_build(self):
         rng = np.random.default_rng(6)
         for p_in in ((0.5, 0.95), (0.05, 0.2)):
             for _ in range(8):
                 ds = random_planted_dataset(rng, p_in_range=p_in)
                 view = within_group_structure(ds)
-                for g in block_spectrum(view).groups:
-                    block = sym_block(view, g.group_id).toarray()
-                    np.testing.assert_array_equal(
-                        g.eigenvalues, np.linalg.eigvalsh(block)[::-1]
-                    )
+                expected = [sym_block_gap(view, g) for g in range(view.n_groups)]
+                np.testing.assert_array_equal(
+                    block_spectrum(view).lambda_gaps, expected)
 
     def test_singleton_groups(self):
         ds = make_dataset([(0, 1)], np.ones((3, 1)), [0, 0, 1],
                           self_loop_weight=1.0)
         view = within_group_structure(ds)
         summary = block_spectrum(view)
-        lone = summary.groups[1]
-        assert lone.size == 1
-        np.testing.assert_allclose(lone.eigenvalues, [1.0])
-        assert lone.lambda_gap == 0.0
-        assert not lone.degenerate
+        np.testing.assert_array_equal(oracle_eigenvalues(view, 1), [1.0])
+        assert summary.lambda_gaps[1] == 0.0
+        assert not summary.degenerate[1]
 
     def test_zero_volume_singleton_flagged(self):
         ds = make_dataset([(0, 1)], np.ones((3, 1)), [0, 0, 1],
                           self_loop_weight=0.0)
         view = within_group_structure(ds)
         summary = block_spectrum(view)
-        assert summary.groups[1].degenerate
-        np.testing.assert_allclose(summary.groups[1].eigenvalues, [0.0])
+        np.testing.assert_array_equal(summary.degenerate, [False, True])
+        np.testing.assert_array_equal(oracle_eigenvalues(view, 1), [0.0])
+        assert summary.lambda_gaps[1] == 0.0
 
     def test_iterative_path_matches_dense(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -149,24 +167,42 @@ class TestBlockSpectrum:
                                     p_in_range=(0.4, 0.6), weights=(1.0,))
         view = within_group_structure(ds)
         dense = block_spectrum(view)
+        calls = counting_eigsh(monkeypatch)
         monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", 2)
         iterative = block_spectrum(view)
-        for d, it in zip(dense.groups, iterative.groups):
-            if d.size <= 2:
-                continue
-            assert it.method == "iterative"
-            assert it.lambda_gap == pytest.approx(d.lambda_gap, abs=1e-7)
+        sizes = np.diff(view.offsets)
+        # two Lanczos runs (top pair, bottom one) per block above the limit
+        assert sorted(calls) == sorted(2 * sizes[sizes > 2].tolist())
+        assert calls
+        np.testing.assert_allclose(iterative.lambda_gaps, dense.lambda_gaps,
+                                   rtol=0, atol=1e-7)
+        np.testing.assert_array_equal(iterative.lambda_gaps[sizes <= 2],
+                                      dense.lambda_gaps[sizes <= 2])
 
     def test_iterative_path_bitwise_repeatable(self, monkeypatch):
         rng = np.random.default_rng(5)
         ds = random_planted_dataset(rng, n_max=40, b_max=1,
                                     p_in_range=(0.4, 0.6), weights=(1.0,))
         view = within_group_structure(ds)
+        calls = counting_eigsh(monkeypatch)
         monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", 2)
         first, second = block_spectrum(view), block_spectrum(view)
-        assert any(g.method == "iterative" for g in first.groups)
-        for a, b in zip(first.groups, second.groups):
-            np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
+        assert calls
+        np.testing.assert_array_equal(first.lambda_gaps, second.lambda_gaps)
+
+    def test_singletons_need_no_eigensolve(self, monkeypatch):
+        # three singletons and one edge: one eigensolve, for the pair
+        ds = make_dataset([(0, 1)], np.ones((5, 1)), [0, 0, 1, 1, 2])
+        view = within_group_structure(ds)
+        solved = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: solved.append(a.shape) or real(a))
+        summary = block_spectrum(view)
+        assert solved == [(2, 2)]
+        np.testing.assert_array_equal(
+            summary.lambda_gaps,
+            [sym_block_gap(view, g) for g in range(view.n_groups)])
 
 
 class TestOperatorNorm:

@@ -44,7 +44,6 @@ from .spectral import (
 )
 from .synth import SynthConfig, synth_generate
 from .theory import (
-    AlphaSet,
     TheoryReport,
     alpha_vectors,
     build_theory_report,

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Commands: synth, train, validate-theory, delta-compare, fairness-sweep.
-Each takes --config <path> (JSON) plus the overrides --seed, --filter
-{sym,rw}, --layers N, --lambda-fair X, --out <dir>.
+Each takes --config <path> (JSON) plus the overrides --seed and --out
+<dir>; every command but synth also takes --filter {sym,rw}, --layers N
+and --lambda-fair X.
 """
 from __future__ import annotations
 
@@ -25,17 +26,20 @@ from .pipelines import (
 from .synth import SynthConfig, synth_generate
 
 
-def _add_overrides(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, seed_help: str) -> None:
     parser.add_argument("--config", required=True, help="JSON config path")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="replace the seed list with a single seed")
+    parser.add_argument("--seed", type=int, default=None, help=seed_help)
+    parser.add_argument("--out", default=None, help="output directory")
+
+
+def _add_overrides(parser: argparse.ArgumentParser) -> None:
+    _add_common(parser, "replace the seed list with a single seed")
     parser.add_argument("--filter", choices=("sym", "rw"), default=None)
     parser.add_argument("--layers", type=int, default=None,
                         help="number of layers; hidden dims become "
                              "128 x (N-1) then 64")
     parser.add_argument("--lambda-fair", type=float, default=None,
                         dest="lambda_fair")
-    parser.add_argument("--out", default=None, help="output directory")
 
 
 def _apply_overrides(config, args):
@@ -97,7 +101,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
-    _add_overrides(p_synth)
+    _add_common(p_synth, "replace the generator seed")
 
     for name, runner, help_text in (
         ("train", run_train, "train a single model"),

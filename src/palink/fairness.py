@@ -41,23 +41,34 @@ class FairnessAssessment:
         return float(np.mean(vals)) if vals.size else float("nan")
 
 
-def _orientation_stats(pairs, values, group_of, t_labels, n_groups):
-    """Accumulate anchored orientation sums per group.
+def _subgroup_gaps(pairs, values, group_of, t_labels):
+    """Signed gap between the subgroup-anchored mean values of each group.
 
-    An unordered scored pair contributes one oriented observation per
-    endpoint: the anchor's subgroup decides which mean the score joins.
-    Returns (a1, c1, c2, sum1, sum2) with a1 per pair and the rest per
-    group.
+    An unordered same-group pair contributes one oriented observation per
+    endpoint: the anchor's subgroup decides which mean the value joins.
+    Cross-group pairs are ignored.  Returns (idx, gid, weight, c1, c2,
+    diff): the same-group pairs' indices and group ids, each such pair's
+    weight d diff / d value, the anchor counts per group, and per group the
+    signed mean difference (0 where a subgroup has no anchor).
     """
-    gid = group_of[pairs[:, 0]]
-    a1 = (t_labels[pairs[:, 0]] == 0).astype(np.float64)
-    a1 += t_labels[pairs[:, 1]] == 0
+    group_of = np.asarray(group_of)
+    t_labels = np.asarray(t_labels)
+    n_groups = int(group_of.max()) + 1 if group_of.size else 0
+    g0 = group_of[pairs[:, 0]]
+    idx = np.flatnonzero(g0 == group_of[pairs[:, 1]])
+    gid, v = g0[idx], values[idx]
+    a1 = (t_labels[pairs[idx, 0]] == 0).astype(np.float64)
+    a1 += t_labels[pairs[idx, 1]] == 0
     a2 = 2.0 - a1
     c1 = np.bincount(gid, weights=a1, minlength=n_groups)
     c2 = np.bincount(gid, weights=a2, minlength=n_groups)
-    sum1 = np.bincount(gid, weights=a1 * values, minlength=n_groups)
-    sum2 = np.bincount(gid, weights=a2 * values, minlength=n_groups)
-    return gid, a1, a2, c1, c2, sum1, sum2
+    sum1 = np.bincount(gid, weights=a1 * v, minlength=n_groups)
+    sum2 = np.bincount(gid, weights=a2 * v, minlength=n_groups)
+    safe_c1 = np.where(c1 > 0, c1, 1.0)
+    safe_c2 = np.where(c2 > 0, c2, 1.0)
+    diff = np.where((c1 > 0) & (c2 > 0), sum1 / safe_c1 - sum2 / safe_c2, 0.0)
+    weight = a1 / safe_c1[gid] - a2 / safe_c2[gid]
+    return idx, gid, weight, c1, c2, diff
 
 
 def delta(pairs, scores, group_of, t_labels) -> FairnessAssessment:
@@ -79,29 +90,18 @@ def delta(pairs, scores, group_of, t_labels) -> FairnessAssessment:
         raise ValueError("scores must align with pairs")
     if t_labels is None:
         raise ValueError("subgroup labels are required")
-    group_of = np.asarray(group_of)
-    t_labels = np.asarray(t_labels)
     if np.any(pairs[:, 0] == pairs[:, 1]):
         raise ValueError("self-pairs are not valid scored pairs")
 
-    n_groups = int(group_of.max()) + 1 if group_of.size else 0
-    same = group_of[pairs[:, 0]] == group_of[pairs[:, 1]]
-    pairs, scores = pairs[same], scores[same]
-
-    if pairs.size:
-        _, _, _, c1, c2, sum1, sum2 = _orientation_stats(
-            pairs, expit(scores), group_of, t_labels, n_groups
-        )
-    else:
-        c1 = c2 = sum1 = sum2 = np.zeros(n_groups)
-
+    _, _, _, c1, c2, diff = _subgroup_gaps(pairs, expit(scores), group_of,
+                                           t_labels)
     reasons = np.select([(c1 == 0) & (c2 == 0), (c1 == 0) | (c2 == 0)],
                         ["no_pairs", "empty_subgroup"], default="")
     skipped = reasons != ""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gaps = np.where(skipped, np.nan, np.abs(sum1 / c1 - sum2 / c2))
+    n_groups = c1.size
     return FairnessAssessment(
-        delta=gaps, delta_hat=np.full(n_groups, np.nan),
+        delta=np.where(skipped, np.nan, np.abs(diff)),
+        delta_hat=np.full(n_groups, np.nan),
         disparity=np.full(n_groups, np.nan), n_t1=c1.astype(np.int64),
         n_t2=c2.astype(np.int64), skipped=skipped,
         reasons=tuple(reasons.tolist()),
@@ -119,26 +119,11 @@ def sampled_delta_terms(pairs, probs, group_of, t_labels):
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     probs = np.asarray(probs, dtype=np.float64)
-    group_of = np.asarray(group_of)
-    t_labels = np.asarray(t_labels)
-
-    grad = np.zeros(probs.shape[0])
-    n_groups = int(group_of.max()) + 1 if group_of.size else 0
-    same = group_of[pairs[:, 0]] == group_of[pairs[:, 1]]
-    if not same.any():
-        return np.full(n_groups, np.nan), grad, 0
-
-    idx = np.flatnonzero(same)
-    gid, a1, a2, c1, c2, sum1, sum2 = _orientation_stats(
-        pairs[idx], probs[idx], group_of, t_labels, n_groups
-    )
-
+    idx, gid, weight, c1, c2, diff = _subgroup_gaps(pairs, probs, group_of,
+                                                    t_labels)
     active = (c1 > 0) & (c2 > 0)
-    safe_c1 = np.where(c1 > 0, c1, 1.0)
-    safe_c2 = np.where(c2 > 0, c2, 1.0)
-    diff = np.where(active, sum1 / safe_c1 - sum2 / safe_c2, 0.0)
-    sign = np.sign(diff) * active
-    grad[idx] = sign[gid] * (a1 / safe_c1[gid] - a2 / safe_c2[gid])
+    grad = np.zeros(probs.shape[0])
+    grad[idx] = (np.sign(diff) * active)[gid] * weight
     return np.where(active, np.abs(diff), np.nan), grad, int(active.sum())
 
 

@@ -43,13 +43,6 @@ class Model:
     def feature_dim(self) -> int:
         return int(self.weights[0].shape[1])
 
-    @property
-    def hidden_dims(self) -> tuple[int, ...]:
-        return tuple(int(w.shape[0]) for w in self.weights)
-
-    def copy(self) -> "Model":
-        return Model(self.filter_kind, [w.copy() for w in self.weights])
-
 
 def init_model(
     feature_dim: int,

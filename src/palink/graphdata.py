@@ -58,10 +58,6 @@ class Dataset:
     def feature_dim(self) -> int:
         return int(self.features.shape[1])
 
-    @property
-    def n_groups(self) -> int:
-        return int(self.s_labels.max()) + 1 if self.n else 0
-
 
 def make_dataset(
     edges,
@@ -259,10 +255,6 @@ class NormalizationInfo:
     zero_sum_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
     constant_columns: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
 
-    @property
-    def flagged(self) -> bool:
-        return bool(self.zero_sum_rows.size or self.constant_columns.size)
-
 
 def normalize_features(features: np.ndarray, mode: str):
     """Normalize a feature matrix; returns ``(features, NormalizationInfo)``.
@@ -327,10 +319,6 @@ class WithinGroupView:
     @property
     def singleton(self) -> np.ndarray:
         return np.diff(self.offsets) == 1
-
-    @property
-    def zero_volume(self) -> np.ndarray:
-        return self.volumes == 0.0
 
 
 def within_group_structure(dataset: Dataset) -> WithinGroupView:

@@ -2,7 +2,10 @@
 within-group degree ratio.
 
 All metrics return a MetricValue carrying the number of samples and any
-degeneracy flags instead of raising on flat inputs.
+degeneracy flags: a metric that is undefined on its input (one class, no
+samples, too few samples, a flat range or zero variance) is NaN with a
+flag naming why, instead of raising.  Misshapen or mislabelled inputs
+still raise.
 """
 from __future__ import annotations
 
@@ -17,9 +20,6 @@ class MetricValue:
     value: float
     n: int
     flags: tuple[str, ...] = ()
-
-    def __float__(self) -> float:
-        return float(self.value)
 
 
 def roc_auc(scores, labels) -> MetricValue:
@@ -39,7 +39,7 @@ def roc_auc(scores, labels) -> MetricValue:
     if pos.size + neg.size != scores.size:
         raise ValueError("labels must be 0 or 1")
     if pos.size == 0 or neg.size == 0:
-        raise ValueError("roc_auc needs both classes present")
+        return MetricValue("roc_auc", float("nan"), scores.size, ("one_class",))
 
     below = np.searchsorted(neg, pos, side="left")
     tied = np.searchsorted(neg, pos, side="right") - below
@@ -55,7 +55,7 @@ def nrmse(predictions, targets) -> MetricValue:
     if predictions.shape != targets.shape or predictions.ndim != 1:
         raise ValueError("predictions and targets must be aligned 1-d arrays")
     if predictions.size == 0:
-        raise ValueError("nrmse needs at least one sample")
+        return MetricValue("nrmse", float("nan"), 0, ("no_pairs",))
     rmse = float(np.sqrt(np.mean((predictions - targets) ** 2)))
     span = float(targets.max() - targets.min())
     if span == 0.0:
@@ -73,7 +73,7 @@ def pcc(x, y) -> MetricValue:
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be aligned 1-d arrays")
     if x.size < 2:
-        raise ValueError("pcc needs at least two samples")
+        return MetricValue("pcc", float("nan"), x.size, ("insufficient_samples",))
     xc = x - x.mean()
     yc = y - y.mean()
     sx = float(np.sqrt((xc * xc).sum()))

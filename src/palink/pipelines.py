@@ -208,9 +208,6 @@ def prepare_dataset(config: RunConfig) -> Dataset:
 
 @dataclass
 class SeedRun:
-    seed: int
-    lambda_fair: float
-    split: object
     result: object
     test_pairs: np.ndarray
     test_labels: np.ndarray
@@ -238,17 +235,15 @@ def run_seed(dataset: Dataset, config: RunConfig, seed: int,
     gof = result.train_view.group_of
     same = gof[test_pairs[:, 0]] == gof[test_pairs[:, 1]]
     return SeedRun(
-        seed=seed, lambda_fair=lambda_fair, split=split, result=result,
-        test_pairs=test_pairs, test_labels=test_labels,
+        result=result, test_pairs=test_pairs, test_labels=test_labels,
         test_scores=test_scores, test_auc=auc, same_group=same,
     )
 
 
 def _same_group_auc(run: SeedRun) -> float:
-    labels = run.test_labels[run.same_group]
-    if labels.size == 0 or labels.min() == labels.max():
-        return float("nan")
-    return roc_auc(run.test_scores[run.same_group], labels).value
+    """Test AUC over same-group pairs; NaN when they hold one class."""
+    return roc_auc(run.test_scores[run.same_group],
+                   run.test_labels[run.same_group]).value
 
 
 def _open_run(config: RunConfig,
@@ -434,17 +429,10 @@ def run_delta_comparison(config: RunConfig) -> dict:
 
     deltas = np.array([r["delta"] for r in scatter], dtype=np.float64)
     estimates = np.array([r["delta_hat"] for r in scatter], dtype=np.float64)
-    if deltas.size >= 2:
-        corr = pcc(estimates, deltas)
-        err = nrmse(estimates, deltas)
-        corr_v, err_v = corr.value, err.value
-    else:
-        corr_v = err_v = float("nan")
-
     fields = {
         "n_points": int(deltas.size),
-        "pcc": corr_v,
-        "nrmse": err_v,
+        "pcc": pcc(estimates, deltas).value,
+        "nrmse": nrmse(estimates, deltas).value,
         "points": scatter,
     }
     header = ("seed", "group", "delta", "delta_hat", "delta_hat_closed_form",

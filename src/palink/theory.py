@@ -19,20 +19,9 @@ from .graphdata import WithinGroupView
 from .metrics import MetricValue, nrmse, pcc
 
 
-@dataclass(frozen=True)
-class AlphaSet:
-    """Per-node collapsed-weight feature images and their total norm."""
-
-    alphas: np.ndarray  # (n, out_dim)
-    c2: float  # sum of ||alpha_k||_2 over all nodes
-
-    @property
-    def n(self) -> int:
-        return int(self.alphas.shape[0])
-
-
-def alpha_vectors(model: Model, features) -> AlphaSet:
-    """alpha_j = (W_L ... W_1) x_j for every node, plus C2 = sum ||alpha||."""
+def alpha_vectors(model: Model, features) -> np.ndarray:
+    """The (n, out_dim) array of alpha_j = (W_L ... W_1) x_j, one row per
+    node."""
     features = np.asarray(features, dtype=np.float64)
     if features.shape[1] != model.feature_dim:
         raise ValueError(
@@ -40,12 +29,10 @@ def alpha_vectors(model: Model, features) -> AlphaSet:
             f"{model.feature_dim}"
         )
     chain = reduce(lambda acc, w: w @ acc, model.weights)
-    alphas = features @ chain.T
-    c2 = float(np.linalg.norm(alphas, axis=1).sum())
-    return AlphaSet(alphas=alphas, c2=c2)
+    return features @ chain.T
 
 
-def group_c1(view: WithinGroupView, alpha_set: AlphaSet, kind: str) -> np.ndarray:
+def group_c1(view: WithinGroupView, alphas, kind: str) -> np.ndarray:
     """Per refined group, the norm of the degree-weighted alpha average.
 
     Symmetric filter: ||sum_k (sqrt(D_kk)/vol) alpha_k||; random walk:
@@ -53,23 +40,24 @@ def group_c1(view: WithinGroupView, alpha_set: AlphaSet, kind: str) -> np.ndarra
     """
     if kind not in ("symmetric", "random_walk"):
         raise ValueError(f"unknown filter kind: {kind!r}")
-    if alpha_set.n != view.n:
-        raise ValueError("alpha set size does not match view")
+    alphas = np.asarray(alphas, dtype=np.float64)
+    if alphas.shape[0] != view.n:
+        raise ValueError("alpha rows do not match the view's nodes")
     deg = view.wg_degrees
     weights = np.sqrt(deg) if kind == "symmetric" else deg
     vol = view.volumes
     # add.at sums each group's rows in node order, and the stacked matmul
     # takes one BLAS dot per row as np.linalg.norm does for a vector, so C1
     # has the bits of a per-group sum and norm.
-    sums = np.zeros((vol.size, alpha_set.alphas.shape[1]))
-    np.add.at(sums, view.group_of, weights[:, None] * alpha_set.alphas)
+    sums = np.zeros((vol.size, alphas.shape[1]))
+    np.add.at(sums, view.group_of, weights[:, None] * alphas)
     v = sums / np.where(vol == 0.0, 1.0, vol)[:, None]
     sq = (v[:, None, :] @ v[:, :, None]).ravel()
     return np.where(vol == 0.0, 0.0, np.sqrt(sq))
 
 
 def raw_theoretic_scores(
-    view: WithinGroupView, alpha_set: AlphaSet, pairs, kind: str = "symmetric"
+    view: WithinGroupView, alphas, pairs, kind: str = "symmetric"
 ):
     """Raw degree-driven scores for same-group pairs.
 
@@ -82,7 +70,7 @@ def raw_theoretic_scores(
     gj = view.group_of[pairs[:, 1]]
     if np.any(gi != gj):
         raise ValueError("raw theoretic scores are defined for same-group pairs")
-    c1 = group_c1(view, alpha_set, kind)
+    c1 = group_c1(view, alphas, kind)
     c1sq = c1[gi] ** 2
     if kind == "symmetric":
         deg = view.wg_degrees
@@ -99,17 +87,13 @@ class RhoEstimate:
     skipped: np.ndarray
     reasons: tuple[str, ...]
 
-    @property
-    def negative(self) -> np.ndarray:
-        return np.nan_to_num(self.rho2, nan=0.0) < 0
-
 
 def estimate_rho(tau, scores, pair_groups, n_groups: int) -> RhoEstimate:
     """Through-origin least-squares slope of trained scores on raw
     theoretic scores, per group: rho2 = sum(tau*y) / sum(tau^2).
 
     Groups with fewer than two pairs or zero tau variance are skipped
-    (NaN slope); negative slopes are kept but exposed via ``negative``.
+    (NaN slope); negative slopes are kept.
     """
     tau = np.asarray(tau, dtype=np.float64)
     scores = np.asarray(scores, dtype=np.float64)
@@ -151,13 +135,12 @@ class TheoryReport:
     n_dropped_cross: int
 
     def to_json_dict(self) -> dict:
-        def val(m: MetricValue):
-            return None if np.isnan(m.value) else m.value
-
+        """The report's fields for report.json, where a NaN metric is
+        written as null."""
         return {
             "filter": self.kind,
-            "nrmse": val(self.nrmse),
-            "pcc": val(self.pcc),
+            "nrmse": self.nrmse.value,
+            "pcc": self.pcc.value,
             "n_pairs_used": int(self.rows["tau_raw"].size),
             "n_dropped_cross_group": self.n_dropped_cross,
             "groups": [
@@ -176,7 +159,7 @@ class TheoryReport:
 
 
 def build_theory_report(
-    view: WithinGroupView, alpha_set: AlphaSet, pairs, gcn_scores,
+    view: WithinGroupView, alphas, pairs, gcn_scores,
     kind: str = "symmetric",
 ) -> TheoryReport:
     """Fit per-group slopes and compare fitted theoretic scores with
@@ -193,7 +176,7 @@ def build_theory_report(
     n_dropped = int((~same).sum())
     pairs, gcn_scores, gi = pairs[same], gcn_scores[same], gi[same]
 
-    tau, c1 = raw_theoretic_scores(view, alpha_set, pairs, kind)
+    tau, c1 = raw_theoretic_scores(view, alphas, pairs, kind)
     est = estimate_rho(tau, gcn_scores, gi, view.n_groups)
 
     keep = ~est.skipped[gi]
@@ -206,16 +189,9 @@ def build_theory_report(
         "tau_fitted": fitted,
         "gcn_score": gcn_scores[keep],
     }
-    if fitted.size:
-        err = nrmse(fitted, gcn_scores[keep])
-        corr = pcc(fitted, gcn_scores[keep]) if fitted.size >= 2 else \
-            MetricValue("pcc", float("nan"), int(fitted.size),
-                        ("insufficient_samples",))
-    else:
-        err = MetricValue("nrmse", float("nan"), 0, ("no_pairs",))
-        corr = MetricValue("pcc", float("nan"), 0, ("no_pairs",))
     return TheoryReport(
         kind=kind, rows=rows, rho2=est.rho2, c1=c1, n_pairs=est.n_pairs,
-        skipped=est.skipped, skip_reasons=est.reasons, nrmse=err, pcc=corr,
-        n_dropped_cross=n_dropped,
+        skipped=est.skipped, skip_reasons=est.reasons,
+        nrmse=nrmse(fitted, gcn_scores[keep]),
+        pcc=pcc(fitted, gcn_scores[keep]), n_dropped_cross=n_dropped,
     )

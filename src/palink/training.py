@@ -18,6 +18,10 @@ from .metrics import roc_auc
 from .spectral import NormalizedMatrix, matrix_from_edges
 
 DEFAULT_RATIOS = (0.85, 0.05, 0.10)
+# Adam's decay rates of the first and second moments, and its step guard.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -27,8 +31,6 @@ class LinkSplit:
     test_pos: np.ndarray
     val_neg: np.ndarray
     test_neg: np.ndarray
-    seed: int
-    ratios: tuple[float, float, float]
 
 
 def sample_negatives(n: int, edges, count: int, rng, exclude=None) -> np.ndarray:
@@ -105,7 +107,7 @@ def split_links(dataset: Dataset, ratios=DEFAULT_RATIOS, seed: int = 0) -> LinkS
                                 exclude=val_neg)
     return LinkSplit(
         train_pos=train_pos, val_pos=val_pos, test_pos=test_pos,
-        val_neg=val_neg, test_neg=test_neg, seed=seed, ratios=ratios,
+        val_neg=val_neg, test_neg=test_neg,
     )
 
 
@@ -115,9 +117,6 @@ class TrainConfig:
     hidden_dims: tuple[int, ...] = (128, 64)
     epochs: int = 100
     lr: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     lambda_fair: float = 0.0
     seed: int = 0
 
@@ -191,13 +190,13 @@ def train(dataset: Dataset, split: LinkSplit, config: TrainConfig) -> TrainResul
         if not np.isfinite(loss):
             raise ValueError(f"epoch {epoch}: training loss is {loss}")
         for w, g, m_buf, v_buf in zip(model.weights, grads, adam_m, adam_v):
-            m_buf *= config.beta1
-            m_buf += (1.0 - config.beta1) * g
-            v_buf *= config.beta2
-            v_buf += (1.0 - config.beta2) * g * g
-            m_hat = m_buf / (1.0 - config.beta1**epoch)
-            v_hat = v_buf / (1.0 - config.beta2**epoch)
-            w -= config.lr * m_hat / (np.sqrt(v_hat) + config.eps)
+            m_buf *= ADAM_BETA1
+            m_buf += (1.0 - ADAM_BETA1) * g
+            v_buf *= ADAM_BETA2
+            v_buf += (1.0 - ADAM_BETA2) * g * g
+            m_hat = m_buf / (1.0 - ADAM_BETA1**epoch)
+            v_hat = v_buf / (1.0 - ADAM_BETA2**epoch)
+            w -= config.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         for l, w in enumerate(model.weights, start=1):
             if not np.isfinite(w).all():
                 raise ValueError(

@@ -101,7 +101,7 @@ def sym_block_gap(view, gid: int) -> float:
     return 0.0 if ev.size == 1 else max(float(ev[-2]), abs(float(ev[0])))
 
 
-def loop_group_c1(view, alpha_set, kind: str) -> np.ndarray:
+def loop_group_c1(view, alphas, kind: str) -> np.ndarray:
     """``group_c1`` one refined group at a time: the norm of the
     degree-weighted alpha sum over the group's nodes, divided by its
     volume (0 for a zero-volume group)."""
@@ -113,7 +113,7 @@ def loop_group_c1(view, alpha_set, kind: str) -> np.ndarray:
         vol = deg[nodes].sum()
         if vol == 0.0:
             continue
-        v = (weights[nodes][:, None] * alpha_set.alphas[nodes]).sum(axis=0)
+        v = (weights[nodes][:, None] * alphas[nodes]).sum(axis=0)
         c1[g] = np.linalg.norm(v / vol)
     return c1
 

@@ -54,7 +54,6 @@ class TestInit:
         assert [w.shape for w in m.weights] == [(5, 7), (3, 5), (2, 3)]
         assert m.n_layers == 3
         assert m.feature_dim == 7
-        assert m.hidden_dims == (5, 3, 2)
 
     def test_within_uniform_limits(self):
         m = init_model(9, (6, 4), seed=3)
@@ -75,12 +74,6 @@ class TestInit:
             init_model(0, (3,))
         with pytest.raises(ValueError):
             init_model(4, (3, 0))
-
-    def test_copy_is_independent(self):
-        m = init_model(3, (2,), seed=0)
-        c = m.copy()
-        c.weights[0][0, 0] += 1.0
-        assert m.weights[0][0, 0] != c.weights[0][0, 0]
 
 
 class TestForward:

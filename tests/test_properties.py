@@ -1,6 +1,6 @@
 """Property-based checks on generated instances: the subgroup gap against
-its enumeration oracle and under relabellings, and block-spectrum gaps
-against per-group builds.  Example generation is derandomized, so the
+its enumeration oracle and under relabellings, block-spectrum gaps against
+per-group builds, and the negative sampler against its dense oracle.  Example generation is derandomized, so the
 suite is deterministic and keeps no example database."""
 from __future__ import annotations
 
@@ -19,8 +19,13 @@ from scipy.special import expit  # noqa: E402
 from palink.fairness import delta  # noqa: E402
 from palink.graphdata import make_dataset, within_group_structure  # noqa: E402
 from palink.spectral import block_spectrum  # noqa: E402
+from palink.training import sample_negatives  # noqa: E402
 
-from oracles import delta_enumeration_oracle, sym_block_gap  # noqa: E402
+from oracles import (  # noqa: E402
+    delta_enumeration_oracle,
+    dense_negatives,
+    sym_block_gap,
+)
 
 deterministic = settings(derandomize=True, database=None, deadline=None)
 
@@ -70,6 +75,67 @@ def graphs(draw):
     weight = draw(st.sampled_from((0.0, 1.0, 2.0)))
     return make_dataset(edges.reshape(-1, 2), np.zeros((n, 1)), labels,
                         self_loop_weight=weight)
+
+
+def _keys(pairs, n: int) -> set:
+    """Unordered pairs as ``min * n + max`` keys."""
+    pairs = np.asarray(pairs).reshape(-1, 2)
+    return set((pairs.min(axis=1) * n + pairs.max(axis=1)).tolist())
+
+
+@st.composite
+def sampler_instances(draw):
+    """Banned pairs on up to 14 nodes as ``edges`` and ``exclude`` (which
+    may overlap), a count of free pairs to draw and an RNG seed."""
+    n = draw(st.integers(2, 14))
+    edges, exclude = draw(node_pairs(n)), draw(node_pairs(n))
+    free = n * (n - 1) // 2 - len(_keys(edges, n) | _keys(exclude, n))
+    return (n, edges, exclude, draw(st.integers(0, free)),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@st.composite
+def protocol_instances(draw):
+    """The training protocol's banned set on up to 14 nodes: the training
+    share of a graph's edges, plus held-out negatives that are non-edges
+    (the held-out edges stay drawable).  Returns (n, train_pos,
+    held_out_neg, count, seed)."""
+    n = draw(st.integers(2, 14))
+    edges = draw(node_pairs(n))
+    in_train = np.array(draw(st.lists(st.booleans(), min_size=len(edges),
+                                      max_size=len(edges))), dtype=bool)
+    candidates = draw(node_pairs(n))
+    edge_keys = _keys(edges, n)
+    held_neg = np.array([p for p in candidates.tolist()
+                         if min(p) * n + max(p) not in edge_keys],
+                        dtype=np.int64).reshape(-1, 2)
+    free = n * (n - 1) // 2 - int(in_train.sum()) - held_neg.shape[0]
+    return (n, edges[in_train], held_neg, draw(st.integers(0, free)),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+class TestSampleNegativesProperties:
+    @deterministic
+    @given(sampler_instances())
+    def test_bitwise_equal_dense_oracle(self, inst):
+        n, edges, exclude, count, seed = inst
+        got = sample_negatives(n, edges, count, np.random.default_rng(seed),
+                               exclude)
+        ref = dense_negatives(n, edges, count, np.random.default_rng(seed),
+                              exclude)
+        assert got.dtype == ref.dtype == np.int64
+        np.testing.assert_array_equal(got.reshape(-1, 2), ref.reshape(-1, 2))
+
+    @deterministic
+    @given(protocol_instances())
+    def test_training_protocol_banned_set(self, inst):
+        n, train_pos, held_neg, count, seed = inst
+        got = sample_negatives(n, train_pos, count,
+                               np.random.default_rng(seed), held_neg)
+        ref = dense_negatives(n, train_pos, count,
+                              np.random.default_rng(seed), held_neg)
+        np.testing.assert_array_equal(got.reshape(-1, 2), ref.reshape(-1, 2))
+        assert not _keys(got, n) & (_keys(train_pos, n) | _keys(held_neg, n))
 
 
 class TestDeltaProperties:

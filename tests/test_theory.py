@@ -15,7 +15,6 @@ from palink.spectral import (
     residual_and_bounds,
 )
 from palink.theory import (
-    AlphaSet,
     alpha_vectors,
     build_theory_report,
     estimate_rho,
@@ -48,18 +47,14 @@ class TestAlphaVectors:
         got = alpha_vectors(model, x)
         w1, w2 = model.weights
         for j in range(7):
-            np.testing.assert_allclose(got.alphas[j], w2 @ (w1 @ x[j]),
-                                       atol=1e-14)
-        assert got.c2 == pytest.approx(
-            sum(np.linalg.norm(got.alphas[j]) for j in range(7)), abs=1e-12
-        )
+            np.testing.assert_allclose(got[j], w2 @ (w1 @ x[j]), atol=1e-14)
 
     def test_single_layer(self):
         rng = np.random.default_rng(62)
         model = init_model(3, (2,), seed=1)
         x = rng.normal(size=(5, 3))
         got = alpha_vectors(model, x)
-        np.testing.assert_allclose(got.alphas, x @ model.weights[0].T,
+        np.testing.assert_allclose(got, x @ model.weights[0].T,
                                    atol=1e-15)
 
     def test_dim_mismatch_rejected(self):
@@ -71,7 +66,8 @@ class TestAlphaVectors:
 class TestGroupConstants:
     def test_k3_frozen_values(self):
         ds, view, aset = k3_unit_alphas()
-        assert aset.c2 == pytest.approx(3.0, abs=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(aset, axis=1), 1.0,
+                                   atol=1e-12)
 
         c1_sym = group_c1(view, aset, "symmetric")
         assert c1_sym[0] == pytest.approx(math.sqrt(2.0) / 2.0, abs=1e-12)
@@ -111,7 +107,7 @@ class TestGroupConstants:
             for _ in range(8):
                 ds = random_planted_dataset(rng, p_in_range=p_in)
                 view = within_group_structure(ds)
-                aset = AlphaSet(rng.normal(size=(ds.n, 5)), 0.0)
+                aset = rng.normal(size=(ds.n, 5))
                 for kind in ("symmetric", "random_walk"):
                     np.testing.assert_allclose(
                         group_c1(view, aset, kind),
@@ -128,16 +124,16 @@ class TestGroupConstants:
 
     def test_cross_group_pair_rejected(self, toy_cs):
         view = within_group_structure(toy_cs)
-        aset = AlphaSet(alphas=np.ones((6, 2)), c2=6.0)
+        aset = np.ones((6, 2))
         with pytest.raises(ValueError):
             raw_theoretic_scores(view, aset, [(0, 5)], "symmetric")
 
     def test_validation(self, toy_cs):
         view = within_group_structure(toy_cs)
         with pytest.raises(ValueError):
-            group_c1(view, AlphaSet(np.ones((3, 2)), 3.0), "symmetric")
+            group_c1(view, np.ones((3, 2)), "symmetric")
         with pytest.raises(ValueError):
-            group_c1(view, AlphaSet(np.ones((6, 2)), 6.0), "laplacian")
+            group_c1(view, np.ones((6, 2)), "laplacian")
 
 
 class TestEstimateRho:
@@ -154,7 +150,6 @@ class TestEstimateRho:
         slopes = np.array([0.5, -1.25, 3.0])
         est = estimate_rho(tau, slopes[groups] * tau, groups, 3)
         np.testing.assert_allclose(est.rho2, slopes, atol=1e-12)
-        np.testing.assert_array_equal(est.negative, [False, True, False])
 
     def test_slope_minimizes_squared_error(self):
         rng = np.random.default_rng(65)
@@ -276,6 +271,7 @@ class TestScoreConcentration:
             model = init_model(ds.feature_dim, dims, kind,
                                seed=int(rng.integers(1000)))
             aset = alpha_vectors(model, ds.features)
+            c2 = np.linalg.norm(aset, axis=1).sum()  # C2 = sum_k ||alpha_k||
             h = forward(model, full, ds.features, linear=True)
 
             pairs = within_group_pairs(view.group_of)
@@ -290,7 +286,7 @@ class TestScoreConcentration:
                 spread = w[pairs[:, 0]] + w[pairs[:, 1]]
             else:
                 spread = 2.0
-            cap = zeta * spread * c1[gp] * aset.c2 + zeta**2 * aset.c2**2
+            cap = zeta * spread * c1[gp] * c2 + zeta**2 * c2**2
             assert np.all(np.abs(scores - tau) <= cap + 1e-9)
             checked += pairs.shape[0]
         assert checked > 50

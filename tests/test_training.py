@@ -9,6 +9,9 @@ from palink.graphdata import make_dataset, within_group_structure
 from palink.metrics import roc_auc
 from palink.spectral import matrix_from_edges
 from palink.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     TrainConfig,
     load_checkpoint,
     sample_negatives,
@@ -247,7 +250,7 @@ class TestTrain:
         grads = loss_and_gradients(model0, nm, ds.features,
                                    split.train_pos, neg)[3]
         for w0, g, w1 in zip(model0.weights, grads, result.final_model.weights):
-            expected = w0 - config.lr * g / (np.abs(g) + config.eps)
+            expected = w0 - config.lr * g / (np.abs(g) + ADAM_EPS)
             np.testing.assert_allclose(w1, expected, rtol=1e-12, atol=1e-15)
 
     def test_reused_forward_matches_fresh_forward_per_epoch(self):
@@ -273,13 +276,13 @@ class TestTrain:
             assert loss == result.history[epoch - 1][1]
             for w, g, m_buf, v_buf in zip(model.weights, grads, adam_m,
                                           adam_v):
-                m_buf *= config.beta1
-                m_buf += (1.0 - config.beta1) * g
-                v_buf *= config.beta2
-                v_buf += (1.0 - config.beta2) * g * g
-                m_hat = m_buf / (1.0 - config.beta1**epoch)
-                v_hat = v_buf / (1.0 - config.beta2**epoch)
-                w -= config.lr * m_hat / (np.sqrt(v_hat) + config.eps)
+                m_buf *= ADAM_BETA1
+                m_buf += (1.0 - ADAM_BETA1) * g
+                v_buf *= ADAM_BETA2
+                v_buf += (1.0 - ADAM_BETA2) * g * g
+                m_hat = m_buf / (1.0 - ADAM_BETA1**epoch)
+                v_hat = v_buf / (1.0 - ADAM_BETA2**epoch)
+                w -= config.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         for w, w_trained in zip(model.weights, result.final_model.weights):
             np.testing.assert_array_equal(w, w_trained)
 
@@ -316,7 +319,6 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(ds, split, TrainConfig(epochs=1, lambda_fair=1.0))
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_loss_is_named(self):
         # the first step moves every weight by ~1e200; the next forward
         # overflows, so epoch 2's loss is NaN
@@ -326,7 +328,6 @@ class TestTrain:
         with pytest.raises(ValueError, match=r"^epoch 2: training loss is"):
             train(ds, split, config)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_weight_is_named(self):
         ds = trainable_dataset()
         split = split_links(ds, seed=1)

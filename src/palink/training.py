@@ -2,8 +2,9 @@
 
 Message passing during training uses only the training positives; the
 validation/test negatives are drawn once at split time, while training
-negatives are resampled every epoch.  The returned model is the snapshot
-with the best validation AUC.
+negatives are resampled every epoch from the pairs that are neither a
+training positive nor a validation/test negative.  The returned model is
+the snapshot with the best validation AUC.
 """
 from __future__ import annotations
 
@@ -137,6 +138,10 @@ def train(dataset: Dataset, split: LinkSplit, config: TrainConfig) -> TrainResul
 
     One optimizer step per epoch; training negatives are resampled each
     epoch (1:1 with training positives) while validation pairs stay fixed.
+    A training negative is never a training positive or a frozen
+    validation/test negative, so no held-out pair is trained on as a
+    negative.  Validation/test positives stay drawable: the trainer does
+    not know them, as in PyG's ``negative_sampling(train_edge_index)``.
     Identical dataset, split, and config give bitwise-identical results.
     The forward pass that scores the validation pairs after each step is
     the one the next epoch's loss starts from, so each epoch runs one
@@ -173,13 +178,15 @@ def train(dataset: Dataset, split: LinkSplit, config: TrainConfig) -> TrainResul
     best_weights = [w.copy() for w in model.weights]
 
     n_train = split.train_pos.shape[0]
+    held_out_neg = np.concatenate([split.val_neg, split.test_neg])
     # A diverging run overflows in the forward pass and the loss; the
     # finiteness checks below name it, so NumPy's warnings are not shown.
     quiet = dict(over="ignore", invalid="ignore")
     with np.errstate(**quiet):
         cache = _forward_cached(model, nm, features, px=px)
     for epoch in range(1, config.epochs + 1):
-        neg = sample_negatives(dataset.n, dataset.edges, n_train, neg_rng)
+        neg = sample_negatives(dataset.n, split.train_pos, n_train, neg_rng,
+                               exclude=held_out_neg)
         with np.errstate(**quiet):
             loss, _, penalty, grads = loss_and_gradients(
                 model, nm, features, split.train_pos, neg,

@@ -8,6 +8,7 @@ from palink.gcn import forward, init_model, loss_and_gradients, score_pairs
 from palink.graphdata import make_dataset, within_group_structure
 from palink.metrics import roc_auc
 from palink.spectral import matrix_from_edges
+from palink import training
 from palink.training import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -180,7 +181,39 @@ class TestSampleNegatives:
             sample_negatives(4, [(0, 1)], -1, np.random.default_rng(0))
 
 
+def held_out_negatives(split):
+    """The frozen validation and test negatives, which training must not
+    draw."""
+    return np.concatenate([split.val_neg, split.test_neg])
+
+
 class TestTrain:
+    def test_negatives_avoid_held_out_pairs_over_all_epochs(
+            self, monkeypatch):
+        ds = trainable_dataset()
+        split = split_links(ds, seed=1)
+        calls = []
+
+        def recording(n, edges, count, rng, exclude=None):
+            neg = sample_negatives(n, edges, count, rng, exclude)
+            calls.append((pair_set(edges) | pair_set(exclude), pair_set(neg)))
+            return neg
+
+        monkeypatch.setattr(training, "sample_negatives", recording)
+        train(ds, split, TrainConfig(hidden_dims=(4,), epochs=40, seed=3))
+        assert len(calls) == 40
+
+        held_pos = pair_set(split.val_pos) | pair_set(split.test_pos)
+        held_neg = pair_set(split.val_neg) | pair_set(split.test_neg)
+        train_pos = pair_set(split.train_pos)
+        drawn = set()
+        for banned, neg in calls:
+            assert banned == train_pos | held_neg
+            assert not neg & (train_pos | held_neg)
+            drawn |= neg
+        # held-out positives are unknown to the trainer, so some are drawn
+        assert drawn & held_pos
+
     def test_history_and_best_model_semantics(self):
         ds = trainable_dataset()
         split = split_links(ds, seed=1)
@@ -245,8 +278,8 @@ class TestTrain:
         nm = matrix_from_edges(ds.n, split.train_pos, ds.self_loop_weight,
                                "symmetric")
         neg_rng = np.random.default_rng(np.random.SeedSequence([8, 1]))
-        neg = sample_negatives(ds.n, ds.edges, split.train_pos.shape[0],
-                               neg_rng)
+        neg = sample_negatives(ds.n, split.train_pos, split.train_pos.shape[0],
+                               neg_rng, held_out_negatives(split))
         grads = loss_and_gradients(model0, nm, ds.features,
                                    split.train_pos, neg)[3]
         for w0, g, w1 in zip(model0.weights, grads, result.final_model.weights):
@@ -269,8 +302,9 @@ class TestTrain:
         adam_m = [np.zeros_like(w) for w in model.weights]
         adam_v = [np.zeros_like(w) for w in model.weights]
         for epoch in range(1, config.epochs + 1):
-            neg = sample_negatives(ds.n, ds.edges, split.train_pos.shape[0],
-                                   neg_rng)
+            neg = sample_negatives(ds.n, split.train_pos,
+                                   split.train_pos.shape[0], neg_rng,
+                                   held_out_negatives(split))
             loss, _, _, grads = loss_and_gradients(
                 model, nm, ds.features, split.train_pos, neg)
             assert loss == result.history[epoch - 1][1]

@@ -3,9 +3,9 @@ within-group degree ratio.
 
 All metrics return a MetricValue carrying the number of samples and any
 degeneracy flags: a metric that is undefined on its input (one class, no
-samples, too few samples, a flat range or zero variance) is NaN with a
-flag naming why, instead of raising.  Misshapen or mislabelled inputs
-still raise.
+samples, too few samples, a flat range, zero variance or no positive
+degree) is NaN with a flag naming why, instead of raising.  Misshapen or
+mislabelled inputs still raise.
 """
 from __future__ import annotations
 
@@ -87,11 +87,13 @@ def pcc(x, y) -> MetricValue:
 
 
 def max_degree_ratio(wg_degrees) -> MetricValue:
-    """sqrt(max / min) over strictly positive within-group degrees."""
+    """sqrt(max / min) over strictly positive within-group degrees; NaN
+    flagged ``no_positive_degree`` when no degree is positive."""
     deg = np.asarray(wg_degrees, dtype=np.float64)
     pos = deg[deg > 0]
     if pos.size == 0:
-        raise ValueError("max_degree_ratio needs at least one positive degree")
+        return MetricValue("max_degree_ratio", float("nan"), 0,
+                           ("no_positive_degree",))
     flags: tuple[str, ...] = ()
     n_zero = deg.size - pos.size
     if n_zero:

@@ -1,8 +1,14 @@
 """End-to-end pipelines: theory validation, subgroup-gap comparison, and
 the fairness-penalty sweep, each emitting deterministic JSON/CSV reports.
 
-Run directories embed the dataset name, filter kind, and a hash of the
-config so sweeps with different settings never collide.
+Run directories embed the dataset name, the pipeline, the filter kind and
+a hash of the config, so pipelines and sweeps with different settings
+never collide.
+
+A pipeline's (seed, lambda) trainings are independent and fully seeded, so
+they run in forked worker processes, as many as the usable CPUs hold at the
+BLAS's thread count, and their results are gathered in task order: the
+reports are byte-identical for any worker count.
 """
 from __future__ import annotations
 
@@ -72,9 +78,10 @@ class RunConfig:
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:8]
 
-    def run_dir(self) -> str:
+    def run_dir(self, pipeline: str) -> str:
         abbrev = FILTER_ABBREV[self.filter_kind]
-        return os.path.join(self.out, f"{self.name}_{abbrev}_{self.config_hash}")
+        return os.path.join(
+            self.out, f"{self.name}_{pipeline}_{abbrev}_{self.config_hash}")
 
 
 def load_config(path: str) -> RunConfig:
@@ -246,14 +253,78 @@ def _same_group_auc(run: SeedRun) -> float:
                    run.test_labels[run.same_group]).value
 
 
-def _open_run(config: RunConfig,
+# The variables that set a BLAS's thread count, in the order OpenBLAS and
+# MKL read them.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "OMP_NUM_THREADS")
+
+
+def _max_workers() -> int:
+    """How many training processes fit on the CPUs this process may use:
+    the usable CPUs divided by the threads each process's BLAS runs, at
+    least 1.
+
+    The BLAS thread count is the first of ``_BLAS_THREAD_VARS`` that is a
+    positive integer.  With none set, OpenBLAS and MKL run one thread per
+    CPU, so workers would only oversubscribe the CPUs (on 2 CPUs, two
+    workers of two BLAS threads each made a 40-training sweep at n=200
+    2.6-3.3x slower than one process), and the runs stay in this process.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    blas_threads = cpus
+    for var in _BLAS_THREAD_VARS:
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            blas_threads = int(value)
+            break
+    return max(1, cpus // blas_threads)
+
+
+def _map_runs(run, dataset: Dataset, config: RunConfig, tasks) -> list:
+    """``[run(dataset, config, seed, lam) for seed, lam in tasks]``.
+
+    The runs are spread over ``min(len(tasks), _max_workers())`` worker
+    processes forked from this one, and their results are returned in task
+    order; a run's exception is raised here, the first in task order.
+    ``run`` must be a module-level function whose result pickles.  With one
+    worker, or where the platform cannot fork, the runs are called here
+    and ``multiprocessing`` is not imported.  No worker outlives the call.
+    """
+    workers = min(len(tasks), _max_workers())
+    if workers <= 1 or not hasattr(os, "fork"):
+        return [run(dataset, config, seed, lam) for seed, lam in tasks]
+
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # fork, not spawn: a spawned worker imports NumPy and SciPy afresh,
+    # about 0.6 s on 2 vCPUs, which is longer than a small training.
+    pool = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = [pool.submit(run, dataset, config, seed, lam)
+                   for seed, lam in tasks]
+        return [future.result() for future in futures]
+    except BrokenProcessPool as exc:
+        raise ChildProcessError(
+            f"a training worker process exited unexpectedly: {exc}") from None
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _open_run(config: RunConfig, pipeline: str,
               needs_subgroups: str = "") -> tuple[Dataset, str]:
-    """Load the dataset and create the run directory.  A non-empty
-    ``needs_subgroups`` names the pipeline that requires subgroup labels."""
+    """Load the dataset and create ``pipeline``'s run directory.  A
+    non-empty ``needs_subgroups`` names the pipeline that requires subgroup
+    labels."""
     dataset = prepare_dataset(config)
     if needs_subgroups and dataset.t_labels is None:
         raise ValueError(f"{needs_subgroups} requires subgroup labels")
-    out_dir = config.run_dir()
+    out_dir = config.run_dir(pipeline)
     os.makedirs(out_dir, exist_ok=True)
     return dataset, out_dir
 
@@ -282,44 +353,46 @@ def _finish(config: RunConfig, out_dir: str, pipeline: str, fields: dict,
     return payload
 
 
+def _theory_run(dataset: Dataset, config: RunConfig, seed: int,
+                lam: float) -> tuple[dict, tuple]:
+    """One validate-theory training: the seed's report entry and its
+    pairs.csv columns (group, tau_raw, tau_fitted, gcn_score)."""
+    run = run_seed(dataset, config, seed, lambda_fair=lam)
+    alpha = alpha_vectors(run.result.model, dataset.features)
+    report = build_theory_report(
+        run.result.train_view, alpha, run.test_pairs[run.same_group],
+        run.test_scores[run.same_group], config.filter_kind,
+    )
+    if bool(report.skipped.all()):
+        raise ValueError(
+            f"seed {seed}: every refined group was skipped; "
+            "theory comparison has no support"
+        )
+    entry = report.to_json_dict()
+    entry.update({
+        "seed": seed,
+        "test_auc": run.test_auc,
+        "test_auc_same_group": _same_group_auc(run),
+        "best_epoch": run.result.best_epoch,
+        "best_val_auc": run.result.best_val_auc,
+    })
+    rows = report.rows
+    return entry, tuple(rows[key] for key in
+                        ("group", "tau_raw", "tau_fitted", "gcn_score"))
+
+
 def run_validate_theory(config: RunConfig) -> dict:
     """Train per seed (no penalty), fit per-group slopes on same-group test
     pairs, and report NRMSE/PCC of fitted theoretic scores plus test AUC.
 
     Writes report.json and pairs.csv; returns the report dict with paths.
     """
-    dataset, out_dir = _open_run(config)
-
-    per_seed = []
-    csv_rows = []
-    for seed in config.seeds:
-        run = run_seed(dataset, config, seed, lambda_fair=0.0)
-        view = run.result.train_view
-        alpha = alpha_vectors(run.result.model, dataset.features)
-        report = build_theory_report(
-            view, alpha, run.test_pairs[run.same_group],
-            run.test_scores[run.same_group], config.filter_kind,
-        )
-        if bool(report.skipped.all()):
-            raise ValueError(
-                f"seed {seed}: every refined group was skipped; "
-                "theory comparison has no support"
-            )
-        rows = report.rows
-        csv_rows.extend(
-            (seed, g, tr, tf, sc)
-            for g, tr, tf, sc in zip(rows["group"], rows["tau_raw"],
-                                     rows["tau_fitted"], rows["gcn_score"])
-        )
-        entry = report.to_json_dict()
-        entry.update({
-            "seed": seed,
-            "test_auc": run.test_auc,
-            "test_auc_same_group": _same_group_auc(run),
-            "best_epoch": run.result.best_epoch,
-            "best_val_auc": run.result.best_val_auc,
-        })
-        per_seed.append(entry)
+    dataset, out_dir = _open_run(config, "validate_theory")
+    runs = _map_runs(_theory_run, dataset, config,
+                     [(seed, 0.0) for seed in config.seeds])
+    per_seed = [entry for entry, _ in runs]
+    csv_rows = [(entry["seed"], *row)
+                for entry, columns in runs for row in zip(*columns)]
 
     nrmse_m, nrmse_s = _mean_std([e["nrmse"] for e in per_seed])
     pcc_m, pcc_s = _mean_std([e["pcc"] for e in per_seed])
@@ -337,6 +410,31 @@ def run_validate_theory(config: RunConfig) -> dict:
                    {"pairs": ("pairs.csv", header, csv_rows)})
 
 
+def _sweep_run(dataset: Dataset, config: RunConfig, seed: int,
+               lam: float) -> dict:
+    """One fairness-sweep training: its entry of the report's ``runs``."""
+    run = run_seed(dataset, config, seed, lambda_fair=lam)
+    assess = delta(
+        run.test_pairs[run.same_group], run.test_scores[run.same_group],
+        run.result.train_view.group_of, dataset.t_labels,
+    )
+    return {
+        "lambda_fair": lam,
+        "seed": seed,
+        "mean_delta": assess.mean_delta,
+        "test_auc": run.test_auc,
+        "groups": [
+            {"group": g, "delta": d, "n_t1": k1, "n_t2": k2,
+             "skipped": skip, "reason": reason}
+            for g, (d, k1, k2, skip, reason) in enumerate(zip(
+                assess.delta.tolist(), assess.n_t1.tolist(),
+                assess.n_t2.tolist(), assess.skipped.tolist(),
+                assess.reasons,
+            ))
+        ],
+    }
+
+
 def run_fairness_sweep(config: RunConfig) -> dict:
     """Per penalty weight, train over the seed set and tabulate the mean
     subgroup gap (post-sigmoid, same-group test pairs) and test AUC.
@@ -344,40 +442,17 @@ def run_fairness_sweep(config: RunConfig) -> dict:
     Rows are sorted by lambda descending.  Writes report.json and
     fairness_table.csv.
     """
-    dataset, out_dir = _open_run(config, needs_subgroups="fairness sweep")
-    lambdas = tuple(float(lam) for lam in config.lambda_fair)
+    dataset, out_dir = _open_run(config, "fairness_sweep",
+                                 needs_subgroups="fairness sweep")
+    lambdas = sorted((float(lam) for lam in config.lambda_fair), reverse=True)
+    tasks = [(seed, lam) for lam in lambdas for seed in config.seeds]
+    detail = _map_runs(_sweep_run, dataset, config, tasks)
 
     table_rows = []
-    detail = []
-    for lam in sorted(lambdas, reverse=True):
-        deltas, aucs = [], []
-        for seed in config.seeds:
-            run = run_seed(dataset, config, seed, lambda_fair=lam)
-            view = run.result.train_view
-            assess = delta(
-                run.test_pairs[run.same_group],
-                run.test_scores[run.same_group],
-                view.group_of, dataset.t_labels,
-            )
-            deltas.append(assess.mean_delta)
-            aucs.append(run.test_auc)
-            detail.append({
-                "lambda_fair": lam,
-                "seed": seed,
-                "mean_delta": assess.mean_delta,
-                "test_auc": run.test_auc,
-                "groups": [
-                    {"group": g, "delta": d, "n_t1": k1, "n_t2": k2,
-                     "skipped": skip, "reason": reason}
-                    for g, (d, k1, k2, skip, reason) in enumerate(zip(
-                        assess.delta.tolist(), assess.n_t1.tolist(),
-                        assess.n_t2.tolist(), assess.skipped.tolist(),
-                        assess.reasons,
-                    ))
-                ],
-            })
-        d_mean, d_std = _mean_std(deltas)
-        a_mean, a_std = _mean_std(aucs)
+    for k, lam in enumerate(lambdas):
+        runs = detail[k * len(config.seeds):(k + 1) * len(config.seeds)]
+        d_mean, d_std = _mean_std([r["mean_delta"] for r in runs])
+        a_mean, a_std = _mean_std([r["test_auc"] for r in runs])
         table_rows.append({
             "dataset": config.name, "lambda_fair": lam,
             "delta_mean": d_mean, "delta_std": d_std,
@@ -392,40 +467,48 @@ def run_fairness_sweep(config: RunConfig) -> dict:
                    {"table": ("fairness_table.csv", header, rows)})
 
 
+def _delta_run(dataset: Dataset, config: RunConfig, seed: int,
+               lam: float) -> list[dict]:
+    """One delta-compare training: its scatter points, one per refined
+    group where both the trained and the estimated gap are defined."""
+    run = run_seed(dataset, config, seed, lambda_fair=lam)
+    view = run.result.train_view
+    pairs_sg = run.test_pairs[run.same_group]
+    scores_sg = run.test_scores[run.same_group]
+
+    assess = delta(pairs_sg, scores_sg, view.group_of, dataset.t_labels)
+
+    alpha = alpha_vectors(run.result.model, dataset.features)
+    report = build_theory_report(view, alpha, pairs_sg, scores_sg,
+                                 config.filter_kind)
+    rows = report.rows
+    fitted_pairs = np.stack([rows["i"], rows["j"]], axis=1)
+    est = delta(fitted_pairs, rows["tau_fitted"], view.group_of,
+                dataset.t_labels)
+    closed = delta_hat(view, report.rho2, report.c1, dataset.t_labels,
+                       config.filter_kind)
+    return [
+        {
+            "seed": seed, "group": g,
+            "delta": float(assess.delta[g]),
+            "delta_hat": float(est.delta[g]),
+            "delta_hat_closed_form": float(closed.delta_hat[g]),
+            "disparity": float(closed.disparity[g]),
+            "n_t1": int(assess.n_t1[g]), "n_t2": int(assess.n_t2[g]),
+        }
+        for g in np.flatnonzero(~assess.skipped & ~est.skipped).tolist()
+    ]
+
+
 def run_delta_comparison(config: RunConfig) -> dict:
     """Per seed and refined group, the trained-score gap versus the
     theoretic estimate (fitted scores pushed through the same post-sigmoid
     gap), plus the closed form; reports PCC/NRMSE of estimate vs gap."""
-    dataset, out_dir = _open_run(config, needs_subgroups="gap comparison")
-
-    scatter = []
-    for seed in config.seeds:
-        run = run_seed(dataset, config, seed, lambda_fair=0.0)
-        view = run.result.train_view
-        pairs_sg = run.test_pairs[run.same_group]
-        scores_sg = run.test_scores[run.same_group]
-
-        assess = delta(pairs_sg, scores_sg, view.group_of, dataset.t_labels)
-
-        alpha = alpha_vectors(run.result.model, dataset.features)
-        report = build_theory_report(view, alpha, pairs_sg, scores_sg,
-                                     config.filter_kind)
-        rows = report.rows
-        fitted_pairs = np.stack([rows["i"], rows["j"]], axis=1)
-        est = delta(fitted_pairs, rows["tau_fitted"], view.group_of,
-                    dataset.t_labels)
-        closed = delta_hat(view, report.rho2, report.c1, dataset.t_labels,
-                           config.filter_kind)
-
-        for g in np.flatnonzero(~assess.skipped & ~est.skipped).tolist():
-            scatter.append({
-                "seed": seed, "group": g,
-                "delta": float(assess.delta[g]),
-                "delta_hat": float(est.delta[g]),
-                "delta_hat_closed_form": float(closed.delta_hat[g]),
-                "disparity": float(closed.disparity[g]),
-                "n_t1": int(assess.n_t1[g]), "n_t2": int(assess.n_t2[g]),
-            })
+    dataset, out_dir = _open_run(config, "delta_comparison",
+                                 needs_subgroups="gap comparison")
+    runs = _map_runs(_delta_run, dataset, config,
+                     [(seed, 0.0) for seed in config.seeds])
+    scatter = [point for points in runs for point in points]
 
     deltas = np.array([r["delta"] for r in scatter], dtype=np.float64)
     estimates = np.array([r["delta_hat"] for r in scatter], dtype=np.float64)
@@ -445,7 +528,7 @@ def run_delta_comparison(config: RunConfig) -> dict:
 def run_train(config: RunConfig) -> dict:
     """Train a single model (first seed, first lambda) and write the
     checkpoint, history CSV, and a summary report."""
-    dataset, out_dir = _open_run(config)
+    dataset, out_dir = _open_run(config, "train")
     seed = config.seeds[0]
     lam = config.lambda_fair[0]
 

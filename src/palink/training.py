@@ -34,51 +34,69 @@ class LinkSplit:
     test_neg: np.ndarray
 
 
+class NegativeSampler:
+    """Uniform draws of distinct free pairs: unordered pairs of two
+    distinct nodes in [0, n) that are neither in ``edges`` nor in
+    ``exclude``.
+
+    The banned pairs are indexed, sorted and deduplicated once, here, so
+    repeated draws from one banned set (a training run's epochs) do not
+    rebuild them.  Each draw takes ``count`` distinct ranks among the free
+    pairs (one ``rng.choice`` without replacement) and maps each to its
+    pair in row-major upper-triangle order: exact at any ``n``, with memory
+    linear in ``count``, ``n`` and the banned pairs (no n x n mask).
+    """
+
+    def __init__(self, n: int, edges, exclude=None):
+        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        if exclude is not None:
+            exclude = np.asarray(exclude, dtype=np.int64).reshape(-1, 2)
+            pairs = np.concatenate([pairs, exclude])
+        lo = np.minimum(pairs[:, 0], pairs[:, 1])
+        hi = np.maximum(pairs[:, 0], pairs[:, 1])
+        if lo.size and (lo.min() < 0 or hi.max() >= n or np.any(lo == hi)):
+            raise ValueError(
+                "banned pairs must join two distinct nodes in [0, n)")
+        # Index of pair (i, j), i < j, in the row-major upper triangle,
+        # sorted and deduplicated (a sort: NumPy 2's hashing np.unique is
+        # far slower).
+        banned = np.sort(lo * n - lo * (lo + 1) // 2 + hi - lo - 1)
+        banned = banned[np.diff(banned, prepend=-1) > 0]
+        self.available = n * (n - 1) // 2 - banned.size
+        # banned[k] - k free pairs precede banned[k], so the free pair of
+        # rank r sits at r plus the number of k with banned[k] - k <= r.
+        self._shift = banned - np.arange(banned.size)
+        rows = np.arange(n - 1, dtype=np.int64)
+        self._starts = rows * n - rows * (rows + 1) // 2
+
+    def draw(self, count: int, rng) -> np.ndarray:
+        """``count`` distinct free pairs as an ``(count, 2)`` array of
+        ``i < j``, sorted; raises if fewer than ``count`` are free."""
+        if count < 0:
+            raise ValueError("count must be >= 0")
+        if count > self.available:
+            raise ValueError(
+                f"requested {count} negatives but only {self.available} "
+                "non-adjacent pairs remain"
+            )
+        if count == 0:
+            return np.zeros((0, 2), dtype=np.int64)
+        ranks = np.sort(rng.choice(self.available, size=count, replace=False))
+        tri = ranks + np.searchsorted(self._shift, ranks, side="right")
+        i = np.searchsorted(self._starts, tri, side="right") - 1
+        j = tri - self._starts[i] + i + 1
+        return np.stack([i, j], axis=1)
+
+
 def sample_negatives(n: int, edges, count: int, rng, exclude=None) -> np.ndarray:
-    """Sample ``count`` distinct non-adjacent unordered pairs uniformly.
+    """Sample ``count`` distinct non-adjacent unordered pairs uniformly:
+    one draw of a ``NegativeSampler`` over ``edges`` and ``exclude``.
 
     ``exclude`` removes further pairs from the candidate pool (e.g. the
     other split's negatives).  Raises if fewer than ``count`` candidates
-    exist.  One draw of ``count`` distinct ranks among the free pairs
-    (``rng.choice`` without replacement), each mapped to its pair in
-    row-major upper-triangle order: exact at any ``n``, with memory linear
-    in ``count``, ``n`` and the banned pairs (no n x n mask).
+    exist.
     """
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if exclude is not None:
-        exclude = np.asarray(exclude, dtype=np.int64).reshape(-1, 2)
-        pairs = np.concatenate([pairs, exclude])
-    lo = np.minimum(pairs[:, 0], pairs[:, 1])
-    hi = np.maximum(pairs[:, 0], pairs[:, 1])
-    if lo.size and (lo.min() < 0 or hi.max() >= n or np.any(lo == hi)):
-        raise ValueError("banned pairs must join two distinct nodes in [0, n)")
-    # Index of pair (i, j), i < j, in the row-major upper triangle, sorted
-    # and deduplicated (a sort: NumPy 2's hashing np.unique is far slower).
-    banned = np.sort(lo * n - lo * (lo + 1) // 2 + hi - lo - 1)
-    banned = banned[np.diff(banned, prepend=-1) > 0]
-
-    total = n * (n - 1) // 2
-    available = total - banned.size
-    if count > available:
-        raise ValueError(
-            f"requested {count} negatives but only {available} "
-            "non-adjacent pairs remain"
-        )
-    if count == 0:
-        return np.zeros((0, 2), dtype=np.int64)
-
-    ranks = np.sort(rng.choice(available, size=count, replace=False))
-    # banned[k] - k free pairs precede banned[k], so the free pair of rank
-    # r sits at r plus the number of k with banned[k] - k <= r.
-    tri = ranks + np.searchsorted(banned - np.arange(banned.size), ranks,
-                                  side="right")
-    rows = np.arange(n - 1, dtype=np.int64)
-    starts = rows * n - rows * (rows + 1) // 2
-    i = np.searchsorted(starts, tri, side="right") - 1
-    j = tri - starts[i] + i + 1
-    return np.stack([i, j], axis=1)
+    return NegativeSampler(n, edges, exclude).draw(count, rng)
 
 
 def split_links(dataset: Dataset, ratios=DEFAULT_RATIOS, seed: int = 0) -> LinkSplit:
@@ -137,7 +155,8 @@ def train(dataset: Dataset, split: LinkSplit, config: TrainConfig) -> TrainResul
     """Full-batch Adam on BCE plus the subgroup-gap penalty.
 
     One optimizer step per epoch; training negatives are resampled each
-    epoch (1:1 with training positives) while validation pairs stay fixed.
+    epoch (1:1 with training positives), from one ``NegativeSampler`` built
+    per run, while validation pairs stay fixed.
     A training negative is never a training positive or a frozen
     validation/test negative, so no held-out pair is trained on as a
     negative.  Validation/test positives stay drawable: the trainer does
@@ -178,15 +197,16 @@ def train(dataset: Dataset, split: LinkSplit, config: TrainConfig) -> TrainResul
     best_weights = [w.copy() for w in model.weights]
 
     n_train = split.train_pos.shape[0]
-    held_out_neg = np.concatenate([split.val_neg, split.test_neg])
+    sampler = NegativeSampler(
+        dataset.n, split.train_pos,
+        exclude=np.concatenate([split.val_neg, split.test_neg]))
     # A diverging run overflows in the forward pass and the loss; the
     # finiteness checks below name it, so NumPy's warnings are not shown.
     quiet = dict(over="ignore", invalid="ignore")
     with np.errstate(**quiet):
         cache = _forward_cached(model, nm, features, px=px)
     for epoch in range(1, config.epochs + 1):
-        neg = sample_negatives(dataset.n, split.train_pos, n_train, neg_rng,
-                               exclude=held_out_neg)
+        neg = sampler.draw(n_train, neg_rng)
         with np.errstate(**quiet):
             loss, _, penalty, grads = loss_and_gradients(
                 model, nm, features, split.train_pos, neg,

@@ -8,6 +8,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sparse
 
+from palink.gcn import loss_and_gradients
 from palink.spectral import matrix_from_edges
 
 DENSE_POWER_LIMIT = 5000
@@ -64,6 +65,43 @@ def einsum_scores(h, pairs) -> np.ndarray:
     endpoints, with no blocking."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     return np.einsum("ij,ij->i", h[pairs[:, 0]], h[pairs[:, 1]])
+
+
+def finite_difference_grads(model, nm, features, pos, neg, lam, group_of,
+                            t_labels, h=1e-6) -> list[np.ndarray]:
+    """``loss_and_gradients``' gradients by central finite differences of
+    its loss over every weight entry."""
+    out = []
+    for w in model.weights:
+        g = np.zeros_like(w)
+        it = np.nditer(w, flags=["multi_index"])
+        for _ in it:
+            idx = it.multi_index
+            orig = w[idx]
+            w[idx] = orig + h
+            up = loss_and_gradients(model, nm, features, pos, neg, lam,
+                                    group_of, t_labels)[0]
+            w[idx] = orig - h
+            dn = loss_and_gradients(model, nm, features, pos, neg, lam,
+                                    group_of, t_labels)[0]
+            w[idx] = orig
+            g[idx] = (up - dn) / (2.0 * h)
+        out.append(g)
+    return out
+
+
+def gradient_error(grads, reference, floor: float = 1e-12) -> float:
+    """Largest entrywise error of ``grads`` against ``reference``, relative
+    to the larger of the two entries; an entry below 1e-3 of the largest
+    gradient entry, or below ``floor``, is measured against that bound
+    instead."""
+    gmax = max(float(np.max(np.abs(g), initial=0.0)) for g in grads)
+    worst = 0.0
+    for a, f in zip(grads, reference):
+        denom = np.maximum(np.maximum(np.abs(a), np.abs(f)),
+                           max(1e-3 * gmax, floor))
+        worst = max(worst, float(np.max(np.abs(a - f) / denom)))
+    return worst
 
 
 def lifted_pair_gradient(h, pairs, dscore) -> np.ndarray:

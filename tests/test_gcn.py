@@ -24,7 +24,13 @@ from palink.graphdata import make_dataset
 from palink.spectral import normalized_matrix
 
 from conftest import complete_graph, random_planted_dataset
-from oracles import dense_power_entries, einsum_scores, lifted_pair_gradient
+from oracles import (
+    dense_power_entries,
+    einsum_scores,
+    finite_difference_grads,
+    gradient_error,
+    lifted_pair_gradient,
+)
 
 
 def two_path():
@@ -198,28 +204,6 @@ class TestScoresAndLoss:
         assert val == pytest.approx(1000.0, rel=1e-12)
 
 
-def numeric_grads(model, nm, features, pos, neg, lam, group_of, t_labels,
-                  h=1e-6):
-    """Central finite differences over every weight entry."""
-    out = []
-    for w in model.weights:
-        g = np.zeros_like(w)
-        it = np.nditer(w, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = w[idx]
-            w[idx] = orig + h
-            up = loss_and_gradients(model, nm, features, pos, neg, lam,
-                                    group_of, t_labels)[0]
-            w[idx] = orig - h
-            dn = loss_and_gradients(model, nm, features, pos, neg, lam,
-                                    group_of, t_labels)[0]
-            w[idx] = orig
-            g[idx] = (up - dn) / (2.0 * h)
-        out.append(g)
-    return out
-
-
 def gradient_instance(seed, n=8):
     rng = np.random.default_rng(seed)
     ds = random_planted_dataset(rng, n_max=n, b_max=2, with_subgroups=True)
@@ -247,12 +231,9 @@ class TestGradients:
             model, nm, ds.features, pos, neg, lam, group_of, t
         )
         assert loss == pytest.approx(bce + penalty, abs=1e-12)
-        fd = numeric_grads(model, nm, ds.features, pos, neg, lam, group_of, t)
-        gmax = max(np.max(np.abs(g)) for g in grads)
-        for a, f in zip(grads, fd):
-            denom = np.maximum(np.maximum(np.abs(a), np.abs(f)),
-                               max(1e-3 * gmax, 1e-12))
-            assert np.max(np.abs(a - f) / denom) < 1e-4
+        fd = finite_difference_grads(model, nm, ds.features, pos, neg, lam,
+                                     group_of, t)
+        assert gradient_error(grads, fd) < 1e-4
 
     def test_gradient_shapes(self):
         ds, nm, model, pos, neg, group_of, t = gradient_instance(43)

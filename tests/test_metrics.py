@@ -151,6 +151,8 @@ class TestMaxDegreeRatio:
         assert got.n == 2
         assert any(f.startswith("excluded_zero_degree") for f in got.flags)
 
-    def test_all_zero_rejected(self):
-        with pytest.raises(ValueError):
-            max_degree_ratio([0.0, 0.0])
+    def test_all_zero_flagged(self):
+        got = max_degree_ratio([0.0, 0.0])
+        assert np.isnan(got.value)
+        assert got.n == 0
+        assert got.flags == ("no_positive_degree",)

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -44,6 +47,22 @@ def csv_cell(value) -> str:
     if value is None:
         return ""
     return repr(value) if isinstance(value, float) else str(value)
+
+
+def read_outputs(payload) -> dict:
+    """Role -> bytes of every file a pipeline wrote."""
+    out = {}
+    for role, path in payload["paths"].items():
+        if role != "run_dir":
+            with open(path, "rb") as fh:
+                out[role] = fh.read()
+    return out
+
+
+def seed_and_pid(dataset, config, seed, lam) -> tuple[int, int]:
+    """A per-run function for ``_map_runs``: its seed and the process it
+    ran in."""
+    return seed, os.getpid()
 
 
 def base_config(tiny_bed, **kw):
@@ -133,8 +152,8 @@ class TestConfigParsing:
         raw = self.raw()
         raw["filter"] = "rw"
         cfg = config_from_dict(raw)
-        leaf = os.path.basename(cfg.run_dir())
-        assert leaf == f"x_rw_{cfg.config_hash}"
+        leaf = os.path.basename(cfg.run_dir("fairness_sweep"))
+        assert leaf == f"x_fairness_sweep_rw_{cfg.config_hash}"
 
 
 def test_csv_cell_format(tmp_path):
@@ -250,6 +269,97 @@ class TestFairnessSweep:
         cfg = RunConfig(**{**cfg.__dict__, "labels": str(stripped)})
         with pytest.raises(ValueError):
             run_fairness_sweep(cfg)
+
+
+def test_pipelines_on_one_config_keep_their_own_files(tiny_bed, tmp_path):
+    cfg = base_config(tiny_bed, out=str(tmp_path / "runs"))
+    first = run_delta_comparison(cfg)
+    delta_files = read_outputs(first)
+    second = run_fairness_sweep(cfg)
+    assert first["paths"]["run_dir"] != second["paths"]["run_dir"]
+    assert read_outputs(first) == delta_files
+    assert sorted(os.listdir(first["paths"]["run_dir"])) == \
+        ["pairs.csv", "report.json"]
+    assert sorted(os.listdir(second["paths"]["run_dir"])) == \
+        ["fairness_table.csv", "report.json"]
+    for payload in (first, second):
+        report = json.load(open(payload["paths"]["report"]))
+        assert report["pipeline"] == payload["pipeline"]
+
+
+class TestParallelRuns:
+    @pytest.mark.parametrize("runner", [
+        run_validate_theory, run_delta_comparison, run_fairness_sweep])
+    def test_same_bytes_at_one_and_two_workers(self, tiny_bed, monkeypatch,
+                                               runner):
+        cfg = base_config(tiny_bed, seeds=[0, 1, 2])
+        outputs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(pipelines, "_max_workers", lambda: workers)
+            outputs.append(read_outputs(runner(cfg)))
+        assert outputs[0] == outputs[1]
+
+    def test_runs_in_workers_in_task_order(self, monkeypatch):
+        monkeypatch.setattr(pipelines, "_max_workers", lambda: 2)
+        tasks = [(seed, 0.0) for seed in range(5)]
+        seeds, pids = zip(*pipelines._map_runs(seed_and_pid, None, None,
+                                               tasks))
+        assert seeds == (0, 1, 2, 3, 4)
+        assert os.getpid() not in pids and len(set(pids)) <= 2
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("env, expected", [
+        ({}, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 8),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4),
+        ({"MKL_NUM_THREADS": "3"}, 2),
+        ({"OMP_NUM_THREADS": "1"}, 8),
+        ({"OMP_NUM_THREADS": "16"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "x"}, 1),
+    ])
+    def test_workers_share_the_cpus_with_blas_threads(self, monkeypatch,
+                                                      env, expected):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(8)), raising=False)
+        for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert pipelines._max_workers() == expected
+
+    @pytest.mark.parametrize("cpus, n_tasks", [(1, 4), (8, 1)])
+    def test_one_cpu_or_one_task_creates_no_pool(self, monkeypatch, cpus,
+                                                 n_tasks):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was created")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            no_pool)
+        monkeypatch.setattr(pipelines, "_max_workers", lambda: cpus)
+        tasks = [(seed, 0.0) for seed in range(n_tasks)]
+        assert pipelines._map_runs(seed_and_pid, None, None, tasks) == \
+            [(seed, os.getpid()) for seed in range(n_tasks)]
+
+    def test_import_loads_no_process_pool_machinery(self):
+        # Every run pays for ``import palink``; the pool's modules take
+        # tens of milliseconds to import, so only a pool loads them.
+        code = (
+            "import sys, palink\n"
+            "from palink import pipelines\n"
+            "mods = ('multiprocessing', 'concurrent.futures.process')\n"
+            "print([m for m in mods if m in sys.modules])\n"
+            "pipelines._max_workers = lambda: 1\n"
+            "pipelines._map_runs(lambda *a: 0, None, None, [(0, 0.0)] * 2)\n"
+            "print([m for m in mods if m in sys.modules])\n"
+        )
+        src = os.path.dirname(os.path.dirname(pipelines.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.splitlines() == ["[]", "[]"]
 
 
 class TestDeltaComparison:
@@ -377,6 +487,32 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.strip() == "error: epoch 2: training loss is nan"
+
+    def test_non_finite_training_in_a_worker_exits_2(self, tmp_path,
+                                                     tiny_bed, capsys,
+                                                     monkeypatch):
+        monkeypatch.setattr(pipelines, "_max_workers", lambda: 2)
+        config_path = self.write_config(tmp_path, tiny_bed, lr=1e200,
+                                        epochs=4, seeds=[0, 1])
+        code = main(["fairness-sweep", "--config", config_path])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.strip() == "error: epoch 2: training loss is nan"
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_exits_2(self, tmp_path, tiny_bed, capsys,
+                                 monkeypatch):
+        monkeypatch.setattr(pipelines, "_max_workers", lambda: 2)
+        monkeypatch.setattr(pipelines, "run_seed",
+                            lambda *args, **kwargs: os._exit(1))
+        config_path = self.write_config(tmp_path, tiny_bed, seeds=[0, 1])
+        code = main(["fairness-sweep", "--config", config_path])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: a training worker process exited unexpectedly")
+        assert "Traceback" not in err
+        assert multiprocessing.active_children() == []
 
     def test_theory_without_support_exits_2(self, tmp_path, tiny_bed,
                                             capsys, monkeypatch):

@@ -1,6 +1,8 @@
 """Property-based checks on generated instances: the subgroup gap against
 its enumeration oracle and under relabellings, block-spectrum gaps against
-per-group builds, and the negative sampler against its dense oracle.  Example generation is derandomized, so the
+per-group builds, the negative sampler against its dense oracle, blocked
+pair scores against one unblocked einsum, and the training gradients
+against finite differences.  Example generation is derandomized, so the
 suite is deterministic and keeps no example database."""
 from __future__ import annotations
 
@@ -17,13 +19,27 @@ from hypothesis import strategies as st  # noqa: E402
 from scipy.special import expit  # noqa: E402
 
 from palink.fairness import delta  # noqa: E402
+from palink.gcn import (  # noqa: E402
+    _PAIR_BLOCK,
+    init_model,
+    loss_and_gradients,
+    score_pairs,
+)
 from palink.graphdata import make_dataset, within_group_structure  # noqa: E402
-from palink.spectral import block_spectrum  # noqa: E402
+from palink.spectral import (  # noqa: E402
+    KINDS,
+    block_spectrum,
+    normalized_matrix,
+)
 from palink.training import sample_negatives  # noqa: E402
 
+from conftest import random_planted_dataset  # noqa: E402
 from oracles import (  # noqa: E402
     delta_enumeration_oracle,
     dense_negatives,
+    einsum_scores,
+    finite_difference_grads,
+    gradient_error,
     sym_block_gap,
 )
 
@@ -182,3 +198,60 @@ class TestBlockSpectrumProperties:
         expected = [sym_block_gap(view, g) for g in range(view.n_groups)]
         np.testing.assert_array_equal(summary.lambda_gaps, expected)
         np.testing.assert_array_equal(summary.degenerate, view.volumes == 0)
+
+
+@st.composite
+def scored_pairs(draw):
+    """Representations of up to 30 nodes and a pair count that is often
+    next to a multiple of the score block."""
+    n, dim = draw(st.integers(1, 30)), draw(st.integers(1, 20))
+    near_block = st.sampled_from([k * _PAIR_BLOCK + d for k in (1, 2, 3)
+                                  for d in (-1, 0, 1)])
+    count = draw(near_block | st.integers(0, 3 * _PAIR_BLOCK + 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.normal(size=(n, dim)), rng.integers(0, n, size=(count, 2))
+
+
+@st.composite
+def gradient_instances(draw):
+    """A planted dataset of up to 10 nodes with subgroup labels, a model of
+    one to three layers of width 1 to 4 under either filter, and random
+    positive and negative pairs (self-pairs included) over random refined
+    groups."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ds = random_planted_dataset(rng, n_max=10, b_max=2, with_subgroups=True)
+    kind = draw(st.sampled_from(KINDS))
+    hidden = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    model = init_model(ds.feature_dim, hidden, kind,
+                       seed=int(rng.integers(99)))
+    n_pos, n_neg = draw(st.integers(1, 12)), draw(st.integers(0, 12))
+    pos = rng.integers(0, ds.n, size=(n_pos, 2))
+    neg = rng.integers(0, ds.n, size=(n_neg, 2))
+    group_of = rng.integers(0, 2, size=ds.n)
+    return ds, normalized_matrix(ds, kind), model, pos, neg, group_of
+
+
+class TestScorePairsProperties:
+    @deterministic
+    @given(scored_pairs())
+    def test_blocked_bitwise_equal_unblocked_einsum(self, inst):
+        h, pairs = inst
+        got = score_pairs(h, pairs)
+        assert got.shape == (pairs.shape[0],)
+        np.testing.assert_array_equal(got, einsum_scores(h, pairs))
+
+
+class TestGradientProperties:
+    @pytest.mark.parametrize("lam", [0.0, 1.5])
+    @settings(deterministic, max_examples=40)
+    @given(gradient_instances())
+    def test_match_central_finite_differences(self, lam, inst):
+        ds, nm, model, pos, neg, group_of = inst
+        grads = loss_and_gradients(model, nm, ds.features, pos, neg, lam,
+                                   group_of, ds.t_labels)[3]
+        fd = finite_difference_grads(model, nm, ds.features, pos, neg, lam,
+                                     group_of, ds.t_labels)
+        # Central differences at h = 1e-6 of a loss of order 1 carry up to
+        # about 2e-10 of round-off (machine epsilon / h), so entries below
+        # 1e-5 are held to an absolute 1e-9.
+        assert gradient_error(grads, fd, floor=1e-5) < 1e-4

@@ -314,15 +314,21 @@ class TestBounds:
         assert bounds.degree_ratio == pytest.approx(math.sqrt(3.0))
         assert np.isnan(bounds.zeta[1])  # zero-volume singleton group
 
-    def test_all_zero_degrees_error_random_walk(self):
-        ds = make_dataset([(0, 1)], np.ones((2, 1)), [0, 1],
+    def test_all_zero_degrees_give_nan_radii(self):
+        # Only cross-group edges and no self-loops: every within-group
+        # degree is 0, so no radius is defined under either kind.
+        ds = make_dataset([(0, 2), (1, 3)], np.ones((4, 1)), [0, 0, 1, 1],
                           self_loop_weight=0.0)
         view = within_group_structure(ds)
-        full = normalized_matrix(ds, "random_walk")
-        within = normalized_matrix(view, "random_walk")
-        summary = block_spectrum(view, "random_walk")
-        with pytest.raises(ValueError, match="positive degree"):
-            residual_and_bounds(full, within, summary, L=1, view=view)
+        for kind in ("symmetric", "random_walk"):
+            full = normalized_matrix(ds, kind)
+            within = normalized_matrix(view, kind)
+            summary = block_spectrum(view, kind)
+            bounds = residual_and_bounds(full, within, summary, L=2,
+                                         view=view)
+            assert bounds.zeta.shape == (4,)
+            assert np.isnan(bounds.zeta).all(), kind
+        assert np.isnan(bounds.degree_ratio)
 
     def test_kind_mismatch_and_bad_L(self, k3):
         view = within_group_structure(k3)

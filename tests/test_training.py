@@ -13,6 +13,7 @@ from palink.training import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    NegativeSampler,
     TrainConfig,
     load_checkpoint,
     sample_negatives,
@@ -180,6 +181,26 @@ class TestSampleNegatives:
         with pytest.raises(ValueError):
             sample_negatives(4, [(0, 1)], -1, np.random.default_rng(0))
 
+    def test_sampler_built_once_matches_per_epoch_sampling(self):
+        # train() draws every epoch from one sampler over the protocol's
+        # banned set; each draw must equal a fresh sample_negatives call
+        # and the dense enumeration at the same RNG state.
+        ds = trainable_dataset()
+        split = split_links(ds, seed=1)
+        held_out = held_out_negatives(split)
+        count = split.train_pos.shape[0]
+        sampler = NegativeSampler(ds.n, split.train_pos, exclude=held_out)
+        rngs = [np.random.default_rng(np.random.SeedSequence([4, 1]))
+                for _ in range(3)]
+        for _ in range(6):
+            got = sampler.draw(count, rngs[0])
+            np.testing.assert_array_equal(
+                got, sample_negatives(ds.n, split.train_pos, count, rngs[1],
+                                      held_out))
+            np.testing.assert_array_equal(
+                got, dense_negatives(ds.n, split.train_pos, count, rngs[2],
+                                     held_out))
+
 
 def held_out_negatives(split):
     """The frozen validation and test negatives, which training must not
@@ -192,23 +213,29 @@ class TestTrain:
             self, monkeypatch):
         ds = trainable_dataset()
         split = split_links(ds, seed=1)
-        calls = []
+        banned_sets, draws = [], []
 
-        def recording(n, edges, count, rng, exclude=None):
-            neg = sample_negatives(n, edges, count, rng, exclude)
-            calls.append((pair_set(edges) | pair_set(exclude), pair_set(neg)))
-            return neg
+        class Recording(training.NegativeSampler):
+            def __init__(self, n, edges, exclude=None):
+                super().__init__(n, edges, exclude)
+                banned_sets.append(pair_set(edges) | pair_set(exclude))
 
-        monkeypatch.setattr(training, "sample_negatives", recording)
+            def draw(self, count, rng):
+                neg = super().draw(count, rng)
+                draws.append(pair_set(neg))
+                return neg
+
+        monkeypatch.setattr(training, "NegativeSampler", Recording)
         train(ds, split, TrainConfig(hidden_dims=(4,), epochs=40, seed=3))
-        assert len(calls) == 40
+        assert len(banned_sets) == 1  # built once per run
+        assert len(draws) == 40
 
         held_pos = pair_set(split.val_pos) | pair_set(split.test_pos)
         held_neg = pair_set(split.val_neg) | pair_set(split.test_neg)
         train_pos = pair_set(split.train_pos)
+        assert banned_sets[0] == train_pos | held_neg
         drawn = set()
-        for banned, neg in calls:
-            assert banned == train_pos | held_neg
+        for neg in draws:
             assert not neg & (train_pos | held_neg)
             drawn |= neg
         # held-out positives are unknown to the trainer, so some are drawn

@@ -1,7 +1,8 @@
 """Graph convolutional encoder for link prediction, from first principles.
 
 Layers compute H_l = act(P @ H_{l-1} @ W_l^T) with ReLU inside and identity
-at the top; no biases.  Link scores are inner products of the final
+at the top; no biases; a narrowing layer transforms before it propagates
+(``_transforms_first``).  Link scores are inner products of the final
 representations.  Gradients are exact reverse-mode derivatives of the
 binary cross-entropy plus the subgroup-gap penalty, written out by hand so
 they can be checked against finite differences.
@@ -82,9 +83,17 @@ def _check_compat(model: Model, nm: NormalizedMatrix, features: np.ndarray):
         raise ValueError("feature rows must match operator size")
 
 
+def _transforms_first(l: int, w: np.ndarray) -> bool:
+    """Whether layer ``l`` computes ``P @ (H W^T)``: when W narrows it, so
+    ``P`` acts on ``min(in, out)`` columns.  Layer 0's ``P @ X`` is
+    constant, so it always propagates first."""
+    return l > 0 and w.shape[0] < w.shape[1]
+
+
 def _forward_cached(model: Model, nm: NormalizedMatrix, features, px=None,
                     linear: bool = False):
-    """Forward pass keeping propagated inputs and pre-activations.
+    """Forward pass keeping what each W_l multiplies (``P @ H_{l-1}``, or
+    ``H_{l-1}`` if ``_transforms_first``) and the pre-activations.
 
     ``px`` optionally supplies a precomputed P @ features for the first
     layer (it is constant across epochs); ``linear=True`` forces identity
@@ -93,16 +102,19 @@ def _forward_cached(model: Model, nm: NormalizedMatrix, features, px=None,
     features = np.asarray(features, dtype=np.float64)
     _check_compat(model, nm, features)
     h = features
-    propagated = []  # M_l = P @ H_{l-1}
+    inputs = []  # what W_l multiplies
     pre = []  # Z_l
     L = model.n_layers
     for l, w in enumerate(model.weights):
-        m = (nm.matrix @ h) if not (l == 0 and px is not None) else px
-        z = m @ w.T
-        propagated.append(m)
+        if _transforms_first(l, w):
+            inputs.append(h)
+            z = nm.matrix @ (h @ w.T)
+        else:
+            inputs.append(px if l == 0 and px is not None else nm.matrix @ h)
+            z = inputs[-1] @ w.T
         pre.append(z)
         h = z if linear or l == L - 1 else np.maximum(z, 0.0)
-    return h, propagated, pre
+    return h, inputs, pre
 
 
 def forward(model: Model, nm: NormalizedMatrix, features, linear: bool = False):
@@ -196,7 +208,7 @@ def loss_and_gradients(
 
     if forward_cache is None:
         forward_cache = _forward_cached(model, nm, features)
-    h, propagated, pre = forward_cache
+    h, inputs, pre = forward_cache
     scores = score_pairs(h, pairs)
     probs = expit(scores)
 
@@ -220,11 +232,14 @@ def loss_and_gradients(
     L = model.n_layers
     grads: list[np.ndarray] = [np.empty(0)] * L
     g = _pair_gradient(h, pairs, dscore)
-    for l in range(L - 1, -1, -1):
+    for l, w in reversed(list(enumerate(model.weights))):
+        first = _transforms_first(l, w)
         if l < L - 1:
             g = g * (pre[l] > 0.0)
-        grads[l] = g.T @ propagated[l]
+        if first:
+            g = nm.matrix.T @ g  # gradient of the transformed H_{l-1} W_l^T
+        grads[l] = g.T @ inputs[l]
         if l > 0:
-            g = nm.matrix.T @ (g @ model.weights[l])
+            g = g @ w if first else nm.matrix.T @ (g @ w)
 
     return bce + penalty, bce, penalty, grads

@@ -8,6 +8,7 @@ refines each label class into its connected components.
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,20 +137,16 @@ def make_dataset(
 
 
 def _parse_edges_file(path: str) -> np.ndarray:
-    rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            toks = body.split()
-            if len(toks) != 2:
-                raise DatasetError(f"{path}:{lineno}: expected two node ids")
-            try:
-                rows.append((int(toks[0]), int(toks[1])))
-            except ValueError as exc:
-                raise DatasetError(f"{path}:{lineno}: non-integer node id") from exc
-    return np.asarray(rows, dtype=np.int64).reshape(-1, 2)
+    try:
+        with warnings.catch_warnings():  # a comment-only file has no edges
+            warnings.filterwarnings(
+                "ignore", message="loadtxt: input contained no data")
+            edges = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2)
+    except ValueError as exc:
+        raise DatasetError(f"{path}: {exc}") from exc
+    if edges.size and edges.shape[1] != 2:
+        raise DatasetError(f"{path}: expected two node ids per line")
+    return edges.reshape(-1, 2)
 
 
 def _parse_labels_file(path: str, n: int):

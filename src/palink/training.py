@@ -102,7 +102,8 @@ def sample_negatives(n: int, edges, count: int, rng, exclude=None) -> np.ndarray
 def split_links(dataset: Dataset, ratios=DEFAULT_RATIOS, seed: int = 0) -> LinkSplit:
     """Permute edges into train/val/test positives and draw the fixed
     evaluation negatives (1:1 with positives, disjoint between val and
-    test)."""
+    test).  ``train_pos`` keeps the sorted edge order, so training walks
+    the representations row by row."""
     ratios = tuple(float(r) for r in ratios)
     if len(ratios) != 3 or any(r <= 0 for r in ratios):
         raise ValueError("ratios must be three positive fractions")
@@ -118,7 +119,7 @@ def split_links(dataset: Dataset, ratios=DEFAULT_RATIOS, seed: int = 0) -> LinkS
         )
     rng = np.random.default_rng(seed)
     perm = rng.permutation(m)
-    train_pos = dataset.edges[perm[:n_tr]]
+    train_pos = dataset.edges[np.sort(perm[:n_tr])]
     val_pos = dataset.edges[perm[n_tr : n_tr + n_val]]
     test_pos = dataset.edges[perm[n_tr + n_val :]]
     val_neg = sample_negatives(dataset.n, dataset.edges, n_val, rng)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sparse
+from scipy.special import expit
 
 from palink.gcn import loss_and_gradients
 from palink.spectral import matrix_from_edges
@@ -102,6 +103,43 @@ def gradient_error(grads, reference, floor: float = 1e-12) -> float:
                            max(1e-3 * gmax, floor))
         worst = max(worst, float(np.max(np.abs(a - f) / denom)))
     return worst
+
+
+def propagate_first_forward(model, nm, features, linear=False):
+    """``gcn._forward_cached`` with every layer propagating first,
+    ``Z_l = (P @ H_{l-1}) @ W_l^T``: the final representations, each
+    layer's ``P @ H_{l-1}`` and each ``Z_l``."""
+    h = np.asarray(features, dtype=np.float64)
+    propagated, pre = [], []
+    for l, w in enumerate(model.weights):
+        propagated.append(nm.matrix @ h)
+        pre.append(propagated[-1] @ w.T)
+        last = linear or l == len(model.weights) - 1
+        h = pre[-1] if last else np.maximum(pre[-1], 0.0)
+    return h, propagated, pre
+
+
+def propagate_first_bce_grads(model, nm, features, pos,
+                              neg) -> list[np.ndarray]:
+    """``loss_and_gradients``' gradients at ``lambda_fair = 0`` through
+    ``propagate_first_forward``: unblocked scores, the two-lift pair
+    gradient, then ``dW_l = G^T (P @ H_{l-1})`` and
+    ``dH_{l-1} = P^T (G @ W_l)`` at every layer."""
+    h, propagated, pre = propagate_first_forward(model, nm, features)
+    pos, neg = (np.asarray(p, dtype=np.int64).reshape(-1, 2)
+                for p in (pos, neg))
+    pairs = np.concatenate([pos, neg])
+    labels = np.r_[np.ones(len(pos)), np.zeros(len(neg))]
+    scores = einsum_scores(h, pairs)
+    dscore = (expit(scores) - labels) / pairs.shape[0]
+    g = lifted_pair_gradient(h, pairs, dscore)
+    grads = [None] * model.n_layers
+    for l in range(model.n_layers - 1, -1, -1):
+        if l < model.n_layers - 1:
+            g = g * (pre[l] > 0.0)
+        grads[l] = g.T @ propagated[l]
+        g = nm.matrix.T @ (g @ model.weights[l])
+    return grads
 
 
 def lifted_pair_gradient(h, pairs, dscore) -> np.ndarray:

@@ -2,6 +2,7 @@
 oracle, and finite-difference validation of every gradient entry."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from palink.gcn import (
     score_pairs,
 )
 from palink.graphdata import make_dataset
-from palink.spectral import normalized_matrix
+from palink.spectral import KINDS, normalized_matrix
 
 from conftest import complete_graph, random_planted_dataset
 from oracles import (
@@ -30,6 +31,8 @@ from oracles import (
     finite_difference_grads,
     gradient_error,
     lifted_pair_gradient,
+    propagate_first_bce_grads,
+    propagate_first_forward,
 )
 
 
@@ -204,12 +207,12 @@ class TestScoresAndLoss:
         assert val == pytest.approx(1000.0, rel=1e-12)
 
 
-def gradient_instance(seed, n=8):
+def gradient_instance(seed, n=8, hidden=(4, 3), kind=None):
     rng = np.random.default_rng(seed)
     ds = random_planted_dataset(rng, n_max=n, b_max=2, with_subgroups=True)
-    kind = ("symmetric", "random_walk")[seed % 2]
+    kind = kind or ("symmetric", "random_walk")[seed % 2]
     nm = normalized_matrix(ds, kind)
-    model = init_model(ds.feature_dim, (4, 3), kind, seed=seed)
+    model = init_model(ds.feature_dim, hidden, kind, seed=seed)
     m = ds.edges.shape[0]
     pos = ds.edges[: max(1, m // 2)]
     all_ij = np.array(
@@ -303,3 +306,80 @@ class TestGradients:
         np.testing.assert_allclose(got, want, rtol=1e-12,
                                    atol=1e-12 * np.abs(want).max())
         np.testing.assert_array_equal(got[n - 1], 0.0)
+
+
+# (8, 3, 6) has a narrowing layer between two widening ones; (4, 16) has
+# none after the first layer, which always propagates first.
+ORDER_CASES = [
+    pytest.param(hidden, kind, id="x".join(map(str, hidden)) + "-" + kind)
+    for hidden in [(8, 3, 6), (4, 16)] for kind in KINDS
+]
+
+
+class _WidthRecorder:
+    """Stands in for ``nm.matrix``: multiplies as it does and records the
+    column count of every dense operand, also through ``.T``."""
+
+    def __init__(self, matrix, widths):
+        self.matrix, self.widths = matrix, widths
+
+    @property
+    def T(self):
+        return _WidthRecorder(self.matrix.T, self.widths)
+
+    def __matmul__(self, dense):
+        self.widths.append(dense.shape[1])
+        return self.matrix @ dense
+
+
+class TestPropagationOrder:
+    @pytest.mark.parametrize("hidden,kind", ORDER_CASES)
+    def test_forward_matches_propagate_first_oracle(self, hidden, kind):
+        ds, nm, model, *_ = gradient_instance(51, hidden=hidden, kind=kind)
+        for linear in (False, True):
+            got = forward(model, nm, ds.features, linear=linear)
+            want = propagate_first_forward(model, nm, ds.features, linear)[0]
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("hidden,kind", ORDER_CASES)
+    def test_forward_with_and_without_px_bitwise_equal(self, hidden, kind):
+        ds, nm, model, *_ = gradient_instance(52, hidden=hidden, kind=kind)
+        px = nm.matrix @ ds.features
+        a = _forward_cached(model, nm, ds.features)
+        b = _forward_cached(model, nm, ds.features, px=px)
+        np.testing.assert_array_equal(a[0], b[0])
+        for xs, ys in zip(a[1:], b[1:]):
+            for x, y in zip(xs, ys):
+                np.testing.assert_array_equal(x, y)
+
+    @pytest.mark.parametrize("lam", [0.0, 1.5])
+    @pytest.mark.parametrize("hidden,kind", ORDER_CASES)
+    def test_gradients_match_finite_differences(self, hidden, kind, lam):
+        ds, nm, model, pos, neg, group_of, t = gradient_instance(
+            53, hidden=hidden, kind=kind)
+        grads = loss_and_gradients(model, nm, ds.features, pos, neg, lam,
+                                   group_of, t)[3]
+        fd = finite_difference_grads(model, nm, ds.features, pos, neg, lam,
+                                     group_of, t)
+        assert gradient_error(grads, fd) < 1e-4
+
+    @pytest.mark.parametrize("hidden,kind", ORDER_CASES)
+    def test_gradients_match_propagate_first_oracle(self, hidden, kind):
+        ds, nm, model, pos, neg, *_ = gradient_instance(
+            54, hidden=hidden, kind=kind)
+        grads = loss_and_gradients(model, nm, ds.features, pos, neg)[3]
+        want = propagate_first_bce_grads(model, nm, ds.features, pos, neg)
+        assert gradient_error(grads, want) < 1e-10
+
+    def test_sparse_products_run_at_the_narrower_width(self):
+        rng = np.random.default_rng(55)
+        ds = random_planted_dataset(rng, n_max=40, feature_dim=16)
+        nm = normalized_matrix(ds, "symmetric")
+        widths = []
+        recording = dataclasses.replace(
+            nm, matrix=_WidthRecorder(nm.matrix, widths))
+        model = init_model(16, (128, 64), "symmetric", seed=55)
+        neg = rng.integers(0, ds.n, size=(ds.m, 2))
+        loss_and_gradients(model, recording, ds.features, ds.edges, neg)
+        # P @ X, then P @ (H_1 W_2^T) forward and P^T G_2 backward
+        assert widths == [16, 64, 64]

@@ -1,11 +1,14 @@
 """Dataset loading, validation, normalization, and within-group structure."""
 from __future__ import annotations
 
+import json
 import time
+import warnings
 
 import numpy as np
 import pytest
 
+from palink.cli import main
 from palink.fairness import delta_hat
 from palink.graphdata import (
     DatasetError,
@@ -70,6 +73,12 @@ class TestLoader:
             ("0 0\n", "1.0\n2.0\n", "0\ta\n1\ta\n"),  # explicit self-edge
             ("0 x\n", "1.0\n2.0\n", "0\ta\n1\ta\n"),  # non-integer id
             ("0 1 2\n", "1.0\n2.0\n", "0\ta\n1\ta\n"),  # wrong arity
+            ("0 1\n2 3 4\n", "1.0\n2.0\n", "0\ta\n1\ta\n"),  # mixed arity
+            ("0 1\n1\n", "1.0\n2.0\n", "0\ta\n1\ta\n"),  # one-token line
+            ("1\n", "1.0\n2.0\n", "0\ta\n1\ta\n"),  # one token only
+            ("0 1.5\n", "1.0\n2.0\n", "0\ta\n1\ta\n"),  # float id
+            ("0 99999999999999999999\n", "1.0\n2.0\n",
+             "0\ta\n1\ta\n"),  # id above int64
             ("0 1\n", "1.0\nbad\n", "0\ta\n1\ta\n"),  # non-numeric feature
             ("0 1\n", "1.0\n2.0\n", "0\ta\n"),  # missing label row
             ("0 1\n", "1.0\n2.0\n", "0\ta\n0\tb\n"),  # duplicate node label
@@ -81,6 +90,28 @@ class TestLoader:
         paths = write_files(tmp_path, edges, features, labels)
         with pytest.raises(DatasetError):
             load_dataset(*paths)
+
+    def test_comment_only_edge_file_has_no_edges(self, tmp_path):
+        paths = write_files(tmp_path, "# no edges yet\n\n", "1.0\n2.0\n",
+                            "0\ta\n1\ta\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = load_dataset(*paths)
+        assert ds.edges.shape == (0, 2) and ds.edges.dtype == np.int64
+
+    def test_oversized_node_id_exits_2_through_cli(self, tmp_path, capsys):
+        paths = write_files(tmp_path, "0 99999999999999999999\n",
+                            "1.0\n2.0\n", "0\ta\n1\ta\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "dataset": dict(zip(("edges", "features", "labels"), paths)),
+            "hidden_dims": [2], "epochs": 1, "seeds": [0],
+            "out": str(tmp_path / "runs"),
+        }))
+        assert main(["train", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {paths[0]}: ")
+        assert "Traceback" not in err
 
     def test_three_subgroup_values_rejected(self, tmp_path):
         paths = write_files(

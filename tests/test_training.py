@@ -77,6 +77,27 @@ class TestSplitLinks:
         for i, j in vn | tn:
             assert 0 <= i < j < ds.n
 
+    def test_train_part_sorted_held_out_parts_in_permutation_order(self):
+        ds = sized_dataset(300)
+        split = split_links(ds, seed=6)
+        rng = np.random.default_rng(6)
+        perm = rng.permutation(ds.m)
+        n_tr, n_val = 255, 15
+        assert split.train_pos.shape == (n_tr, 2)
+        assert pair_set(split.train_pos) == pair_set(ds.edges[perm[:n_tr]])
+        order = np.lexsort((split.train_pos[:, 1], split.train_pos[:, 0]))
+        np.testing.assert_array_equal(order, np.arange(n_tr))
+        val_neg = sample_negatives(ds.n, ds.edges, n_val, rng)
+        test_neg = sample_negatives(ds.n, ds.edges, ds.m - n_tr - n_val, rng,
+                                    exclude=val_neg)
+        for got, want in (
+            (split.val_pos, ds.edges[perm[n_tr:n_tr + n_val]]),
+            (split.test_pos, ds.edges[perm[n_tr + n_val:]]),
+            (split.val_neg, val_neg), (split.test_neg, test_neg),
+        ):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
     def test_same_seed_same_split(self):
         ds = sized_dataset(150)
         a = split_links(ds, seed=9)

@@ -8,6 +8,7 @@ refines each label class into its connected components.
 from __future__ import annotations
 
 import os
+import re
 import warnings
 from dataclasses import dataclass, field
 
@@ -104,36 +105,43 @@ def make_dataset(
         raise DatasetError("self_loop_weight must be >= 0")
 
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if edges.size:
-        if edges.min() < 0 or edges.max() >= n:
-            raise DatasetError("edge endpoint outside 0..n-1")
-        if np.any(edges[:, 0] == edges[:, 1]):
-            raise DatasetError(
-                "explicit self-edges are not allowed; use self_loop_weight"
-            )
-        lo = np.minimum(edges[:, 0], edges[:, 1])
-        hi = np.maximum(edges[:, 0], edges[:, 1])
-        canon = np.stack([lo, hi], axis=1)
-        canon = canon[np.lexsort((canon[:, 1], canon[:, 0]))]
-        keep = np.ones(canon.shape[0], dtype=bool)
-        keep[1:] = np.any(canon[1:] != canon[:-1], axis=1)
-        n_dup = int((~keep).sum())
-        edges = canon[keep]
-    else:
-        edges = edges.reshape(0, 2)
-        n_dup = 0
+    if edges.size and (edges.min() < 0 or edges.max() >= n):
+        raise DatasetError("edge endpoint outside 0..n-1")
+    if np.any(edges[:, 0] == edges[:, 1]):
+        raise DatasetError("explicit self-edges are not allowed; "
+                           "use self_loop_weight")
+    keys = _pair_keys(edges, n)
 
     return Dataset(
         n=n,
-        edges=edges,
+        edges=_key_pairs(keys, n),
         features=features,
         s_labels=s_labels,
         t_labels=t_labels,
         self_loop_weight=float(self_loop_weight),
         s_names=tuple(s_names),
         t_names=tuple(t_names),
-        n_duplicate_edges=n_dup,
+        n_duplicate_edges=edges.shape[0] - keys.size,
     )
+
+
+def _pair_keys(pairs, n: int) -> np.ndarray:
+    """Sorted distinct keys of unordered pairs of distinct nodes in [0, n):
+    ``{i, j}``, ``i < j``, is its index in the row-major upper triangle, so
+    sorted keys are lexicographically sorted pairs.  (A sort: NumPy 2's
+    hashing ``np.unique`` is far slower.)"""
+    a, b = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+    i, j = np.minimum(a, b), np.maximum(a, b)
+    keys = np.sort(i * n - i * (i + 1) // 2 + j - i - 1)
+    return keys[np.diff(keys, prepend=-1) > 0]
+
+
+def _key_pairs(keys, n: int) -> np.ndarray:
+    """The ``(k, 2)`` pairs ``i < j`` of upper-triangle keys, in key order."""
+    rows = np.arange(n - 1, dtype=np.int64)
+    starts = _pair_keys(np.stack([rows, rows + 1], axis=1), n)
+    i = np.searchsorted(starts, keys, side="right") - 1
+    return np.stack([i, keys - starts[i] + i + 1], axis=1)
 
 
 def _parse_edges_file(path: str) -> np.ndarray:
@@ -142,11 +150,26 @@ def _parse_edges_file(path: str) -> np.ndarray:
             warnings.filterwarnings(
                 "ignore", message="loadtxt: input contained no data")
             edges = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2)
+        if edges.size and edges.shape[1] != 2:
+            raise ValueError("expected two node ids per line")
     except ValueError as exc:
-        raise DatasetError(f"{path}: {exc}") from exc
-    if edges.size and edges.shape[1] != 2:
-        raise DatasetError(f"{path}: expected two node ids per line")
+        raise DatasetError(_bad_edge_line(path) or f"{path}: {exc}") from exc
     return edges.reshape(-1, 2)
+
+
+def _bad_edge_line(path: str) -> str | None:
+    """``path:line: why`` for the first line of an edge list that is not two
+    int64 ids; ``loadtxt``'s own row numbers skip comments and blanks."""
+    with open(path, errors="replace") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            toks = line.split("#", 1)[0].split()
+            if toks and len(toks) != 2:
+                return f"{path}:{lineno}: expected two node ids, got {len(toks)}"
+            for tok in toks:
+                if not re.fullmatch(r"[+-]?[0-9]+", tok):
+                    return f"{path}:{lineno}: {tok!r} is not an integer node id"
+                if not -2**63 <= int(tok) < 2**63:
+                    return f"{path}:{lineno}: node id {tok} is outside int64"
 
 
 def _parse_labels_file(path: str, n: int):
@@ -209,19 +232,14 @@ def load_dataset(
 ) -> Dataset:
     """Load a dataset from an edge list, a feature CSV, and a label TSV.
 
-    Parameters
-    ----------
-    edges_path : str
-        Whitespace-separated integer pairs, one edge per line; ``#`` starts
-        a comment.
-    features_path : str
-        Headerless CSV, one row per node; row count defines n.
-    labels_path : str
-        Tab-separated rows ``node_id <TAB> group [<TAB> subgroup]``.  Label
-        strings are mapped to dense ids in first-seen order.  When present,
-        the subgroup column must take exactly two distinct values.
-    self_loop_weight : float
-        Diagonal weight added to every adjacency built from the dataset.
+    ``edges_path`` holds whitespace-separated integer pairs, one edge per
+    line, ``#`` starting a comment; a malformed line raises naming
+    ``path:line``.  ``features_path`` is a headerless CSV, one row per node
+    (the row count defines n).  ``labels_path`` holds tab-separated rows
+    ``node_id <TAB> group [<TAB> subgroup]``; label strings map to dense ids
+    in first-seen order, and a subgroup column takes exactly two values.
+    ``self_loop_weight`` is the diagonal weight of every adjacency built
+    from the dataset.
     """
     for path in (edges_path, features_path, labels_path):
         if not os.path.exists(path):
@@ -285,9 +303,8 @@ class WithinGroupView:
     """Within-group subgraph plus its refinement into connected components.
 
     Cross-group edges are removed; each label class then splits into the
-    connected components of what remains ("refined groups").  Nodes with no
-    within-group edge form singleton groups, flagged via ``singleton``.
-    Degrees and volumes include the dataset's self-loop weight.
+    connected components of what remains ("refined groups", singletons
+    included).  Degrees and volumes include the dataset's self-loop weight.
 
     The refinement is stored once, CSR-style: ``order`` lists the nodes
     sorted by refined group (ascending within a group), and group ``g``'s
@@ -307,15 +324,6 @@ class WithinGroupView:
     @property
     def n_groups(self) -> int:
         return int(self.offsets.size) - 1
-
-    @property
-    def groups(self) -> tuple[np.ndarray, ...]:
-        """Each refined group's nodes, ascending; views into ``order``."""
-        return tuple(np.split(self.order, self.offsets[1:-1]))
-
-    @property
-    def singleton(self) -> np.ndarray:
-        return np.diff(self.offsets) == 1
 
 
 def within_group_structure(dataset: Dataset) -> WithinGroupView:

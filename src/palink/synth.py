@@ -13,6 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graphdata import _key_pairs, _pair_keys
+
+# Pair keys whose Bernoulli uniforms are drawn per call: 32 MiB of float64.
+_PAIR_CHUNK = 1 << 22
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -84,17 +89,21 @@ def synth_generate(config: SynthConfig, out_dir: str) -> dict[str, str]:
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     group_of = np.repeat(np.arange(sizes.size), sizes)
 
-    # Planted-partition edges: one Bernoulli draw per unordered pair.
-    iu, ju = np.triu_indices(n, k=1)
-    prob = np.where(group_of[iu] == group_of[ju], config.p_in, config.p_out)
-    hit = rng.random(iu.size) < prob
-    edge_list = [np.stack([iu[hit], ju[hit]], axis=1)]
+    # Planted-partition edges: one Bernoulli draw per pair in key order, a
+    # chunk at a time; only the candidates u < p_in (p_out <= p_in) can hit.
+    edge_list = []
+    n_keys = n * (n - 1) // 2
+    for start in range(0, n_keys, _PAIR_CHUNK):
+        u = rng.random(min(_PAIR_CHUNK, n_keys - start))
+        cand = np.flatnonzero(u < config.p_in)
+        pairs = _key_pairs(start + cand, n)
+        same = group_of[pairs[:, 0]] == group_of[pairs[:, 1]]
+        edge_list.append(pairs[same | (u[cand] < config.p_out)])
 
     # Subgroup assignment: per group, round(fraction * size) nodes (at
     # least one) join subgroup "a".
     t_is_a = np.zeros(n, dtype=bool)
-    fractions = config._fractions()
-    boosts = config._boosts()
+    fractions, boosts = config._fractions(), config._boosts()
     for g, size in enumerate(sizes):
         nodes = np.arange(offsets[g], offsets[g + 1])
         k = max(1, int(round(fractions[g] * size)))
@@ -105,19 +114,13 @@ def synth_generate(config: SynthConfig, out_dir: str) -> dict[str, str]:
         extra = int(round(boosts[g]))
         if extra > 0:
             for node in np.sort(chosen):
-                others = nodes[nodes != node]
-                partners = rng.choice(others, size=min(extra, others.size),
-                                      replace=False)
-                lo = np.minimum(node, partners)
-                hi = np.maximum(node, partners)
-                edge_list.append(np.stack([lo, hi], axis=1))
+                pos = rng.choice(size - 1, size=min(extra, size - 1),
+                                 replace=False)
+                partners = offsets[g] + pos + (pos >= node - offsets[g])
+                edge_list.append(np.stack(
+                    [np.full_like(partners, node), partners], axis=1))
 
-    edges = np.concatenate(edge_list, axis=0)
-    keys = edges[:, 0] * n + edges[:, 1]
-    _, first = np.unique(keys, return_index=True)
-    edges = edges[np.sort(first)]
-    order = np.lexsort((edges[:, 1], edges[:, 0]))
-    edges = edges[order]
+    edges = _key_pairs(_pair_keys(np.concatenate(edge_list), n), n)
 
     # Gaussian features with group-dependent means.
     means = np.zeros((sizes.size, config.feature_dim))
@@ -135,8 +138,8 @@ def synth_generate(config: SynthConfig, out_dir: str) -> dict[str, str]:
     }
     with open(paths["edges"], "w") as fh:
         fh.write("# u v\n")
-        for u, v in edges:
-            fh.write(f"{u} {v}\n")
+        for block in np.array_split(edges, max(1, edges.shape[0] >> 16)):
+            fh.writelines(f"{u} {v}\n" for u, v in zip(*block.T.tolist()))
     np.savetxt(paths["features"], features, delimiter=",", fmt="%.10g")
     with open(paths["labels"], "w") as fh:
         for i in range(n):

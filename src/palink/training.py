@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gcn import Model, _forward_cached, init_model, loss_and_gradients, score_pairs
-from .graphdata import Dataset, WithinGroupView, within_group_structure
+from .graphdata import (Dataset, WithinGroupView, _key_pairs, _pair_keys,
+                        within_group_structure)
 from .metrics import roc_auc
 from .spectral import NormalizedMatrix, matrix_from_edges
 
@@ -39,12 +40,12 @@ class NegativeSampler:
     distinct nodes in [0, n) that are neither in ``edges`` nor in
     ``exclude``.
 
-    The banned pairs are indexed, sorted and deduplicated once, here, so
+    The banned pairs are keyed, sorted and deduplicated once, here, so
     repeated draws from one banned set (a training run's epochs) do not
     rebuild them.  Each draw takes ``count`` distinct ranks among the free
     pairs (one ``rng.choice`` without replacement) and maps each to its
-    pair in row-major upper-triangle order: exact at any ``n``, with memory
-    linear in ``count``, ``n`` and the banned pairs (no n x n mask).
+    upper-triangle key: exact at any ``n``, with memory linear in
+    ``count``, ``n`` and the banned pairs (no n x n mask).
     """
 
     def __init__(self, n: int, edges, exclude=None):
@@ -52,22 +53,16 @@ class NegativeSampler:
         if exclude is not None:
             exclude = np.asarray(exclude, dtype=np.int64).reshape(-1, 2)
             pairs = np.concatenate([pairs, exclude])
-        lo = np.minimum(pairs[:, 0], pairs[:, 1])
-        hi = np.maximum(pairs[:, 0], pairs[:, 1])
-        if lo.size and (lo.min() < 0 or hi.max() >= n or np.any(lo == hi)):
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= n
+                           or np.any(pairs[:, 0] == pairs[:, 1])):
             raise ValueError(
                 "banned pairs must join two distinct nodes in [0, n)")
-        # Index of pair (i, j), i < j, in the row-major upper triangle,
-        # sorted and deduplicated (a sort: NumPy 2's hashing np.unique is
-        # far slower).
-        banned = np.sort(lo * n - lo * (lo + 1) // 2 + hi - lo - 1)
-        banned = banned[np.diff(banned, prepend=-1) > 0]
+        banned = _pair_keys(pairs, n)
+        self._n = n
         self.available = n * (n - 1) // 2 - banned.size
         # banned[k] - k free pairs precede banned[k], so the free pair of
-        # rank r sits at r plus the number of k with banned[k] - k <= r.
+        # rank r has key r plus the number of k with banned[k] - k <= r.
         self._shift = banned - np.arange(banned.size)
-        rows = np.arange(n - 1, dtype=np.int64)
-        self._starts = rows * n - rows * (rows + 1) // 2
 
     def draw(self, count: int, rng) -> np.ndarray:
         """``count`` distinct free pairs as an ``(count, 2)`` array of
@@ -82,20 +77,14 @@ class NegativeSampler:
         if count == 0:
             return np.zeros((0, 2), dtype=np.int64)
         ranks = np.sort(rng.choice(self.available, size=count, replace=False))
-        tri = ranks + np.searchsorted(self._shift, ranks, side="right")
-        i = np.searchsorted(self._starts, tri, side="right") - 1
-        j = tri - self._starts[i] + i + 1
-        return np.stack([i, j], axis=1)
+        keys = ranks + np.searchsorted(self._shift, ranks, side="right")
+        return _key_pairs(keys, self._n)
 
 
 def sample_negatives(n: int, edges, count: int, rng, exclude=None) -> np.ndarray:
     """Sample ``count`` distinct non-adjacent unordered pairs uniformly:
-    one draw of a ``NegativeSampler`` over ``edges`` and ``exclude``.
-
-    ``exclude`` removes further pairs from the candidate pool (e.g. the
-    other split's negatives).  Raises if fewer than ``count`` candidates
-    exist.
-    """
+    one draw of a ``NegativeSampler`` over ``edges`` and ``exclude`` (e.g.
+    the other split's negatives).  Raises if fewer than ``count`` exist."""
     return NegativeSampler(n, edges, exclude).draw(count, rng)
 
 

@@ -30,6 +30,54 @@ def within_group_pairs(group_of) -> np.ndarray:
     return np.concatenate(out, axis=0)
 
 
+def lexsort_canonical_edges(edges) -> tuple[np.ndarray, int]:
+    """``make_dataset``'s edge canonicalization by a lexicographic sort of
+    the ``(min, max)`` rows and a compare with the previous row: the
+    distinct edges ``u < v`` in order, and the number of dropped
+    duplicates."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    canon = np.stack([edges.min(axis=1), edges.max(axis=1)], axis=1)
+    canon = canon[np.lexsort((canon[:, 1], canon[:, 0]))]
+    keep = np.ones(canon.shape[0], dtype=bool)
+    keep[1:] = np.any(canon[1:] != canon[:-1], axis=1)
+    return canon[keep], int((~keep).sum())
+
+
+def dense_planted_edges(config) -> tuple[np.ndarray, np.ndarray]:
+    """``synth_generate``'s edges and subgroup-"a" mask by one Bernoulli
+    draw over every ``np.triu_indices`` pair, then per "a" node a choice
+    among ``nodes[nodes != node]``, then ``np.unique`` and a lexicographic
+    sort.  Memory is quadratic in ``config.n``."""
+    rng = np.random.default_rng(config.seed)
+    n = config.n
+    sizes = np.array(config.sizes, dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    group_of = np.repeat(np.arange(sizes.size), sizes)
+    iu, ju = np.triu_indices(n, k=1)
+    prob = np.where(group_of[iu] == group_of[ju], config.p_in, config.p_out)
+    hit = rng.random(iu.size) < prob
+    edge_list = [np.stack([iu[hit], ju[hit]], axis=1)]
+    t_is_a = np.zeros(n, dtype=bool)
+    for g, size in enumerate(sizes):
+        nodes = np.arange(offsets[g], offsets[g + 1])
+        k = min(max(1, int(round(config._fractions()[g] * size))), size - 1)
+        chosen = rng.choice(nodes, size=k, replace=False)
+        t_is_a[chosen] = True
+        extra = int(round(config._boosts()[g]))
+        if extra > 0:
+            for node in np.sort(chosen):
+                others = nodes[nodes != node]
+                partners = rng.choice(others, size=min(extra, others.size),
+                                      replace=False)
+                edge_list.append(np.stack([np.minimum(node, partners),
+                                           np.maximum(node, partners)],
+                                          axis=1))
+    edges = np.concatenate(edge_list, axis=0)
+    _, first = np.unique(edges[:, 0] * n + edges[:, 1], return_index=True)
+    edges = edges[np.sort(first)]
+    return edges[np.lexsort((edges[:, 1], edges[:, 0]))], t_is_a
+
+
 def dense_power_entries(nm, L: int) -> np.ndarray:
     """P^L of a NormalizedMatrix by repeated dense multiplication;
     guarded to n <= 5000."""

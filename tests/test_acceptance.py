@@ -239,7 +239,7 @@ def test_04_identity_activation_exact_linearization():
 
 def _gap_estimate_brute_force(view, rho2, c1, t_labels, g):
     """The closed form's sums evaluated with explicit loops."""
-    nodes = view.groups[g]
+    nodes = view.order[view.offsets[g]:view.offsets[g + 1]]
     t1 = [i for i in nodes if t_labels[i] == 0]
     t2 = [i for i in nodes if t_labels[i] == 1]
     if not t1 or not t2:

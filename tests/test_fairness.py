@@ -169,7 +169,7 @@ class TestRegularizer:
 
 def delta_hat_brute_force(view, rho2, c1, t_labels, g):
     """Independent evaluation: explicit sums over the group's nodes."""
-    nodes = view.groups[g]
+    nodes = view.order[view.offsets[g]:view.offsets[g + 1]]
     sq = np.sqrt(view.wg_degrees)
     t1 = [i for i in nodes if t_labels[i] == 0]
     t2 = [i for i in nodes if t_labels[i] == 1]

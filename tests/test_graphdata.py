@@ -110,8 +110,37 @@ class TestLoader:
         }))
         assert main(["train", "--config", str(config)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {paths[0]}: ")
+        assert err.startswith(f"error: {paths[0]}:1: node id ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "edges,line",
+        [
+            ("# header\n\n0 1\n2 x\n", 4),  # bad token
+            ("# header\n\n0 1\n2\n", 4),  # one id
+            ("0 1\n\n# c\n3 4 5\n", 4),  # three ids after a blank
+            ("0 1 2\n3 4 5\n", 1),  # three ids on every line
+            ("0 1\n# 9 9 9\n1 99999999999999999999\n", 3),  # above int64
+        ],
+    )
+    def test_edge_error_names_file_line(self, tmp_path, edges, line):
+        paths = write_files(tmp_path, edges, "1.0\n2.0\n", "0\ta\n1\ta\n")
+        with pytest.raises(DatasetError) as info:
+            load_dataset(*paths)
+        assert str(info.value).startswith(f"{paths[0]}:{line}: ")
+
+    def test_edge_line_error_exits_2_through_cli(self, tmp_path, capsys):
+        paths = write_files(tmp_path, "# header\n\n0 1\n2 x\n",
+                            "1.0\n2.0\n3.0\n", "0\ta\n1\ta\n2\ta\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "dataset": dict(zip(("edges", "features", "labels"), paths)),
+            "hidden_dims": [2], "epochs": 1, "seeds": [0],
+            "out": str(tmp_path / "runs"),
+        }))
+        assert main(["train", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {paths[0]}:4: 'x' is not an integer node id\n"
 
     def test_three_subgroup_values_rejected(self, tmp_path):
         paths = write_files(
@@ -201,12 +230,15 @@ class TestWithinGroupView:
     def test_toy_refinement(self, toy_cs):
         view = within_group_structure(toy_cs)
         assert view.n_groups == 2
-        np.testing.assert_array_equal(view.groups[0], [0, 1, 2, 3, 4])
-        np.testing.assert_array_equal(view.groups[1], [5])
+        np.testing.assert_array_equal(
+            view.order[view.offsets[0]:view.offsets[1]], [0, 1, 2, 3, 4])
+        np.testing.assert_array_equal(
+            view.order[view.offsets[1]:view.offsets[2]], [5])
         np.testing.assert_array_equal(view.s_of_group, [0, 1])
         assert view.volumes[0] == 8.0
         assert view.volumes[1] == 0.0
-        np.testing.assert_array_equal(view.singleton, [False, True])
+        np.testing.assert_array_equal(np.diff(view.offsets) == 1,
+                                      [False, True])
 
     def test_cross_edges_removed(self):
         ds = make_dataset([(0, 1), (1, 2)], np.ones((3, 1)), [0, 0, 1])
@@ -234,14 +266,18 @@ class TestWithinGroupView:
         # components {0,3} and {1,2}: group 0 must contain node 0
         ds = make_dataset([(0, 3), (1, 2)], np.ones((4, 1)), [0, 1, 1, 0])
         view = within_group_structure(ds)
-        np.testing.assert_array_equal(view.groups[0], [0, 3])
-        np.testing.assert_array_equal(view.groups[1], [1, 2])
+        np.testing.assert_array_equal(
+            view.order[view.offsets[0]:view.offsets[1]], [0, 3])
+        np.testing.assert_array_equal(
+            view.order[view.offsets[1]:view.offsets[2]], [1, 2])
 
     def test_random_structure_invariants(self):
         rng = np.random.default_rng(42)
         for _ in range(25):
             ds = random_planted_dataset(rng)
             view = within_group_structure(ds)
+            members = [view.order[view.offsets[g]:view.offsets[g + 1]]
+                       for g in range(view.n_groups)]
             # every within-group edge joins same s label and same component
             for u, v in view.wg_edges:
                 assert ds.s_labels[u] == ds.s_labels[v]
@@ -249,15 +285,15 @@ class TestWithinGroupView:
             # volumes match degree sums; groups partition the nodes
             np.testing.assert_allclose(
                 view.volumes,
-                [view.wg_degrees[g].sum() for g in view.groups],
+                [view.wg_degrees[g].sum() for g in members],
             )
-            assert sum(g.size for g in view.groups) == ds.n
+            assert sum(g.size for g in members) == ds.n
             counts = np.bincount(view.wg_edges.ravel(), minlength=ds.n)
             np.testing.assert_allclose(
                 view.wg_degrees, counts + ds.self_loop_weight
             )
             # refined groups never span two label classes
-            for g in view.groups:
+            for g in members:
                 assert np.unique(ds.s_labels[g]).size == 1
             # group g is order[offsets[g]:offsets[g + 1]], ascending, as a
             # scan of group_of finds it
@@ -283,7 +319,7 @@ class TestWithinGroupView:
 
         sizes = np.diff(view.offsets)
         assert view.offsets[0] == 0 and view.offsets[-1] == n
-        assert sizes.min() == 1 and view.singleton.mean() > 0.8
+        assert sizes.min() == 1 and np.mean(sizes == 1) > 0.8
         np.testing.assert_array_equal(
             view.group_of[view.order], np.repeat(np.arange(view.n_groups), sizes)
         )
@@ -297,7 +333,7 @@ class TestWithinGroupView:
         # a singleton of degree 1 (its self-loop) has C1 = ||alpha||
         alphas = rng.normal(size=(n, 2))
         c1 = group_c1(view, alphas, "symmetric")
-        lone = view.singleton
+        lone = sizes == 1
         np.testing.assert_allclose(
             c1[lone], np.linalg.norm(alphas[firsts[lone]], axis=1),
             rtol=1e-15,

@@ -1,5 +1,7 @@
-"""Property-based checks on generated instances: the subgroup gap against
-its enumeration oracle and under relabellings, block-spectrum gaps against
+"""Property-based checks on generated instances: the upper-triangle pair
+key and its inverse, edge canonicalization and the synthetic generator
+against their sort-based and dense oracles, the subgroup gap against its
+enumeration oracle and under relabellings, block-spectrum gaps against
 per-group builds, the negative sampler against its dense oracle, blocked
 pair scores against one unblocked einsum, and the training gradients
 against finite differences.  Example generation is derandomized, so the
@@ -8,6 +10,7 @@ from __future__ import annotations
 
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +28,13 @@ from palink.gcn import (  # noqa: E402
     loss_and_gradients,
     score_pairs,
 )
-from palink.graphdata import make_dataset, within_group_structure  # noqa: E402
+from palink import synth  # noqa: E402
+from palink.graphdata import (  # noqa: E402
+    _key_pairs,
+    _pair_keys,
+    make_dataset,
+    within_group_structure,
+)
 from palink.spectral import (  # noqa: E402
     KINDS,
     block_spectrum,
@@ -37,9 +46,11 @@ from conftest import random_planted_dataset  # noqa: E402
 from oracles import (  # noqa: E402
     delta_enumeration_oracle,
     dense_negatives,
+    dense_planted_edges,
     einsum_scores,
     finite_difference_grads,
     gradient_error,
+    lexsort_canonical_edges,
     sym_block_gap,
 )
 
@@ -128,6 +139,93 @@ def protocol_instances(draw):
     free = n * (n - 1) // 2 - int(in_train.sum()) - held_neg.shape[0]
     return (n, edges[in_train], held_neg, draw(st.integers(0, free)),
             draw(st.integers(0, 2**32 - 1)))
+
+
+@st.composite
+def key_instances(draw):
+    """A node count and a list of upper-triangle keys (with repeats)."""
+    n = draw(st.integers(2, 60))
+    keys = draw(st.lists(st.integers(0, n * (n - 1) // 2 - 1), max_size=80))
+    return n, np.array(keys, dtype=np.int64)
+
+
+@st.composite
+def edge_lists(draw):
+    """Pairs of distinct nodes on 2 to 20 nodes, in either orientation and
+    with repeats."""
+    n = draw(st.integers(2, 20))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node).filter(lambda p: p[0] != p[1]),
+                          max_size=60))
+    return n, np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+@st.composite
+def synth_configs(draw):
+    """Small generator configs: groups of 2 to 12 nodes, ``p_in`` often 1,
+    ``p_out`` often 0 or ``p_in``, boosts up to past the group size, and a
+    key chunk from one key to more than all of them."""
+    sizes = tuple(draw(st.lists(st.integers(2, 12), min_size=1, max_size=3)))
+    p_in = draw(st.sampled_from([1.0]) | st.floats(0.0, 1.0))
+    p_out = draw(st.sampled_from([0.0, p_in]) | st.floats(0.0, p_in))
+    config = synth.SynthConfig(
+        sizes=sizes, p_in=p_in, p_out=p_out,
+        t1_fraction=draw(st.floats(0.05, 0.95)),
+        disparity_boost=float(draw(st.integers(0, 14))),
+        feature_dim=2, seed=draw(st.integers(0, 2**32 - 1)))
+    return config, draw(st.sampled_from([1, 7, 64, 1 << 22]))
+
+
+class TestPairKeyProperties:
+    @deterministic
+    @given(key_instances())
+    def test_key_pair_round_trip(self, inst):
+        n, keys = inst
+        distinct = np.unique(keys)
+        pairs = _key_pairs(keys, n)
+        assert pairs.dtype == np.int64 and pairs.shape == (keys.size, 2)
+        assert np.all((0 <= pairs[:, 0]) & (pairs[:, 0] < pairs[:, 1])
+                      & (pairs[:, 1] < n))
+        np.testing.assert_array_equal(_pair_keys(pairs, n), distinct)
+        np.testing.assert_array_equal(_pair_keys(pairs[:, ::-1], n), distinct)
+
+    @deterministic
+    @given(key_instances())
+    def test_sorted_keys_are_lexicographic_pairs(self, inst):
+        n, keys = inst
+        pairs = _key_pairs(np.unique(keys), n)
+        np.testing.assert_array_equal(
+            pairs, pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))])
+        assert np.all(np.diff(pairs[:, 0] * n + pairs[:, 1]) > 0)
+        all_pairs = _key_pairs(np.arange(n * (n - 1) // 2), n)
+        np.testing.assert_array_equal(
+            all_pairs, np.stack(np.triu_indices(n, k=1), axis=1))
+
+    @deterministic
+    @given(edge_lists())
+    def test_make_dataset_matches_lexsort_oracle(self, inst):
+        n, pairs = inst
+        ds = make_dataset(pairs, np.zeros((n, 1)), np.zeros(n))
+        edges, n_dup = lexsort_canonical_edges(pairs)
+        assert ds.edges.dtype == np.int64 and ds.edges.flags.c_contiguous
+        np.testing.assert_array_equal(ds.edges, edges.reshape(-1, 2))
+        assert ds.n_duplicate_edges == n_dup
+
+    @deterministic
+    @given(synth_configs())
+    def test_generator_matches_dense_oracle(self, inst):
+        config, chunk = inst
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(synth, "_PAIR_CHUNK", chunk):
+            paths = synth.synth_generate(config, tmp)
+            with open(paths["edges"]) as fh:
+                edges = [line.split() for line in fh if line[0] != "#"]
+            with open(paths["labels"]) as fh:
+                t_is_a = [line.split("\t")[2] == "a\n" for line in fh]
+        expected, expected_a = dense_planted_edges(config)
+        np.testing.assert_array_equal(
+            np.array(edges, dtype=np.int64).reshape(-1, 2), expected)
+        np.testing.assert_array_equal(t_is_a, expected_a)
 
 
 class TestSampleNegativesProperties:

@@ -126,7 +126,7 @@ class TestBlockSpectrum:
         # cross-check against eigenvalues of the actual random-walk block
         nm_rw = normalized_matrix(view, "random_walk")
         g = int(np.argmax(np.diff(view.offsets)))
-        nodes = view.groups[g]
+        nodes = view.order[view.offsets[g]:view.offsets[g + 1]]
         assert nodes.size > 2
         block = nm_rw.matrix.toarray()[np.ix_(nodes, nodes)]
         ev = np.sort(np.linalg.eigvals(block).real)

@@ -1,8 +1,11 @@
 """Synthetic planted-partition generator: determinism, validity of the
-emitted files, and that the planted structure is actually there."""
+emitted files, that the planted structure is actually there, the bytes of
+the benchmark beds, and the generator's memory."""
 from __future__ import annotations
 
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,3 +145,70 @@ class TestGenerate:
         m1 = ds.features[ds.s_labels == 1].mean(axis=0)
         assert m0[0] - m1[0] > 1.5
         assert m1[1] - m0[1] > 1.5
+
+
+# The benchmark beds at seed 2 and the sha256 of the four files that the
+# dense one-draw-per-pair generator wrote for them.  A change to how the
+# generator reads its random stream must keep every byte.
+PINNED_BEDS = {
+    "sweep_small": (
+        dict(sizes=(100, 100), p_in=0.15, p_out=0.01, t1_fraction=0.25,
+             disparity_boost=10.0, feature_dim=8, feature_separation=0.5),
+        {"edges": "6f0aba5c5418c6bde0e8918db61c9aa7"
+                  "a77a77f7fbaab3c9129d6f657116f5fb",
+         "features": "c745892eca1966b4f718e4138870e5f8"
+                     "28eac95d2cd6d06f02cdd9b6d2572679",
+         "labels": "94306b1dd5a5d73848a020e5b5c68033"
+                   "5cb0a2ddf6c9433452ed4bea8dcccc82",
+         "meta": "95eb51dfe6882b011e1516d55a534f0f"
+                 "d7df88e7ae8b5473106d68be6b0e538f"}),
+    "theory_mid": (
+        dict(sizes=(1000, 1000, 1000), p_in=0.03, p_out=0.0005,
+             t1_fraction=0.3, feature_dim=16),
+        {"edges": "5a8e975c3ec637818cbd61c8dcb3256e"
+                  "128888aa469fb950105f577257a8f1e6",
+         "features": "329367b54ad972a7b371fdb7fc6db978"
+                     "1b65c6e808088ec01e3b65563fc838e3",
+         "labels": "c0eb2db773978fb43b1f398df7c135fa"
+                   "8dad537ab3daee11463b9fd493aa4476",
+         "meta": "908f23cf5777f3a442ddf5398a9ea869"
+                 "449d93d46055e90dc8da20ab61092a13"}),
+    "bounds_mid": (
+        dict(sizes=(400, 400, 400), p_in=0.05, p_out=0.001,
+             t1_fraction=0.3, feature_dim=16),
+        {"edges": "19eb5fabf035b70e061e9e51f8950054"
+                  "d318931d4d18dd983b9907b98892e26b",
+         "features": "c976a947dd9cc45fe0a365ad98be1f1a"
+                     "7df057b694c9b21f7cec3a35da7aa233",
+         "labels": "04de23daea1bca6e8ce297dc154e3ed2"
+                   "5278316f53005ef48317ecb72ec6b8d8",
+         "meta": "ae4cc54b9d8fd32d1db04f67a12b2250"
+                 "3dc3f51bdef7ec51b4ead13ef4f7000f"}),
+}
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("bed", sorted(PINNED_BEDS))
+    def test_benchmark_bed_keeps_its_sha256(self, tmp_path, bed):
+        kwargs, digests = PINNED_BEDS[bed]
+        paths = synth_generate(SynthConfig(seed=2, **kwargs), str(tmp_path))
+        got = {role: hashlib.sha256(open(path, "rb").read()).hexdigest()
+               for role, path in paths.items()}
+        assert got == digests
+
+
+class TestMemory:
+    def test_peak_at_n6000_stays_under_128_mib(self, tmp_path):
+        # One Bernoulli draw per pair over all 18M pairs at once held about
+        # 566 MiB of index and probability arrays; drawing the uniforms a
+        # chunk of keys at a time needs far less.  tracemalloc sees NumPy's
+        # buffers and, unlike a child's ru_maxrss, not this process's past.
+        cfg = SynthConfig(sizes=(2000, 2000, 2000), p_in=0.01, p_out=0.0005,
+                          disparity_boost=5.0, seed=0)
+        tracemalloc.start()
+        try:
+            synth_generate(cfg, str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**20

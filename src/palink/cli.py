@@ -10,12 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 
 from .pipelines import (
     FILTER_ALIASES,
-    check_list,
-    check_value,
+    _check,
+    _read_fields,
     hidden_dims_for_layers,
     load_config,
     run_delta_comparison,
@@ -63,22 +63,12 @@ def _cmd_synth(args) -> int:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError("synth config must be a JSON object")
-    out_dir = check_value("out", raw.pop("out", "synth_data"), str)
+    out_dir = _check("out", raw.pop("out", "synth_data"), str)
     if args.out is not None:
         out_dir = args.out
     if args.seed is not None:
         raw["seed"] = args.seed
-    unknown = sorted(set(raw) - {f.name for f in fields(SynthConfig)})
-    if unknown:
-        raise ValueError(f"unknown synth config keys: {unknown}")
-    for key, value in raw.items():
-        kind = int if key in ("sizes", "feature_dim", "seed") else float
-        if key == "sizes" or (key in ("t1_fraction", "disparity_boost")
-                              and isinstance(value, list)):
-            raw[key] = check_list(key, value, kind)
-        else:
-            raw[key] = check_value(key, value, kind)
-    config = SynthConfig(**raw)
+    config = SynthConfig(**_read_fields(SynthConfig, raw, "synth config"))
     paths = synth_generate(config, out_dir)
     print(json.dumps(paths, indent=2, sort_keys=True))
     return 0

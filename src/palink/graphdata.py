@@ -132,14 +132,19 @@ def _pair_keys(pairs, n: int) -> np.ndarray:
     hashing ``np.unique`` is far slower.)"""
     a, b = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
     i, j = np.minimum(a, b), np.maximum(a, b)
-    keys = np.sort(i * n - i * (i + 1) // 2 + j - i - 1)
+    keys = np.sort(_row_start(i, n) + j - i - 1)
     return keys[np.diff(keys, prepend=-1) > 0]
+
+
+def _row_start(i, n: int):
+    """The key of pair ``(i, i + 1)``: where row ``i`` of the triangle
+    starts."""
+    return i * (2 * n - i - 1) // 2
 
 
 def _key_pairs(keys, n: int) -> np.ndarray:
     """The ``(k, 2)`` pairs ``i < j`` of upper-triangle keys, in key order."""
-    rows = np.arange(n - 1, dtype=np.int64)
-    starts = _pair_keys(np.stack([rows, rows + 1], axis=1), n)
+    starts = _row_start(np.arange(n - 1, dtype=np.int64), n)
     i = np.searchsorted(starts, keys, side="right") - 1
     return np.stack([i, keys - starts[i] + i + 1], axis=1)
 

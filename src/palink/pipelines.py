@@ -7,8 +7,8 @@ never collide.
 
 A pipeline's (seed, lambda) trainings are independent and fully seeded, so
 they run in forked worker processes, as many as the usable CPUs hold at the
-BLAS's thread count, and their results are gathered in task order: the
-reports are byte-identical for any worker count.
+BLAS's thread count, and their results are gathered in task order: at a
+given BLAS thread count the reports are byte-identical for any worker count.
 """
 from __future__ import annotations
 
@@ -16,7 +16,8 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+import typing
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -32,6 +33,8 @@ FILTER_ALIASES = {
     "sym": "symmetric", "symmetric": "symmetric",
     "rw": "random_walk", "random_walk": "random_walk",
 }
+# The RunConfig fields that its JSON layout nests in a "dataset" block.
+_DATASET_FIELDS = ("name", "edges", "features", "labels")
 
 
 @dataclass(frozen=True)
@@ -52,24 +55,13 @@ class RunConfig:
     out: str = "runs"
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": {
-                "name": self.name,
-                "edges": self.edges,
-                "features": self.features,
-                "labels": self.labels,
-            },
-            "normalization": self.normalization,
-            "self_loop_weight": self.self_loop_weight,
-            "filter": self.filter_kind,
-            "hidden_dims": list(self.hidden_dims),
-            "epochs": self.epochs,
-            "lr": self.lr,
-            "ratios": list(self.ratios),
-            "seeds": list(self.seeds),
-            "lambda_fair": list(self.lambda_fair),
-            "out": self.out,
-        }
+        """The JSON layout: the dataset fields in a ``dataset`` block,
+        ``filter_kind`` as ``filter``, tuples as lists."""
+        layout = {"filter" if f.name == "filter_kind" else f.name:
+                  list(v) if isinstance(v := getattr(self, f.name), tuple)
+                  else v for f in fields(self)}
+        return {"dataset": {key: layout.pop(key) for key in _DATASET_FIELDS},
+                **layout}
 
     @property
     def config_hash(self) -> str:
@@ -94,63 +86,70 @@ _JSON_TYPES = {int: ((int,), "an integer"),
                float: ((int, float), "a number"), str: ((str,), "a string")}
 
 
-def check_value(key: str, value, kind: type):
-    """``value`` itself if it is a JSON value of ``kind`` (int, float or
-    str; an integer also counts as a float, a boolean as neither),
-    otherwise a ValueError that names ``key``."""
-    types, name = _JSON_TYPES[kind]
+def _check(key: str, value, hint):
+    """``value`` as a value of the field type ``hint``: int, float (an
+    integer counts, a boolean does not), str, ``tuple[T, ...]`` (a
+    non-empty list, its items made T; a fixed length is left to the user of
+    the field) or ``T | tuple[T, ...]``; otherwise a ValueError that names
+    ``key``."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ValueError(f"config key {key!r} must be a non-empty list, "
+                             f"got {value!r}")
+        return tuple(args[0](_check(key, v, args[0])) for v in value)
+    if args:  # T | tuple[T, ...]
+        return _check(key, value, args[isinstance(value, (list, tuple))])
+    types, name = _JSON_TYPES[hint]
     if isinstance(value, bool) or not isinstance(value, types):
         raise ValueError(f"config key {key!r} must be {name}, got {value!r}")
     return value
 
 
-def check_list(key: str, value, kind: type, scalar: bool = False) -> tuple:
-    """A non-empty list of ``kind`` values as a tuple; with ``scalar`` a
-    bare value counts as a list of one."""
-    if scalar and not isinstance(value, (list, tuple)):
-        value = [value]
-    if not isinstance(value, (list, tuple)) or not value:
-        raise ValueError(f"config key {key!r} must be a non-empty list, "
-                         f"got {value!r}")
-    return tuple(check_value(key, v, kind) for v in value)
+def _read_fields(cls, raw: dict, what: str = "config") -> dict:
+    """``raw``'s values checked against the annotations of the dataclass
+    ``cls``; a key that is not one of its fields is a ValueError."""
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(raw) - set(hints))
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {unknown}")
+    return {key: _check(key, value, hints[key]) for key, value in raw.items()}
 
 
 def config_from_dict(raw: dict) -> RunConfig:
+    """The RunConfig of ``RunConfig.to_dict``'s JSON layout, where
+    ``dataset.name`` is optional, ``filter`` may be an alias, ``layers``
+    stands in for a missing ``hidden_dims`` and ``seeds`` and
+    ``lambda_fair`` may be bare values."""
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
     raw = dict(raw)
     ds = raw.pop("dataset", None)
     if not isinstance(ds, dict) or not {"edges", "features", "labels"} <= set(ds):
         raise ValueError("config needs dataset.{name,edges,features,labels}")
-    kwargs = {
-        key: check_value(f"dataset.{key}", ds.get(key, "dataset"), str)
-        for key in ("name", "edges", "features", "labels")
-    }
+    # a field name is a key only where the layout spells it so
+    unknown = sorted({f"dataset.{k}" for k in set(ds) - set(_DATASET_FIELDS)}
+                     | (set(raw) & {*_DATASET_FIELDS, "filter_kind"}))
+    if unknown:
+        raise ValueError(f"unknown config keys: {unknown}")
+    hints = typing.get_type_hints(RunConfig)
+    kwargs = {key: _check(f"dataset.{key}", value, hints[key])
+              for key, value in {"name": "dataset", **ds}.items()}
     if "filter" in raw:
-        kind = check_value("filter", raw.pop("filter"), str)
+        kind = _check("filter", raw.pop("filter"), hints["filter_kind"])
         if kind not in FILTER_ALIASES:
             raise ValueError(f"unknown filter: {kind!r}")
         kwargs["filter_kind"] = FILTER_ALIASES[kind]
-    if "hidden_dims" in raw:
-        raw.pop("layers", None)
-    elif "layers" in raw:
-        n_layers = check_value("layers", raw.pop("layers"), int)
+    if "layers" in raw:
+        n_layers = _check("layers", raw.pop("layers"), int)
         if n_layers < 1:
             raise ValueError("layers must be >= 1")
-        kwargs["hidden_dims"] = hidden_dims_for_layers(n_layers)
-    for key, kind in (("normalization", str), ("self_loop_weight", float),
-                      ("epochs", int), ("lr", float), ("out", str)):
-        if key in raw:
-            kwargs[key] = check_value(key, raw.pop(key), kind)
-    for key, kind, scalar in (("hidden_dims", int, False),
-                              ("ratios", float, False), ("seeds", int, True),
-                              ("lambda_fair", float, True)):
-        if key in raw:
-            kwargs[key] = tuple(
-                kind(v) for v in check_list(key, raw.pop(key), kind, scalar))
-    if raw:
-        raise ValueError(f"unknown config keys: {sorted(raw)}")
-    return RunConfig(**kwargs)
+        if "hidden_dims" not in raw:
+            kwargs["hidden_dims"] = hidden_dims_for_layers(n_layers)
+    for key in ("seeds", "lambda_fair"):
+        if key in raw and not isinstance(raw[key], (list, tuple)):
+            raw[key] = [raw[key]]
+    return RunConfig(**kwargs, **_read_fields(RunConfig, raw))
 
 
 def hidden_dims_for_layers(n_layers: int) -> tuple[int, ...]:

@@ -24,25 +24,19 @@ KINDS = ("symmetric", "random_walk")
 
 @dataclass(frozen=True)
 class NormalizedMatrix:
-    """A degree-normalized adjacency operator.
-
-    ``zero_degree`` marks nodes whose (self-loop-inclusive) degree is zero;
-    their rows and columns are identically zero rather than NaN.
-    """
+    """A degree-normalized adjacency operator.  A node whose
+    (self-loop-inclusive) degree is zero has an empty row and column."""
 
     kind: str
     n: int
     matrix: sp.csr_matrix
-    degrees: np.ndarray
-    zero_degree: np.ndarray
 
 
 def normalized_matrix(source: Dataset | WithinGroupView, kind: str) -> NormalizedMatrix:
     """Build the normalized operator of a dataset's graph or of a
     within-group view's subgraph.
 
-    Degrees include the self-loop weight; zero-degree rows stay zero and
-    are flagged.
+    Degrees include the self-loop weight; zero-degree rows stay zero.
     """
     if isinstance(source, Dataset):
         edges = source.edges
@@ -79,10 +73,7 @@ def matrix_from_edges(
         else:
             inv = np.where(degrees > 0, 1.0 / degrees, 0.0)
             mat = sp.diags(inv) @ adj
-    return NormalizedMatrix(
-        kind=kind, n=n, matrix=mat.tocsr(), degrees=degrees,
-        zero_degree=degrees == 0.0,
-    )
+    return NormalizedMatrix(kind=kind, n=n, matrix=mat.tocsr())
 
 
 @dataclass(frozen=True)

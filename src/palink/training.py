@@ -138,7 +138,6 @@ class TrainResult:
     history: list[tuple[int, float, float, float]]
     train_nm: NormalizedMatrix
     train_view: WithinGroupView
-    final_model: Model
 
 
 def train(dataset: Dataset, split: LinkSplit, config: TrainConfig) -> TrainResult:
@@ -237,7 +236,6 @@ def train(dataset: Dataset, split: LinkSplit, config: TrainConfig) -> TrainResul
         history=history,
         train_nm=nm,
         train_view=view,
-        final_model=model,
     )
 
 

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 
@@ -106,10 +107,13 @@ class TestConfigParsing:
             config_from_dict({"dataset": {"edges": "e", "features": "f"}})
 
     def test_unknown_keys_rejected(self):
-        raw = self.raw()
-        raw["learning_rate"] = 0.1
-        with pytest.raises(ValueError):
-            config_from_dict(raw)
+        # a field name is a config key only where the layout spells it so
+        for key in ("learning_rate", "filter_kind", "edges"):
+            raw = self.raw()
+            raw[key] = "x"
+            with pytest.raises(ValueError,
+                               match=rf"unknown config keys: \['{key}'\]"):
+                config_from_dict(raw)
 
     def test_filter_aliases(self):
         raw = self.raw()
@@ -128,6 +132,39 @@ class TestConfigParsing:
         assert hidden_dims_for_layers(1) == (64,)
         raw["hidden_dims"] = [5, 4]
         assert config_from_dict(raw).hidden_dims == (5, 4)
+
+    @pytest.mark.parametrize("extra", [
+        {},
+        {"filter": "rw", "layers": 3, "seeds": 4, "lambda_fair": 2,
+         "lr": 1, "self_loop_weight": 0, "ratios": [0.8, 0.1, 0.1],
+         "normalization": "minmax_signed", "out": "elsewhere"},
+    ])
+    def test_round_trip(self, extra):
+        cfg = config_from_dict({**self.raw(), **extra})
+        assert config_from_dict(cfg.to_dict()) == cfg
+        assert config_from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    def test_hash_of_the_default_layout_is_pinned(self):
+        # every run directory name embeds this hash: a change to the JSON
+        # layout or its encoding renames all of them
+        assert config_from_dict(self.raw()).config_hash == "91a6478f"
+
+    def test_readme_lists_every_config_key(self):
+        readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+        with open(readme) as fh:
+            text = fh.read()
+        table = text.split("| key | default | meaning |", 1)[1]
+        table = table.split("\n\n", 1)[0]
+        documented = set()
+        for row in table.splitlines()[2:]:
+            cell = row.split("|")[1]
+            for key in re.findall(r"`([^`]+)`", cell):
+                prefix, brace, names = key.partition("{")
+                names = names.rstrip("}").split(",") if brace else [""]
+                documented.update(prefix + name for name in names)
+        layout = config_from_dict(self.raw()).to_dict()
+        written = {f"dataset.{key}" for key in layout.pop("dataset")}
+        assert documented == written | set(layout) | {"layers"}
 
     def test_scalar_seed_and_lambda(self):
         raw = self.raw()
@@ -424,6 +461,7 @@ class TestCli:
             "lambda_fair": [0.0],
             "out": str(tmp_path / "runs"),
         }
+        raw["dataset"].update(kw.pop("dataset", {}))
         raw.update(kw)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(raw))
@@ -579,6 +617,14 @@ class TestCli:
         ("synth", {"sizes": 5}, [], "'sizes' must be a non-empty list"),
         ("synth", {"p_in": "a"}, [], "'p_in' must be a number"),
         ("synth", [1], [], "synth config must be a JSON object"),
+        ("train", {"dataset": {"self_loop_weight": 0.0}}, [],
+         "unknown config keys: ['dataset.self_loop_weight']"),
+        ("train", {"layers": "abc"}, [], "'layers' must be an integer"),
+        ("train", {"layers": 0}, [], "layers must be >= 1"),
+        ("train", {"epochs": True}, [], "'epochs' must be an integer"),
+        ("train", {"lr": False}, [], "'lr' must be a number"),
+        ("synth", {"feature_dim": True}, [],
+         "'feature_dim' must be an integer"),
     ])
     def test_bad_config_value_exits_2(self, tmp_path, tiny_bed, capsys,
                                       command, config, extra, message):

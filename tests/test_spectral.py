@@ -36,13 +36,15 @@ class TestNormalizedMatrix:
         nm = normalized_matrix(ds, "random_walk")
         np.testing.assert_allclose(nm.matrix.sum(axis=1).A1, 1.0, atol=1e-12)
 
-    def test_zero_degree_row_flagged(self):
+    def test_zero_degree_row_and_column_empty(self):
         ds = make_dataset([(0, 1)], np.ones((3, 1)), [0, 0, 0],
                           self_loop_weight=0.0)
         for kind in ("symmetric", "random_walk"):
             nm = normalized_matrix(ds, kind)
-            np.testing.assert_array_equal(nm.zero_degree, [False, False, True])
-            assert nm.matrix[2].nnz == 0
+            for axis in (0, 1):
+                np.testing.assert_array_equal(nm.matrix.getnnz(axis=axis) == 0,
+                                              [False, False, True])
+            assert np.isfinite(nm.matrix.data).all()
 
     def test_self_loop_weight_on_diagonal(self):
         ds = make_dataset([(0, 1)], np.ones((2, 1)), [0, 0],

@@ -311,9 +311,8 @@ class TestTrain:
         a = train(ds, split, config)
         b = train(ds, split, config)
         assert a.history == b.history
+        assert a.best_epoch == b.best_epoch
         for wa, wb in zip(a.model.weights, b.model.weights):
-            np.testing.assert_array_equal(wa, wb)
-        for wa, wb in zip(a.final_model.weights, b.final_model.weights):
             np.testing.assert_array_equal(wa, wb)
 
     def test_single_epoch_matches_adam_arithmetic(self):
@@ -330,7 +329,8 @@ class TestTrain:
                                neg_rng, held_out_negatives(split))
         grads = loss_and_gradients(model0, nm, ds.features,
                                    split.train_pos, neg)[3]
-        for w0, g, w1 in zip(model0.weights, grads, result.final_model.weights):
+        assert result.best_epoch == 1
+        for w0, g, w1 in zip(model0.weights, grads, result.model.weights):
             expected = w0 - config.lr * g / (np.abs(g) + ADAM_EPS)
             np.testing.assert_allclose(w1, expected, rtol=1e-12, atol=1e-15)
 
@@ -365,8 +365,10 @@ class TestTrain:
                 m_hat = m_buf / (1.0 - ADAM_BETA1**epoch)
                 v_hat = v_buf / (1.0 - ADAM_BETA2**epoch)
                 w -= config.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        for w, w_trained in zip(model.weights, result.final_model.weights):
-            np.testing.assert_array_equal(w, w_trained)
+            if epoch == result.best_epoch:
+                for w, w_best in zip(model.weights, result.model.weights):
+                    np.testing.assert_array_equal(w, w_best)
+        assert 1 <= result.best_epoch <= config.epochs
 
     def test_message_passing_uses_training_positives_only(self):
         ds = trainable_dataset()
@@ -374,9 +376,9 @@ class TestTrain:
         result = train(ds, split, TrainConfig(hidden_dims=(4,), epochs=2))
         expected = matrix_from_edges(ds.n, split.train_pos,
                                      ds.self_loop_weight, "symmetric")
+        # the diagonal holds self_loop_weight / degree, so an equal matrix
+        # also means equal training degrees
         assert (result.train_nm.matrix != expected.matrix).nnz == 0
-        np.testing.assert_array_equal(result.train_nm.degrees,
-                                      expected.degrees)
         from dataclasses import replace
 
         view = within_group_structure(replace(ds, edges=split.train_pos))

@@ -303,7 +303,7 @@ def normalize_features(features: np.ndarray, mode: str):
     raise ValueError(f"unknown normalization mode: {mode!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WithinGroupView:
     """Within-group subgraph plus its refinement into connected components.
 
@@ -314,6 +314,10 @@ class WithinGroupView:
     The refinement is stored once, CSR-style: ``order`` lists the nodes
     sorted by refined group (ascending within a group), and group ``g``'s
     nodes are ``order[offsets[g]:offsets[g + 1]]``.
+
+    Compares and hashes by identity: ``spectral.block_spectrum`` memoizes
+    its gaps per view object, assuming the arrays are never mutated in
+    place.  Build a new view instead.
     """
 
     n: int

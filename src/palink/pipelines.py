@@ -26,7 +26,8 @@ from .gcn import forward, score_pairs
 from .graphdata import Dataset, load_dataset, normalize_features
 from .metrics import nrmse, pcc, roc_auc
 from .theory import alpha_vectors, build_theory_report
-from .training import TrainConfig, save_checkpoint, split_links, train
+from .training import (TrainConfig, _checked_ratios, save_checkpoint,
+                       split_links, train)
 
 FILTER_ABBREV = {"symmetric": "sym", "random_walk": "rw"}
 FILTER_ALIASES = {
@@ -319,7 +320,9 @@ def _open_run(config: RunConfig, pipeline: str,
               needs_subgroups: str = "") -> tuple[Dataset, str]:
     """Load the dataset and create ``pipeline``'s run directory.  A
     non-empty ``needs_subgroups`` names the pipeline that requires subgroup
-    labels."""
+    labels.  The split ratios are checked first, so a bad config leaves no
+    directory behind."""
+    _checked_ratios(config.ratios)
     dataset = prepare_dataset(config)
     if needs_subgroups and dataset.t_labels is None:
         raise ValueError(f"{needs_subgroups} requires subgroup labels")

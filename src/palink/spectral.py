@@ -8,6 +8,7 @@ bounds on powers of the full operator.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +23,14 @@ DENSE_EIG_LIMIT = 4096
 KINDS = ("symmetric", "random_walk")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalizedMatrix:
     """A degree-normalized adjacency operator.  A node whose
-    (self-loop-inclusive) degree is zero has an empty row and column."""
+    (self-loop-inclusive) degree is zero has an empty row and column.
+
+    Compares and hashes by identity: ``residual_and_bounds`` memoizes its
+    operator norms per object, assuming ``matrix`` is never mutated in
+    place.  Build a new operator instead."""
 
     kind: str
     n: int
@@ -92,17 +97,41 @@ def _start_vector(n: int) -> np.ndarray:
     return np.random.default_rng(0).standard_normal(n)
 
 
+def _memo(table: weakref.WeakKeyDictionary, key, compute):
+    """``table[key]``, filled by ``compute()`` on the first call.  The
+    entry dies with ``key``, so a reused ``id()`` never finds it."""
+    value = table.get(key)
+    if value is None:
+        value = table[key] = compute()
+    return value
+
+
+# Solved once per input object; neither depends on the filter kind or L.
+_gaps = weakref.WeakKeyDictionary()  # view -> read-only gap array
+_norms = weakref.WeakKeyDictionary()  # within -> ||P_within||
+# full -> {within: ||P - P_within||}, weak in both keys
+_residual_norms = weakref.WeakKeyDictionary()
+
+
 def block_spectrum(view: WithinGroupView, kind: str = "symmetric") -> SpectralSummary:
     """Per refined group, the spectral gap max(lambda_2, |lambda_min|) of
     its normalized block.
 
     The random-walk block is similar to the symmetric one via D^1/2, so
-    both kinds share eigenvalues.  A singleton's gap is 0 without an
-    eigensolve.  Blocks larger than ``DENSE_EIG_LIMIT`` get only their
-    extremal eigenvalues via Lanczos.
+    both kinds share eigenvalues: they are solved once per view object
+    (by identity, assuming its arrays are never mutated in place), and
+    every summary of that view shares one read-only gap array.  A
+    singleton's gap is 0 without an eigensolve.  Blocks larger than
+    ``DENSE_EIG_LIMIT`` get only their extremal eigenvalues via Lanczos.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    gaps = _memo(_gaps, view, lambda: _block_gaps(view))
+    return SpectralSummary(kind=kind, lambda_gaps=gaps,
+                           degenerate=view.volumes == 0.0)
+
+
+def _block_gaps(view: WithinGroupView) -> np.ndarray:
     # Refined groups are components of the within-group graph, so this
     # operator is block diagonal: permuted into group order, each group's
     # block is a diagonal slice, with the entries of a per-group build.
@@ -120,8 +149,8 @@ def block_spectrum(view: WithinGroupView, kind: str = "symmetric") -> SpectralSu
             second = spla.eigsh(block, k=2, which="LA", **opts).min()
             lowest = spla.eigsh(block, k=1, which="SA", **opts).min()
         gaps[gid] = max(float(second), abs(float(lowest)))
-    return SpectralSummary(kind=kind, lambda_gaps=gaps,
-                           degenerate=view.volumes == 0.0)
+    gaps.flags.writeable = False
+    return gaps
 
 
 def operator_norm(mat) -> float:
@@ -186,16 +215,21 @@ def residual_and_bounds(
     For the symmetric kind the radius of group b is
     ``lambda_b^L + cross_term``; the random-walk kind additionally carries
     the global degree ratio sqrt(max D / min positive D).  Both norms in
-    the cross term come from ``operator_norm`` (Lanczos, every size).
+    the cross term come from ``operator_norm`` (Lanczos, every size) and
+    depend on neither L nor the summary: ``||P_within||`` is solved once
+    per ``within`` object and ``||P - P_within||`` once per
+    ``(full, within)`` pair, by identity, assuming neither matrix is
+    mutated in place.
     """
     if L < 1:
         raise ValueError("L must be >= 1")
     if full.kind != within.kind or full.kind != summary.kind:
         raise ValueError("operator kinds do not match")
 
-    xi = (full.matrix - within.matrix).tocsr()
-    xi_norm = operator_norm(xi)
-    phat_norm = operator_norm(within.matrix)
+    by_within = _residual_norms.setdefault(full, weakref.WeakKeyDictionary())
+    xi_norm = _memo(by_within, within, lambda: operator_norm(
+        (full.matrix - within.matrix).tocsr()))
+    phat_norm = _memo(_norms, within, lambda: operator_norm(within.matrix))
     cross = residual_cross_term(L, xi_norm, phat_norm)
 
     gaps = summary.lambda_gaps

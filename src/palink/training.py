@@ -88,16 +88,23 @@ def sample_negatives(n: int, edges, count: int, rng, exclude=None) -> np.ndarray
     return NegativeSampler(n, edges, exclude).draw(count, rng)
 
 
-def split_links(dataset: Dataset, ratios=DEFAULT_RATIOS, seed: int = 0) -> LinkSplit:
-    """Permute edges into train/val/test positives and draw the fixed
-    evaluation negatives (1:1 with positives, disjoint between val and
-    test).  ``train_pos`` keeps the sorted edge order, so training walks
-    the representations row by row."""
+def _checked_ratios(ratios) -> tuple[float, ...]:
+    """``ratios`` as floats if they are three positive fractions summing to
+    1, else a ValueError."""
     ratios = tuple(float(r) for r in ratios)
     if len(ratios) != 3 or any(r <= 0 for r in ratios):
         raise ValueError("ratios must be three positive fractions")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError("ratios must sum to 1")
+    return ratios
+
+
+def split_links(dataset: Dataset, ratios=DEFAULT_RATIOS, seed: int = 0) -> LinkSplit:
+    """Permute edges into train/val/test positives and draw the fixed
+    evaluation negatives (1:1 with positives, disjoint between val and
+    test).  ``train_pos`` keeps the sorted edge order, so training walks
+    the representations row by row."""
+    ratios = _checked_ratios(ratios)
     m = dataset.m
     n_tr = int(m * ratios[0])
     n_val = int(m * ratios[1])

@@ -625,6 +625,12 @@ class TestCli:
         ("train", {"lr": False}, [], "'lr' must be a number"),
         ("synth", {"feature_dim": True}, [],
          "'feature_dim' must be an integer"),
+        ("train", {"ratios": [0.9, 0.1]}, [],
+         "ratios must be three positive fractions"),
+        ("fairness-sweep", {"ratios": [0.9, -0.1, 0.2]}, [],
+         "ratios must be three positive fractions"),
+        ("delta-compare", {"ratios": [0.5, 0.3, 0.3]}, [],
+         "ratios must sum to 1"),
     ])
     def test_bad_config_value_exits_2(self, tmp_path, tiny_bed, capsys,
                                       command, config, extra, message):

@@ -1,7 +1,10 @@
 """Normalized operators, block spectra, operator norms, and error radii."""
 from __future__ import annotations
 
+import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -167,11 +170,12 @@ class TestBlockSpectrum:
         rng = np.random.default_rng(5)
         ds = random_planted_dataset(rng, n_max=40, b_max=1,
                                     p_in_range=(0.4, 0.6), weights=(1.0,))
+        # one view per solver path: gaps are memoized per view object
         view = within_group_structure(ds)
         dense = block_spectrum(view)
         calls = counting_eigsh(monkeypatch)
         monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", 2)
-        iterative = block_spectrum(view)
+        iterative = block_spectrum(within_group_structure(ds))
         sizes = np.diff(view.offsets)
         # two Lanczos runs (top pair, bottom one) per block above the limit
         assert sorted(calls) == sorted(2 * sizes[sizes > 2].tolist())
@@ -185,10 +189,11 @@ class TestBlockSpectrum:
         rng = np.random.default_rng(5)
         ds = random_planted_dataset(rng, n_max=40, b_max=1,
                                     p_in_range=(0.4, 0.6), weights=(1.0,))
-        view = within_group_structure(ds)
         calls = counting_eigsh(monkeypatch)
         monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", 2)
-        first, second = block_spectrum(view), block_spectrum(view)
+        # one view per call: gaps are memoized per view object
+        first = block_spectrum(within_group_structure(ds))
+        second = block_spectrum(within_group_structure(ds))
         assert calls
         np.testing.assert_array_equal(first.lambda_gaps, second.lambda_gaps)
 
@@ -205,6 +210,111 @@ class TestBlockSpectrum:
         np.testing.assert_array_equal(
             summary.lambda_gaps,
             [sym_block_gap(view, g) for g in range(view.n_groups)])
+
+
+def counting_eigvalsh(monkeypatch) -> list:
+    """Replace dense ``eigvalsh`` with a wrapper that logs each call's
+    matrix shape; returns the log."""
+    solved = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: solved.append(a.shape) or real(a))
+    return solved
+
+
+def counting_operator_norm(monkeypatch) -> list:
+    """Replace ``spectral.operator_norm`` with a wrapper that logs each
+    call's matrix shape; returns the log."""
+    calls = []
+    real = spectral.operator_norm
+
+    def operator_norm(mat):
+        calls.append(mat.shape)
+        return real(mat)
+
+    monkeypatch.setattr(spectral, "operator_norm", operator_norm)
+    return calls
+
+
+def assert_bounds_bitwise_equal(got, expected):
+    for field in dataclasses.fields(got):
+        np.testing.assert_array_equal(getattr(got, field.name),
+                                      getattr(expected, field.name),
+                                      err_msg=field.name)
+
+
+class TestSpectralMemo:
+    def test_both_kinds_solve_each_block_once(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        ds = random_planted_dataset(rng, p_in_range=(0.3, 0.6))
+        view = within_group_structure(ds)
+        solved = counting_eigvalsh(monkeypatch)
+        sym = block_spectrum(view, "symmetric")
+        rw = block_spectrum(view, "random_walk")
+        again = block_spectrum(view, "symmetric")
+        sizes = np.diff(view.offsets)
+        assert sorted(solved) == sorted((k, k) for k in sizes[sizes >= 2])
+        assert solved
+        assert (sym.kind, rw.kind) == ("symmetric", "random_walk")
+        assert sym.lambda_gaps is rw.lambda_gaps is again.lambda_gaps
+        np.testing.assert_array_equal(
+            sym.lambda_gaps,
+            [sym_block_gap(view, g) for g in range(view.n_groups)])
+
+    def test_gaps_are_read_only(self, k4):
+        summary = block_spectrum(within_group_structure(k4))
+        assert not summary.lambda_gaps.flags.writeable
+        with pytest.raises(ValueError):
+            summary.lambda_gaps[0] = 0.0
+
+    @pytest.mark.parametrize("kind", ["symmetric", "random_walk"])
+    def test_two_norms_for_every_depth(self, monkeypatch, kind):
+        rng = np.random.default_rng(14)
+        ds = random_planted_dataset(rng, weights=(1.0,))
+        view = within_group_structure(ds)
+        full = normalized_matrix(ds, kind)
+        within = normalized_matrix(view, kind)
+        summary = block_spectrum(view, kind)
+        calls = counting_operator_norm(monkeypatch)
+        memoized = [residual_and_bounds(full, within, summary, L, view)
+                    for L in (1, 2, 4)]
+        assert len(calls) == 2
+        for L, bounds in zip((1, 2, 4), memoized):
+            fresh_view = within_group_structure(ds)
+            fresh = residual_and_bounds(
+                normalized_matrix(ds, kind),
+                normalized_matrix(fresh_view, kind),
+                block_spectrum(fresh_view, kind), L, fresh_view)
+            assert_bounds_bitwise_equal(bounds, fresh)
+        assert len(calls) == 2 + 2 * 3
+
+    def test_entries_die_with_their_objects(self, k4):
+        view = within_group_structure(k4)
+        full = normalized_matrix(k4, "symmetric")
+        within = normalized_matrix(view, "symmetric")
+        residual_and_bounds(full, within, block_spectrum(view), 2, view)
+        assert view in spectral._gaps and within in spectral._norms
+        assert within in spectral._residual_norms[full]
+        tables = (spectral._gaps, spectral._norms, spectral._residual_norms)
+        filled = [len(table) for table in tables]
+        refs = [weakref.ref(obj) for obj in (view, full, within)]
+        del view, full, within
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        for table, before in zip(tables, filled):
+            assert len(table) <= before - 1
+            assert all(key() is not None for key in table.data)
+
+    def test_replaced_view_recomputes(self, monkeypatch, k4):
+        view = within_group_structure(k4)
+        first = block_spectrum(view)
+        solved = counting_eigvalsh(monkeypatch)
+        copy = dataclasses.replace(view)
+        assert copy is not view and copy != view
+        second = block_spectrum(copy)
+        assert solved == [(4, 4)]
+        assert second.lambda_gaps is not first.lambda_gaps
+        np.testing.assert_array_equal(second.lambda_gaps, first.lambda_gaps)
 
 
 class TestOperatorNorm:

@@ -18,7 +18,11 @@ import scipy.sparse.linalg as spla
 from .graphdata import Dataset, WithinGroupView
 from .metrics import max_degree_ratio
 
-DENSE_EIG_LIMIT = 4096
+# Largest block solved by dense ``eigvalsh``; a larger one takes one Lanczos
+# run.  Measured with one BLAS thread (median of 9, sparse connected blocks
+# of mean degree 8-20), the two cost the same at 256-288 nodes (about
+# 5 ms); at 400 nodes dense takes 11.6-13.4 ms and Lanczos 7.0-7.8 ms.
+DENSE_EIG_LIMIT = 256
 
 KINDS = ("symmetric", "random_walk")
 
@@ -55,30 +59,34 @@ def normalized_matrix(source: Dataset | WithinGroupView, kind: str) -> Normalize
 def matrix_from_edges(
     n: int, edges: np.ndarray, self_loop_weight: float, kind: str
 ) -> NormalizedMatrix:
-    """Normalized operator for an explicit edge array (e.g. a train split)."""
+    """Normalized operator for an explicit edge array (e.g. a train split).
+
+    Built in one pass: the edges in both orientations and the self-loop
+    diagonal go into one COO, whose ``tocsr`` sums duplicates and sorts
+    each row's column indices; the stored values are then scaled in place,
+    ``inv_sqrt[row] * a * inv_sqrt[col]`` or ``inv[row] * a``.  The result
+    is canonical CSR (sorted indices, no explicit zeros), so its products
+    sum each row in column order.
+    """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    counts = np.bincount(edges.ravel(), minlength=n).astype(np.float64)
-    degrees = counts + self_loop_weight
-    if edges.size:
-        u, v = edges[:, 0], edges[:, 1]
-        rows = np.concatenate([u, v])
-        cols = np.concatenate([v, u])
-        data = np.ones(rows.size, dtype=np.float64)
-        adj = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-    else:
-        adj = sp.csr_matrix((n, n), dtype=np.float64)
-    if self_loop_weight != 0.0:
-        adj = adj + self_loop_weight * sp.identity(n, format="csr")
+    degrees = np.bincount(edges.ravel(), minlength=n) + self_loop_weight
+    loops = np.arange(n if self_loop_weight != 0.0 else 0)
+    rows = np.concatenate([edges[:, 0], edges[:, 1], loops])
+    cols = np.concatenate([edges[:, 1], edges[:, 0], loops])
+    data = np.ones(rows.size)
+    data[2 * len(edges):] = self_loop_weight
+    mat = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    row = np.repeat(np.arange(n), np.diff(mat.indptr))
     with np.errstate(divide="ignore"):
         if kind == "symmetric":
             inv_sqrt = np.where(degrees > 0, 1.0 / np.sqrt(degrees), 0.0)
-            mat = sp.diags(inv_sqrt) @ adj @ sp.diags(inv_sqrt)
+            mat.data = inv_sqrt[row] * mat.data * inv_sqrt[mat.indices]
         else:
             inv = np.where(degrees > 0, 1.0 / degrees, 0.0)
-            mat = sp.diags(inv) @ adj
-    return NormalizedMatrix(kind=kind, n=n, matrix=mat.tocsr())
+            mat.data = inv[row] * mat.data
+    return NormalizedMatrix(kind=kind, n=n, matrix=mat)
 
 
 @dataclass(frozen=True)
@@ -121,8 +129,11 @@ def block_spectrum(view: WithinGroupView, kind: str = "symmetric") -> SpectralSu
     both kinds share eigenvalues: they are solved once per view object
     (by identity, assuming its arrays are never mutated in place), and
     every summary of that view shares one read-only gap array.  A
-    singleton's gap is 0 without an eigensolve.  Blocks larger than
-    ``DENSE_EIG_LIMIT`` get only their extremal eigenvalues via Lanczos.
+    singleton's gap is 0 without an eigensolve.  A block of up to
+    ``DENSE_EIG_LIMIT`` nodes is solved by dense ``eigvalsh``.  A larger
+    one is never made dense: its top eigenpair is known (eigenvalue 1,
+    eigenvector sqrt of its degrees), so the gap is the spectral norm of
+    the block with that pair deflated, from one Lanczos run.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
@@ -143,14 +154,42 @@ def _block_gaps(view: WithinGroupView) -> np.ndarray:
         block = sym[a:b, a:b]
         if b - a <= DENSE_EIG_LIMIT:
             ev = np.linalg.eigvalsh(block.toarray())
-            second, lowest = ev[-2], ev[0]
+            gaps[gid] = max(float(ev[-2]), abs(float(ev[0])))
         else:
-            opts = dict(v0=_start_vector(b - a), return_eigenvectors=False)
-            second = spla.eigsh(block, k=2, which="LA", **opts).min()
-            lowest = spla.eigsh(block, k=1, which="SA", **opts).min()
-        gaps[gid] = max(float(second), abs(float(lowest)))
+            top = np.sqrt(view.wg_degrees[view.order[a:b]])
+            gaps[gid] = _deflated_norm(block, top / np.linalg.norm(top))
     gaps.flags.writeable = False
     return gaps
+
+
+def _deflated_norm(block: sp.csr_matrix, top: np.ndarray) -> float:
+    """Spectral norm of ``block - top top^T`` by one Lanczos run.
+
+    ``top`` is the unit eigenvector of a connected block's eigenvalue 1
+    (``sqrt`` of its degrees, normalized), so deflating it leaves the
+    other eigenvalues, and the largest of their magnitudes is the gap
+    max(lambda_2, |lambda_min|).
+    """
+    size = block.shape[0]
+    deflated = spla.LinearOperator(
+        (size, size), matvec=lambda x: block @ x - top * (top @ x),
+        dtype=np.float64)
+    start = _start_vector(size)
+    if (deflated @ start).any():
+        largest = spla.eigsh(deflated, k=1, which="LM", tol=0, v0=start,
+                             return_eigenvectors=False)
+        return abs(float(largest[0]))
+    # ARPACK stops ("starting vector is zero") when the operator maps its
+    # start to zero.  For a Gaussian start that means the deflated block is
+    # zero in floating point, which needs every entry stored: a complete
+    # block with self-loop weight 1, P = J / size.  Its residual's
+    # Frobenius norm then bounds the gap, which is zero within rounding.
+    if block.nnz != size * size:
+        raise ArithmeticError(
+            f"the deflated {size}-node block maps its start vector to zero")
+    entries = block.tocoo()
+    residual = entries.data - top[entries.row] * top[entries.col]
+    return float(np.linalg.norm(residual))
 
 
 def operator_norm(mat) -> float:

@@ -32,6 +32,21 @@ def complete_graph(k: int, self_loop_weight: float = 0.0,
                         self_loop_weight=self_loop_weight)
 
 
+def star_graph(k: int, self_loop_weight: float = 0.0) -> Dataset:
+    """Node 0 joined to nodes 1..k-1, all in one group."""
+    edges = [(0, i) for i in range(1, k)]
+    return make_dataset(edges, np.ones((k, 2)), [0] * k,
+                        self_loop_weight=self_loop_weight)
+
+
+def complete_bipartite_graph(a: int, b: int,
+                             self_loop_weight: float = 0.0) -> Dataset:
+    """Nodes 0..a-1 each joined to nodes a..a+b-1, all in one group."""
+    edges = [(i, j) for i in range(a) for j in range(a, a + b)]
+    return make_dataset(edges, np.ones((a + b, 2)), [0] * (a + b),
+                        self_loop_weight=self_loop_weight)
+
+
 @pytest.fixture
 def k3() -> Dataset:
     return complete_graph(3)

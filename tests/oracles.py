@@ -78,6 +78,27 @@ def dense_planted_edges(config) -> tuple[np.ndarray, np.ndarray]:
     return edges[np.lexsort((edges[:, 1], edges[:, 0]))], t_is_a
 
 
+def product_normalized_matrix(n: int, edges, self_loop_weight: float,
+                              kind: str) -> sparse.csr_matrix:
+    """``matrix_from_edges``' operator by sparse products: the adjacency
+    from a COO, plus ``w * I``, then ``diag(D^-1/2) @ A @ diag(D^-1/2)``
+    or ``diag(D^-1) @ A``."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    degrees = np.bincount(edges.ravel(), minlength=n) + self_loop_weight
+    both = np.concatenate([edges, edges[:, ::-1]])
+    adj = sparse.coo_matrix((np.ones(len(both)), (both[:, 0], both[:, 1])),
+                            shape=(n, n)).tocsr()
+    if self_loop_weight != 0.0:
+        adj = adj + self_loop_weight * sparse.identity(n, format="csr")
+    with np.errstate(divide="ignore"):
+        if kind == "symmetric":
+            scale = sparse.diags(np.where(degrees > 0,
+                                          1.0 / np.sqrt(degrees), 0.0))
+            return (scale @ adj @ scale).tocsr()
+        scale = sparse.diags(np.where(degrees > 0, 1.0 / degrees, 0.0))
+        return (scale @ adj).tocsr()
+
+
 def dense_power_entries(nm, L: int) -> np.ndarray:
     """P^L of a NormalizedMatrix by repeated dense multiplication;
     guarded to n <= 5000."""

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+import palink.spectral as spectral
 from palink.fairness import delta_hat
 from palink.gcn import forward, init_model, loss_and_gradients
 from palink.graphdata import within_group_structure
@@ -143,6 +144,25 @@ def test_02_random_walk_propagation_entry_bounds(bound_corpus):
           f"random-walk entry bounds on {N_BOUND_GRAPHS} graphs x "
           f"L={BOUND_LAYERS}: worst excess {worst:.3e} (allowed 1e-9), "
           f"{n_entries} entries, {elapsed:.1f}s")
+
+
+def test_01_02_entry_bounds_on_the_lanczos_path(bound_corpus, monkeypatch):
+    # Every block of three or more nodes takes the deflated Lanczos solve.
+    # Fresh views: 01 and 02 may have memoized the corpus views' dense gaps.
+    monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", 2)
+    dense_sizes = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: dense_sizes.append(len(a)) or real(a))
+    corpus = [(ds, within_group_structure(ds)) for ds, _ in bound_corpus]
+    worst = {kind: _run_bound_suite(corpus, kind)[0]
+             for kind in ("symmetric", "random_walk")}
+    ok = max(worst.values()) <= 1e-9 and max(dense_sizes, default=0) <= 2
+    _emit("01/02", ok,
+          f"entry bounds on {len(corpus)} graphs x L={BOUND_LAYERS} with "
+          f"DENSE_EIG_LIMIT=2: worst excess symmetric "
+          f"{worst['symmetric']:.3e}, random-walk {worst['random_walk']:.3e} "
+          f"(allowed 1e-9); largest dense block {max(dense_sizes, default=0)}")
 
 
 def _gradient_instance(rng, kind, dims):

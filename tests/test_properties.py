@@ -2,9 +2,10 @@
 key and its inverse, edge canonicalization and the synthetic generator
 against their sort-based and dense oracles, the subgroup gap against its
 enumeration oracle and under relabellings, block-spectrum gaps against
-per-group builds, the negative sampler against its dense oracle, blocked
-pair scores against one unblocked einsum, and the training gradients
-against finite differences.  Example generation is derandomized, so the
+per-group builds and, on the deflated Lanczos path, against dense
+eigensolves of connected blocks, the negative sampler against its dense
+oracle, blocked pair scores against one unblocked einsum, and the
+training gradients against finite differences.  Example generation is derandomized, so the
 suite is deterministic and keeps no example database."""
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from palink.gcn import (  # noqa: E402
     loss_and_gradients,
     score_pairs,
 )
-from palink import synth  # noqa: E402
+from palink import spectral, synth  # noqa: E402
 from palink.graphdata import (  # noqa: E402
     _key_pairs,
     _pair_keys,
@@ -287,6 +288,20 @@ class TestDeltaProperties:
                                    atol=1e-12)
 
 
+@st.composite
+def connected_blocks(draw):
+    """A connected graph on 2 to 24 nodes in one group, so one block: a
+    random tree plus random extra pairs, with a self-loop weight of 0, 0.5
+    or 1."""
+    n = draw(st.integers(2, 24))
+    parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    tree = np.stack([np.arange(1, n), parents], axis=1).reshape(-1, 2)
+    edges = np.concatenate([tree, draw(node_pairs(n))])
+    weight = draw(st.sampled_from((0.0, 0.5, 1.0)))
+    return make_dataset(edges, np.zeros((n, 1)), np.zeros(n, dtype=np.int64),
+                        self_loop_weight=weight)
+
+
 class TestBlockSpectrumProperties:
     @deterministic
     @given(graphs(), st.sampled_from(("symmetric", "random_walk")))
@@ -296,6 +311,15 @@ class TestBlockSpectrumProperties:
         expected = [sym_block_gap(view, g) for g in range(view.n_groups)]
         np.testing.assert_array_equal(summary.lambda_gaps, expected)
         np.testing.assert_array_equal(summary.degenerate, view.volumes == 0)
+
+    @deterministic
+    @given(connected_blocks())
+    def test_deflated_gap_matches_dense(self, ds):
+        view = within_group_structure(ds)
+        assert view.n_groups == 1
+        with mock.patch.object(spectral, "DENSE_EIG_LIMIT", 1):
+            gap = block_spectrum(view).lambda_gaps[0]
+        assert abs(gap - sym_block_gap(view, 0)) <= 1e-12
 
 
 @st.composite

@@ -21,8 +21,18 @@ from palink.spectral import (
     residual_cross_term,
 )
 
-from conftest import complete_graph, random_planted_dataset
-from oracles import dense_power_entries, sym_block, sym_block_gap
+from conftest import (
+    complete_bipartite_graph,
+    complete_graph,
+    random_planted_dataset,
+    star_graph,
+)
+from oracles import (
+    dense_power_entries,
+    product_normalized_matrix,
+    sym_block,
+    sym_block_gap,
+)
 
 
 class TestNormalizedMatrix:
@@ -68,6 +78,45 @@ class TestNormalizedMatrix:
     def test_unknown_kind(self, k3):
         with pytest.raises(ValueError):
             normalized_matrix(k3, "laplacian")
+
+
+def operator_instances():
+    """Planted graphs with self-loop weights 0, 0.5, 1 and 2, isolated
+    nodes included, and one train-split-like subset of their edges."""
+    rng = np.random.default_rng(21)
+    for _ in range(40):
+        ds = random_planted_dataset(rng, n_max=60, p_out_range=(0.0, 0.05),
+                                    weights=(0.0, 0.5, 1.0, 2.0))
+        keep = rng.random(len(ds.edges)) < 0.7
+        for edges in (ds.edges, ds.edges[keep]):
+            yield ds.n, edges, ds.self_loop_weight
+
+
+class TestOperatorBuild:
+    @pytest.mark.parametrize("kind", ["symmetric", "random_walk"])
+    def test_canonical_csr(self, kind):
+        for n, edges, w in operator_instances():
+            mat = matrix_from_edges(n, edges, w, kind).matrix
+            # a fresh matrix on the same arrays checks, not trusts, the flag
+            fresh = sp.csr_matrix((mat.data, mat.indices, mat.indptr),
+                                  shape=mat.shape)
+            assert mat.has_sorted_indices and fresh.has_sorted_indices
+            assert np.all(mat.data != 0.0)
+
+    def test_symmetric_bitwise_equal_to_product_formula(self):
+        for n, edges, w in operator_instances():
+            got = matrix_from_edges(n, edges, w, "symmetric").matrix
+            expected = product_normalized_matrix(n, edges, w, "symmetric")
+            for name in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(got, name),
+                                              getattr(expected, name),
+                                              err_msg=name)
+
+    def test_random_walk_equals_product_formula(self):
+        for n, edges, w in operator_instances():
+            got = matrix_from_edges(n, edges, w, "random_walk").matrix
+            expected = product_normalized_matrix(n, edges, w, "random_walk")
+            np.testing.assert_array_equal(got.toarray(), expected.toarray())
 
 
 def oracle_eigenvalues(view, g) -> np.ndarray:
@@ -177,8 +226,8 @@ class TestBlockSpectrum:
         monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", 2)
         iterative = block_spectrum(within_group_structure(ds))
         sizes = np.diff(view.offsets)
-        # two Lanczos runs (top pair, bottom one) per block above the limit
-        assert sorted(calls) == sorted(2 * sizes[sizes > 2].tolist())
+        # one Lanczos run (the deflated block's norm) per block above the limit
+        assert sorted(calls) == sorted(sizes[sizes > 2].tolist())
         assert calls
         np.testing.assert_allclose(iterative.lambda_gaps, dense.lambda_gaps,
                                    rtol=0, atol=1e-7)
@@ -196,6 +245,63 @@ class TestBlockSpectrum:
         second = block_spectrum(within_group_structure(ds))
         assert calls
         np.testing.assert_array_equal(first.lambda_gaps, second.lambda_gaps)
+
+    @pytest.mark.parametrize("graph, expected", [
+        (lambda k: complete_graph(k, 1.0), 0.0),
+        (lambda k: complete_bipartite_graph(k // 3, k - k // 3), 1.0),
+        (lambda k: star_graph(k), 1.0),
+        (lambda k: star_graph(k, 1.0), 0.5),
+    ], ids=["complete", "bipartite", "star", "star_self_loops"])
+    def test_blocks_above_the_limit_match_dense(self, monkeypatch, graph,
+                                                expected):
+        view = within_group_structure(graph(spectral.DENSE_EIG_LIMIT + 44))
+        dense = sym_block_gap(view, 0)
+        solved = counting_eigvalsh(monkeypatch)
+        gap = block_spectrum(view).lambda_gaps[0]
+        assert solved == []
+        assert gap == pytest.approx(dense, abs=1e-12)
+        assert gap == pytest.approx(expected, abs=1e-12)
+
+    def test_complete_block_gap_is_zero_without_lanczos(self, monkeypatch):
+        # J / 50 minus its top pair is zero in floating point, where ARPACK
+        # cannot start
+        calls = counting_eigsh(monkeypatch)
+        monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", 2)
+        view = within_group_structure(complete_graph(50, 1.0))
+        gap = block_spectrum(view).lambda_gaps[0]
+        assert calls == []
+        assert 0.0 <= gap <= 1e-15
+        assert gap == pytest.approx(sym_block_gap(view, 0), abs=1e-12)
+
+    def test_start_vector_in_null_space_raises(self, monkeypatch):
+        # the star's leaf differences are null vectors of the deflated
+        # block; no silent gap of 0 for a block whose gap is 1
+        monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", 2)
+        monkeypatch.setattr(spectral, "_start_vector",
+                            lambda n: np.r_[0.0, 1.0, -1.0, np.zeros(n - 3)])
+        view = within_group_structure(star_graph(6, 0.0))
+        with pytest.raises(ArithmeticError, match="start vector"):
+            block_spectrum(view)
+
+    def test_size_guard(self, monkeypatch):
+        # one block just above the limit (a path) and one of three nodes:
+        # only the small one is ever made dense
+        big = spectral.DENSE_EIG_LIMIT + 1
+        edges = [(i, i + 1) for i in range(big - 1)] + [(big, big + 1),
+                                                          (big + 1, big + 2)]
+        ds = make_dataset(edges, np.ones((big + 3, 1)), [0] * big + [1] * 3)
+        view = within_group_structure(ds)
+        solved = counting_eigvalsh(monkeypatch)
+        densified = []
+        real = sp.csr_matrix.toarray
+        monkeypatch.setattr(
+            sp.csr_matrix, "toarray",
+            lambda self, *a, **k: densified.append(self.shape)
+            or real(self, *a, **k))
+        calls = counting_eigsh(monkeypatch)
+        block_spectrum(view)
+        assert solved == densified == [(3, 3)]
+        assert calls == [big]
 
     def test_singletons_need_no_eigensolve(self, monkeypatch):
         # three singletons and one edge: one eigensolve, for the pair

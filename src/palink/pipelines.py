@@ -159,19 +159,13 @@ def hidden_dims_for_layers(n_layers: int) -> tuple[int, ...]:
 
 
 def _jsonable(obj):
+    """``obj`` with each NaN float made None, which JSON writes as null."""
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        f = float(obj)
-        return None if math.isnan(f) else f
-    if isinstance(obj, np.bool_):
-        return bool(obj)
+    if isinstance(obj, float) and math.isnan(obj):
+        return None
     return obj
 
 
@@ -204,28 +198,34 @@ def _mean_std(values) -> tuple[float, float]:
     return mean, std
 
 
-def prepare_dataset(config: RunConfig) -> Dataset:
+def prepare_dataset(config: RunConfig) -> tuple[Dataset, dict]:
+    """The config's dataset, features normalized, and the counts of what
+    loading and normalizing flagged (the report header's ``input``)."""
     dataset = load_dataset(
         config.edges, config.features, config.labels,
         self_loop_weight=config.self_loop_weight,
     )
-    feats, _ = normalize_features(dataset.features, config.normalization)
-    return replace(dataset, features=feats)
+    feats, info = normalize_features(dataset.features, config.normalization)
+    return replace(dataset, features=feats), {
+        "n_duplicate_edges": dataset.n_duplicate_edges,
+        "n_zero_sum_rows": int(info.zero_sum_rows.size),
+        "n_constant_columns": int(info.constant_columns.size),
+    }
 
 
 @dataclass
 class SeedRun:
     result: object
     test_pairs: np.ndarray
-    test_labels: np.ndarray
     test_scores: np.ndarray
     test_auc: float
-    same_group: np.ndarray
+    test_auc_same_group: float
 
 
 def run_seed(dataset: Dataset, config: RunConfig, seed: int,
              lambda_fair: float) -> SeedRun:
-    """Train one model and score the fixed test pairs."""
+    """Train one model and score the fixed test pairs: AUC over all of
+    them and over those within one refined group of the training view."""
     split = split_links(dataset, config.ratios, seed)
     tc = TrainConfig(
         filter_kind=config.filter_kind, hidden_dims=config.hidden_dims,
@@ -238,19 +238,14 @@ def run_seed(dataset: Dataset, config: RunConfig, seed: int,
     test_labels = np.zeros(test_pairs.shape[0])
     test_labels[: split.test_pos.shape[0]] = 1.0
     test_scores = score_pairs(h, test_pairs)
-    auc = roc_auc(test_scores, test_labels).value
     gof = result.train_view.group_of
     same = gof[test_pairs[:, 0]] == gof[test_pairs[:, 1]]
     return SeedRun(
-        result=result, test_pairs=test_pairs, test_labels=test_labels,
-        test_scores=test_scores, test_auc=auc, same_group=same,
+        result=result, test_pairs=test_pairs, test_scores=test_scores,
+        test_auc=roc_auc(test_scores, test_labels).value,
+        test_auc_same_group=roc_auc(test_scores[same],
+                                    test_labels[same]).value,
     )
-
-
-def _same_group_auc(run: SeedRun) -> float:
-    """Test AUC over same-group pairs; NaN when they hold one class."""
-    return roc_auc(run.test_scores[run.same_group],
-                   run.test_labels[run.same_group]).value
 
 
 # The variables that set a BLAS's thread count, in the order OpenBLAS and
@@ -316,55 +311,69 @@ def _map_runs(run, dataset: Dataset, config: RunConfig, tasks) -> list:
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _open_run(config: RunConfig, pipeline: str,
-              needs_subgroups: str = "") -> tuple[Dataset, str]:
-    """Load the dataset and create ``pipeline``'s run directory.  A
-    non-empty ``needs_subgroups`` names the pipeline that requires subgroup
-    labels.  The split ratios are checked first, so a bad config leaves no
-    directory behind."""
+def _drive(config: RunConfig, pipeline: str, run, tasks, summarize,
+           needs_subgroups: str = "") -> dict:
+    """Run ``pipeline``: ``_map_runs(run, dataset, config, tasks)``, then
+    write report.json (the common header plus the fields ``summarize``
+    makes of the results) and the files it names, role -> ``(file name,
+    write, *args)``; return the report with the written ``paths``.  The
+    ratios, then the subgroup labels a non-empty ``needs_subgroups`` asks
+    for, are checked before the run directory is made."""
     _checked_ratios(config.ratios)
-    dataset = prepare_dataset(config)
+    dataset, flagged = prepare_dataset(config)
     if needs_subgroups and dataset.t_labels is None:
         raise ValueError(f"{needs_subgroups} requires subgroup labels")
     out_dir = config.run_dir(pipeline)
     os.makedirs(out_dir, exist_ok=True)
-    return dataset, out_dir
-
-
-def _finish(config: RunConfig, out_dir: str, pipeline: str, fields: dict,
-            csvs: dict, files: dict | None = None) -> dict:
-    """Write report.json (common header plus ``fields``) and each CSV of
-    ``csvs`` (role -> (file name, header, rows)); return the payload with
-    the written ``paths``, which also list the already written ``files``."""
+    fields, files = summarize(_map_runs(run, dataset, config, tasks))
     payload = {
         "pipeline": pipeline,
         "dataset": config.name,
         "filter": config.filter_kind,
         "config_hash": config.config_hash,
         "config": config.to_dict(),
+        "input": flagged,
         **fields,
     }
     paths = {"report": os.path.join(out_dir, "report.json")}
     _write_json(paths["report"], payload)
-    for role, (name, header, rows) in csvs.items():
+    for role, (name, write, *args) in files.items():
         paths[role] = os.path.join(out_dir, name)
-        _write_csv(paths[role], header, rows)
-    paths.update(files or {})
+        write(paths[role], *args)
     paths["run_dir"] = out_dir
     payload["paths"] = paths
     return payload
 
 
-def _theory_run(dataset: Dataset, config: RunConfig, seed: int,
-                lam: float) -> tuple[dict, tuple]:
-    """One validate-theory training: the seed's report entry and its
-    pairs.csv columns (group, tau_raw, tau_fitted, gcn_score)."""
-    run = run_seed(dataset, config, seed, lambda_fair=lam)
+def _records(columns: dict, rows=slice(None)) -> list[dict]:
+    """One dict of Python scalars per row of ``columns`` (name -> one value
+    per row, or one value for every row), for the rows ``rows`` selects."""
+    n = max(np.size(value) for value in columns.values() if np.ndim(value))
+    lists = {key: np.broadcast_to(value, (n,))[rows].tolist()
+             for key, value in columns.items()}
+    return [dict(zip(lists, row)) for row in zip(*lists.values())]
+
+
+def _csv(name: str, header, records) -> tuple:
+    """The ``_drive`` file entry of the CSV of ``records``' columns."""
+    return name, _write_csv, header, [[r[key] for key in header]
+                                      for r in records]
+
+
+def _fit_theory(dataset: Dataset, config: RunConfig, seed: int, lam: float):
+    """One training and its theory report over all its test pairs."""
+    run = run_seed(dataset, config, seed, lam)
     alpha = alpha_vectors(run.result.model, dataset.features)
-    report = build_theory_report(
-        run.result.train_view, alpha, run.test_pairs[run.same_group],
-        run.test_scores[run.same_group], config.filter_kind,
-    )
+    return run, build_theory_report(run.result.train_view, alpha,
+                                    run.test_pairs, run.test_scores,
+                                    config.filter_kind)
+
+
+def _theory_run(dataset: Dataset, config: RunConfig, seed: int,
+                lam: float) -> tuple[dict, dict]:
+    """One validate-theory training: the seed's report entry and its
+    theory report's rows."""
+    run, report = _fit_theory(dataset, config, seed, lam)
     if bool(report.skipped.all()):
         raise ValueError(
             f"seed {seed}: every refined group was skipped; "
@@ -374,13 +383,11 @@ def _theory_run(dataset: Dataset, config: RunConfig, seed: int,
     entry.update({
         "seed": seed,
         "test_auc": run.test_auc,
-        "test_auc_same_group": _same_group_auc(run),
+        "test_auc_same_group": run.test_auc_same_group,
         "best_epoch": run.result.best_epoch,
         "best_val_auc": run.result.best_val_auc,
     })
-    rows = report.rows
-    return entry, tuple(rows[key] for key in
-                        ("group", "tau_raw", "tau_fitted", "gcn_score"))
+    return entry, report.rows
 
 
 def run_validate_theory(config: RunConfig) -> dict:
@@ -389,51 +396,38 @@ def run_validate_theory(config: RunConfig) -> dict:
 
     Writes report.json and pairs.csv; returns the report dict with paths.
     """
-    dataset, out_dir = _open_run(config, "validate_theory")
-    runs = _map_runs(_theory_run, dataset, config,
-                     [(seed, 0.0) for seed in config.seeds])
-    per_seed = [entry for entry, _ in runs]
-    csv_rows = [(entry["seed"], *row)
-                for entry, columns in runs for row in zip(*columns)]
+    def summarize(runs):
+        per_seed = [entry for entry, _ in runs]
+        aggregate = {}
+        for key in ("nrmse", "pcc", "test_auc"):
+            aggregate[f"{key}_mean"], aggregate[f"{key}_std"] = _mean_std(
+                [entry[key] for entry in per_seed])
+        records = [record for entry, rows in runs
+                   for record in _records({"seed": entry["seed"], **rows})]
+        header = ("seed", "group", "tau_raw", "tau_fitted", "gcn_score")
+        return ({"per_seed": per_seed, "aggregate": aggregate},
+                {"pairs": _csv("pairs.csv", header, records)})
 
-    nrmse_m, nrmse_s = _mean_std([e["nrmse"] for e in per_seed])
-    pcc_m, pcc_s = _mean_std([e["pcc"] for e in per_seed])
-    auc_m, auc_s = _mean_std([e["test_auc"] for e in per_seed])
-    fields = {
-        "per_seed": per_seed,
-        "aggregate": {
-            "nrmse_mean": nrmse_m, "nrmse_std": nrmse_s,
-            "pcc_mean": pcc_m, "pcc_std": pcc_s,
-            "test_auc_mean": auc_m, "test_auc_std": auc_s,
-        },
-    }
-    header = ("seed", "group", "tau_raw", "tau_fitted", "gcn_score")
-    return _finish(config, out_dir, "validate_theory", fields,
-                   {"pairs": ("pairs.csv", header, csv_rows)})
+    return _drive(config, "validate_theory", _theory_run,
+                  [(seed, 0.0) for seed in config.seeds], summarize)
 
 
 def _sweep_run(dataset: Dataset, config: RunConfig, seed: int,
                lam: float) -> dict:
     """One fairness-sweep training: its entry of the report's ``runs``."""
-    run = run_seed(dataset, config, seed, lambda_fair=lam)
-    assess = delta(
-        run.test_pairs[run.same_group], run.test_scores[run.same_group],
-        run.result.train_view.group_of, dataset.t_labels,
-    )
+    run = run_seed(dataset, config, seed, lam)
+    assess = delta(run.test_pairs, run.test_scores,
+                   run.result.train_view.group_of, dataset.t_labels)
     return {
         "lambda_fair": lam,
         "seed": seed,
         "mean_delta": assess.mean_delta,
         "test_auc": run.test_auc,
-        "groups": [
-            {"group": g, "delta": d, "n_t1": k1, "n_t2": k2,
-             "skipped": skip, "reason": reason}
-            for g, (d, k1, k2, skip, reason) in enumerate(zip(
-                assess.delta.tolist(), assess.n_t1.tolist(),
-                assess.n_t2.tolist(), assess.skipped.tolist(),
-                assess.reasons,
-            ))
-        ],
+        "groups": _records({
+            "group": np.arange(assess.delta.size), "delta": assess.delta,
+            "n_t1": assess.n_t1, "n_t2": assess.n_t2,
+            "skipped": assess.skipped, "reason": assess.reasons,
+        }),
     }
 
 
@@ -444,109 +438,102 @@ def run_fairness_sweep(config: RunConfig) -> dict:
     Rows are sorted by lambda descending.  Writes report.json and
     fairness_table.csv.
     """
-    dataset, out_dir = _open_run(config, "fairness_sweep",
-                                 needs_subgroups="fairness sweep")
     lambdas = sorted((float(lam) for lam in config.lambda_fair), reverse=True)
-    tasks = [(seed, lam) for lam in lambdas for seed in config.seeds]
-    detail = _map_runs(_sweep_run, dataset, config, tasks)
+    n_seeds = len(config.seeds)
 
-    table_rows = []
-    for k, lam in enumerate(lambdas):
-        runs = detail[k * len(config.seeds):(k + 1) * len(config.seeds)]
-        d_mean, d_std = _mean_std([r["mean_delta"] for r in runs])
-        a_mean, a_std = _mean_std([r["test_auc"] for r in runs])
-        table_rows.append({
-            "dataset": config.name, "lambda_fair": lam,
-            "delta_mean": d_mean, "delta_std": d_std,
-            "auc_mean": a_mean, "auc_std": a_std,
-        })
+    def summarize(detail):
+        table = []
+        for k, lam in enumerate(lambdas):
+            runs = detail[k * n_seeds:(k + 1) * n_seeds]
+            d_mean, d_std = _mean_std([r["mean_delta"] for r in runs])
+            a_mean, a_std = _mean_std([r["test_auc"] for r in runs])
+            table.append({
+                "dataset": config.name, "lambda_fair": lam,
+                "delta_mean": d_mean, "delta_std": d_std,
+                "auc_mean": a_mean, "auc_std": a_std,
+            })
+        header = ("dataset", "lambda_fair", "delta_mean", "delta_std",
+                  "auc_mean", "auc_std")
+        return ({"table": table, "runs": detail},
+                {"table": _csv("fairness_table.csv", header, table)})
 
-    header = ("dataset", "lambda_fair", "delta_mean", "delta_std",
-              "auc_mean", "auc_std")
-    rows = [[row[key] for key in header] for row in table_rows]
-    return _finish(config, out_dir, "fairness_sweep",
-                   {"table": table_rows, "runs": detail},
-                   {"table": ("fairness_table.csv", header, rows)})
+    return _drive(config, "fairness_sweep", _sweep_run,
+                  [(seed, lam) for lam in lambdas for seed in config.seeds],
+                  summarize, needs_subgroups="fairness sweep")
 
 
 def _delta_run(dataset: Dataset, config: RunConfig, seed: int,
                lam: float) -> list[dict]:
     """One delta-compare training: its scatter points, one per refined
     group where both the trained and the estimated gap are defined."""
-    run = run_seed(dataset, config, seed, lambda_fair=lam)
-    view = run.result.train_view
-    pairs_sg = run.test_pairs[run.same_group]
-    scores_sg = run.test_scores[run.same_group]
-
-    assess = delta(pairs_sg, scores_sg, view.group_of, dataset.t_labels)
-
-    alpha = alpha_vectors(run.result.model, dataset.features)
-    report = build_theory_report(view, alpha, pairs_sg, scores_sg,
-                                 config.filter_kind)
+    run, report = _fit_theory(dataset, config, seed, lam)
+    group_of = run.result.train_view.group_of
+    assess = delta(run.test_pairs, run.test_scores, group_of,
+                   dataset.t_labels)
     rows = report.rows
     fitted_pairs = np.stack([rows["i"], rows["j"]], axis=1)
-    est = delta(fitted_pairs, rows["tau_fitted"], view.group_of,
-                dataset.t_labels)
-    closed = delta_hat(view, report.rho2, report.c1, dataset.t_labels,
-                       config.filter_kind)
-    return [
-        {
-            "seed": seed, "group": g,
-            "delta": float(assess.delta[g]),
-            "delta_hat": float(est.delta[g]),
-            "delta_hat_closed_form": float(closed.delta_hat[g]),
-            "disparity": float(closed.disparity[g]),
-            "n_t1": int(assess.n_t1[g]), "n_t2": int(assess.n_t2[g]),
-        }
-        for g in np.flatnonzero(~assess.skipped & ~est.skipped).tolist()
-    ]
+    est = delta(fitted_pairs, rows["tau_fitted"], group_of, dataset.t_labels)
+    closed = delta_hat(run.result.train_view, report.rho2, report.c1,
+                       dataset.t_labels, config.filter_kind)
+    return _records({
+        "seed": seed, "group": np.arange(assess.delta.size),
+        "delta": assess.delta, "delta_hat": est.delta,
+        "delta_hat_closed_form": closed.delta_hat,
+        "disparity": closed.disparity,
+        "n_t1": assess.n_t1, "n_t2": assess.n_t2,
+    }, ~assess.skipped & ~est.skipped)
 
 
 def run_delta_comparison(config: RunConfig) -> dict:
     """Per seed and refined group, the trained-score gap versus the
     theoretic estimate (fitted scores pushed through the same post-sigmoid
-    gap), plus the closed form; reports PCC/NRMSE of estimate vs gap."""
-    dataset, out_dir = _open_run(config, "delta_comparison",
-                                 needs_subgroups="gap comparison")
-    runs = _map_runs(_delta_run, dataset, config,
-                     [(seed, 0.0) for seed in config.seeds])
-    scatter = [point for points in runs for point in points]
+    gap), plus the closed form; reports PCC/NRMSE of estimate vs gap.
+    The random-walk estimate is zero but for rounding, so its PCC is null.
+    """
+    def summarize(runs):
+        scatter = [point for points in runs for point in points]
+        deltas = np.array([r["delta"] for r in scatter], dtype=np.float64)
+        estimates = np.array([r["delta_hat"] for r in scatter],
+                             dtype=np.float64)
+        fields = {
+            "n_points": int(deltas.size),
+            "pcc": pcc(estimates, deltas).value,
+            "nrmse": nrmse(estimates, deltas).value,
+            "points": scatter,
+        }
+        if config.filter_kind == "random_walk":
+            fields.update(pcc=None,
+                          pcc_reason="estimate_zero_under_random_walk")
+        header = ("seed", "group", "delta", "delta_hat",
+                  "delta_hat_closed_form", "disparity")
+        return fields, {"scatter": _csv("pairs.csv", header, scatter)}
 
-    deltas = np.array([r["delta"] for r in scatter], dtype=np.float64)
-    estimates = np.array([r["delta_hat"] for r in scatter], dtype=np.float64)
-    fields = {
-        "n_points": int(deltas.size),
-        "pcc": pcc(estimates, deltas).value,
-        "nrmse": nrmse(estimates, deltas).value,
-        "points": scatter,
-    }
-    header = ("seed", "group", "delta", "delta_hat", "delta_hat_closed_form",
-              "disparity")
-    rows = [[r[key] for key in header] for r in scatter]
-    return _finish(config, out_dir, "delta_comparison", fields,
-                   {"scatter": ("pairs.csv", header, rows)})
+    return _drive(config, "delta_comparison", _delta_run,
+                  [(seed, 0.0) for seed in config.seeds], summarize,
+                  needs_subgroups="gap comparison")
 
 
 def run_train(config: RunConfig) -> dict:
     """Train a single model (first seed, first lambda) and write the
     checkpoint, history CSV, and a summary report."""
-    dataset, out_dir = _open_run(config, "train")
-    seed = config.seeds[0]
-    lam = config.lambda_fair[0]
+    seed, lam = config.seeds[0], config.lambda_fair[0]
 
-    run = run_seed(dataset, config, seed, lambda_fair=lam)
-    ckpt_path = os.path.join(out_dir, "checkpoint.npz")
-    save_checkpoint(ckpt_path, run.result.model, seed, config.to_dict())
+    def summarize(runs):
+        (run,) = runs
+        fields = {
+            "seed": seed,
+            "lambda_fair": lam,
+            "best_epoch": run.result.best_epoch,
+            "best_val_auc": run.result.best_val_auc,
+            "test_auc": run.test_auc,
+            "test_auc_same_group": run.test_auc_same_group,
+        }
+        header = ("epoch", "train_loss", "reg_term", "val_auc")
+        return fields, {
+            "history": ("history.csv", _write_csv, header,
+                        run.result.history),
+            "checkpoint": ("checkpoint.npz", save_checkpoint,
+                           run.result.model, seed, config.to_dict()),
+        }
 
-    fields = {
-        "seed": seed,
-        "lambda_fair": lam,
-        "best_epoch": run.result.best_epoch,
-        "best_val_auc": run.result.best_val_auc,
-        "test_auc": run.test_auc,
-        "test_auc_same_group": _same_group_auc(run),
-    }
-    header = ("epoch", "train_loss", "reg_term", "val_auc")
-    return _finish(config, out_dir, "train", fields,
-                   {"history": ("history.csv", header, run.result.history)},
-                   files={"checkpoint": ckpt_path})
+    return _drive(config, "train", run_seed, [(seed, lam)], summarize)

@@ -16,6 +16,7 @@ import pytest
 from palink import pipelines
 from palink.cli import main
 from palink.fairness import delta
+from palink.graphdata import within_group_structure
 from palink.metrics import nrmse, pcc
 from palink.pipelines import (
     RunConfig,
@@ -30,7 +31,7 @@ from palink.pipelines import (
     run_validate_theory,
 )
 from palink.synth import SynthConfig, synth_generate
-from palink.training import load_checkpoint
+from palink.training import load_checkpoint, split_links
 
 
 @pytest.fixture(scope="module")
@@ -242,18 +243,32 @@ class TestValidateTheory:
             assert entry["nrmse"] == nrmse(fitted, scores).value
             assert entry["pcc"] == pcc(fitted, scores).value
 
-    def test_byte_determinism(self, tiny_bed):
+    def test_cross_group_pairs_are_counted(self, tiny_bed):
+        # every test pair reaches the theory report, which drops and
+        # counts those whose endpoints lie in different refined groups of
+        # the training view
+        cfg = base_config(tiny_bed)
+        payload = run_validate_theory(cfg)
+        dataset, _ = prepare_dataset(cfg)
+        for entry in payload["per_seed"]:
+            split = split_links(dataset, cfg.ratios, entry["seed"])
+            view = within_group_structure(
+                dataclasses.replace(dataset, edges=split.train_pos))
+            pairs = np.concatenate([split.test_pos, split.test_neg])
+            gof = view.group_of
+            n_cross = int((gof[pairs[:, 0]] != gof[pairs[:, 1]]).sum())
+            assert n_cross > 0
+            assert entry["n_dropped_cross_group"] == n_cross
+            assert entry["n_pairs_used"] <= len(pairs) - n_cross
+
+    @pytest.mark.parametrize("runner", [
+        run_validate_theory, run_delta_comparison, run_fairness_sweep,
+        run_train], ids=lambda runner: runner.__name__)
+    def test_byte_determinism(self, tiny_bed, runner):
         cfg = base_config(tiny_bed, seeds=[0], epochs=3)
-        first = run_validate_theory(cfg)
-        blobs = {
-            role: open(path, "rb").read()
-            for role, path in first["paths"].items() if role != "run_dir"
-        }
-        second = run_validate_theory(cfg)
-        for role, path in second["paths"].items():
-            if role == "run_dir":
-                continue
-            assert open(path, "rb").read() == blobs[role], role
+        first = read_outputs(runner(cfg))
+        assert first == read_outputs(runner(cfg))
+        assert "report" in first and len(first) >= 2
 
 
 class TestFairnessSweep:
@@ -282,15 +297,12 @@ class TestFairnessSweep:
         payload = run_fairness_sweep(cfg)
         row = payload["table"][0]
 
-        dataset = prepare_dataset(cfg)
+        dataset, _ = prepare_dataset(cfg)
         gaps = []
         for seed in cfg.seeds:
             run = run_seed(dataset, cfg, seed, lambda_fair=0.0)
-            assess = delta(
-                run.test_pairs[run.same_group],
-                run.test_scores[run.same_group],
-                run.result.train_view.group_of, dataset.t_labels,
-            )
+            assess = delta(run.test_pairs, run.test_scores,
+                           run.result.train_view.group_of, dataset.t_labels)
             gaps.append(assess.mean_delta)
         assert row["delta_mean"] == pytest.approx(np.mean(gaps), abs=1e-12)
 
@@ -419,6 +431,24 @@ class TestDeltaComparison:
         for line, point in zip(lines[1:], report["points"]):
             assert line.split(",") == [csv_cell(point[k]) for k in header]
 
+    @pytest.mark.parametrize("kind", ["sym", "rw"])
+    def test_pcc_is_null_for_the_random_walk_estimate(self, tiny_bed, kind):
+        # the random-walk estimate is zero up to rounding, so a
+        # correlation with it would report noise; NRMSE stays defined
+        cfg = base_config(tiny_bed, filter=kind)
+        report = json.load(open(run_delta_comparison(cfg)["paths"]["report"]))
+        deltas, estimates = (np.array([p[key] for p in report["points"]])
+                             for key in ("delta", "delta_hat"))
+        assert report["n_points"] >= 2
+        assert report["nrmse"] == nrmse(estimates, deltas).value
+        if kind == "sym":
+            assert report["pcc"] == pcc(estimates, deltas).value
+            assert "pcc_reason" not in report
+        else:
+            assert np.all(estimates < 1e-12)
+            assert report["pcc"] is None
+            assert report["pcc_reason"] == "estimate_zero_under_random_walk"
+
 
 class TestRunTrain:
     def test_artifacts(self, tiny_bed):
@@ -440,12 +470,36 @@ class TestRunTrain:
         regs = [float(line.split(",")[2]) for line in lines[1:]]
         assert all(r >= 0.0 for r in regs)
         # repr round-trip keeps full float precision
-        run = run_seed(prepare_dataset(cfg), cfg, 1, lambda_fair=1.0)
+        run = run_seed(prepare_dataset(cfg)[0], cfg, 1, lambda_fair=1.0)
         for line, (epoch, loss, reg, auc) in zip(lines[1:],
                                                  run.result.history):
             cells = line.split(",")
             assert int(cells[0]) == epoch
             assert [float(c) for c in cells[1:]] == [loss, reg, auc]
+
+
+@pytest.mark.parametrize("normalization, flagged", [
+    ("minmax_signed", {"n_zero_sum_rows": 0, "n_constant_columns": 1}),
+    ("row_sum_one", {"n_zero_sum_rows": 1, "n_constant_columns": 0}),
+])
+def test_report_header_counts_what_loading_flagged(tiny_bed, tmp_path,
+                                                   normalization, flagged):
+    # one edge listed twice (reversed), feature column 0 constant and
+    # feature row 0 all zero
+    _, paths = tiny_bed
+    edges = open(paths["edges"]).read().splitlines()
+    u, v = next(line for line in edges if not line.startswith("#")).split()
+    (tmp_path / "edges.txt").write_text("\n".join([*edges, f"{v} {u}"]))
+    feats = np.loadtxt(paths["features"], delimiter=",")
+    feats[:, 0] = 0.0
+    feats[0] = 0.0
+    np.savetxt(tmp_path / "features.csv", feats, delimiter=",")
+    cfg = dataclasses.replace(
+        base_config(tiny_bed, seeds=[0], normalization=normalization),
+        edges=str(tmp_path / "edges.txt"),
+        features=str(tmp_path / "features.csv"))
+    report = json.load(open(run_train(cfg)["paths"]["report"]))
+    assert report["input"] == {"n_duplicate_edges": 1, **flagged}
 
 
 class TestCli:

@@ -26,7 +26,6 @@ from .metrics import (
 from .pipelines import (
     RunConfig,
     config_from_dict,
-    load_config,
     run_delta_comparison,
     run_fairness_sweep,
     run_train,

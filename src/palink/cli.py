@@ -3,21 +3,19 @@
 Commands: synth, train, validate-theory, delta-compare, fairness-sweep.
 Each takes --config <path> (JSON) plus the overrides --seed and --out
 <dir>; every command but synth also takes --filter {sym,rw}, --layers N
-and --lambda-fair X.
+and --lambda-fair X.  A flag replaces its config key before the config is
+checked.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from .pipelines import (
-    FILTER_ALIASES,
     _check,
     _read_fields,
-    hidden_dims_for_layers,
-    load_config,
+    config_from_dict,
     run_delta_comparison,
     run_fairness_sweep,
     run_train,
@@ -25,49 +23,43 @@ from .pipelines import (
 )
 from .synth import SynthConfig, synth_generate
 
+# The config keys the flags write, as their argparse dests.
+_FLAG_KEYS = ("seed", "seeds", "out", "filter", "layers", "lambda_fair")
 
-def _add_common(parser: argparse.ArgumentParser, seed_help: str) -> None:
+
+def _add_common(parser: argparse.ArgumentParser, seed_key: str,
+                seed_help: str) -> None:
     parser.add_argument("--config", required=True, help="JSON config path")
-    parser.add_argument("--seed", type=int, default=None, help=seed_help)
-    parser.add_argument("--out", default=None, help="output directory")
+    parser.add_argument("--seed", type=int, dest=seed_key, help=seed_help)
+    parser.add_argument("--out", help="output directory")
 
 
 def _add_overrides(parser: argparse.ArgumentParser) -> None:
-    _add_common(parser, "replace the seed list with a single seed")
-    parser.add_argument("--filter", choices=("sym", "rw"), default=None)
-    parser.add_argument("--layers", type=int, default=None,
+    _add_common(parser, "seeds", "replace the seed list with a single seed")
+    parser.add_argument("--filter", choices=("sym", "rw"))
+    parser.add_argument("--layers", type=int,
                         help="number of layers; hidden dims become "
                              "128 x (N-1) then 64")
-    parser.add_argument("--lambda-fair", type=float, default=None,
-                        dest="lambda_fair")
+    parser.add_argument("--lambda-fair", type=float, dest="lambda_fair")
 
 
-def _apply_overrides(config, args):
-    if args.seed is not None:
-        config = replace(config, seeds=(args.seed,))
-    if args.filter is not None:
-        config = replace(config, filter_kind=FILTER_ALIASES[args.filter])
-    if args.layers is not None:
-        if args.layers < 1:
-            raise ValueError("--layers must be >= 1")
-        config = replace(config, hidden_dims=hidden_dims_for_layers(args.layers))
-    if args.lambda_fair is not None:
-        config = replace(config, lambda_fair=(args.lambda_fair,))
-    if args.out is not None:
-        config = replace(config, out=args.out)
-    return config
-
-
-def _cmd_synth(args) -> int:
+def _read_config(args, what: str) -> dict:
+    """The JSON object at ``--config`` with each flag given written over
+    its key; ``--layers`` also drops the file's ``hidden_dims``."""
     with open(args.config) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
-        raise ValueError("synth config must be a JSON object")
+        raise ValueError(f"{what} must be a JSON object")
+    flags = {key: getattr(args, key) for key in _FLAG_KEYS
+             if getattr(args, key, None) is not None}
+    if "layers" in flags:
+        raw.pop("hidden_dims", None)
+    return {**raw, **flags}
+
+
+def _cmd_synth(args) -> int:
+    raw = _read_config(args, "synth config")
     out_dir = _check("out", raw.pop("out", "synth_data"), str)
-    if args.out is not None:
-        out_dir = args.out
-    if args.seed is not None:
-        raw["seed"] = args.seed
     config = SynthConfig(**_read_fields(SynthConfig, raw, "synth config"))
     paths = synth_generate(config, out_dir)
     print(json.dumps(paths, indent=2, sort_keys=True))
@@ -75,10 +67,8 @@ def _cmd_synth(args) -> int:
 
 
 def _run_pipeline(args, runner) -> int:
-    config = _apply_overrides(load_config(args.config), args)
-    payload = runner(config)
-    paths = payload.get("paths", {})
-    print(json.dumps(paths, indent=2, sort_keys=True))
+    payload = runner(config_from_dict(_read_config(args, "config")))
+    print(json.dumps(payload["paths"], indent=2, sort_keys=True))
     return 0
 
 
@@ -91,7 +81,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
-    _add_common(p_synth, "replace the generator seed")
+    _add_common(p_synth, "seed", "replace the generator seed")
 
     for name, runner, help_text in (
         ("train", run_train, "train a single model"),

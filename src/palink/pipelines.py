@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 import typing
 from dataclasses import dataclass, fields, replace
 
@@ -26,14 +27,12 @@ from .gcn import forward, score_pairs
 from .graphdata import Dataset, load_dataset, normalize_features
 from .metrics import nrmse, pcc, roc_auc
 from .theory import alpha_vectors, build_theory_report
-from .training import (TrainConfig, _checked_ratios, save_checkpoint,
+from .training import (DEFAULT_RATIOS, TrainConfig, save_checkpoint,
                        split_links, train)
 
 FILTER_ABBREV = {"symmetric": "sym", "random_walk": "rw"}
-FILTER_ALIASES = {
-    "sym": "symmetric", "symmetric": "symmetric",
-    "rw": "random_walk", "random_walk": "random_walk",
-}
+FILTER_ALIASES = {alias: kind for kind, abbrev in FILTER_ABBREV.items()
+                  for alias in (kind, abbrev)}
 # The RunConfig fields that its JSON layout nests in a "dataset" block.
 _DATASET_FIELDS = ("name", "edges", "features", "labels")
 
@@ -46,11 +45,11 @@ class RunConfig:
     labels: str
     normalization: str = "none"
     self_loop_weight: float = 1.0
-    filter_kind: str = "symmetric"
-    hidden_dims: tuple[int, ...] = (128, 64)
-    epochs: int = 100
-    lr: float = 0.01
-    ratios: tuple[float, float, float] = (0.85, 0.05, 0.10)
+    filter_kind: str = TrainConfig.filter_kind
+    hidden_dims: tuple[int, ...] = TrainConfig.hidden_dims
+    epochs: int = TrainConfig.epochs
+    lr: float = TrainConfig.lr
+    ratios: tuple[float, float, float] = DEFAULT_RATIOS
     seeds: tuple[int, ...] = tuple(range(10))
     lambda_fair: tuple[float, ...] = (0.0, 1.0, 2.0, 4.0)
     out: str = "runs"
@@ -77,22 +76,16 @@ class RunConfig:
             self.out, f"{self.name}_{pipeline}_{abbrev}_{self.config_hash}")
 
 
-def load_config(path: str) -> RunConfig:
-    with open(path) as fh:
-        raw = json.load(fh)
-    return config_from_dict(raw)
-
-
 _JSON_TYPES = {int: ((int,), "an integer"),
                float: ((int, float), "a number"), str: ((str,), "a string")}
 
 
 def _check(key: str, value, hint):
-    """``value`` as a value of the field type ``hint``: int, float (an
-    integer counts, a boolean does not), str, ``tuple[T, ...]`` (a
-    non-empty list, its items made T; a fixed length is left to the user of
-    the field) or ``T | tuple[T, ...]``; otherwise a ValueError that names
-    ``key``."""
+    """``value`` as a value of the field type ``hint``: int, float (a
+    finite number a float holds; an integer counts, a boolean does not), str,
+    ``tuple[T, ...]`` (a non-empty list, its items made T; a fixed length
+    is left to the user of the field) or ``T | tuple[T, ...]``; otherwise
+    a ValueError that names ``key``."""
     args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:
         if not isinstance(value, (list, tuple)) or not value:
@@ -104,6 +97,9 @@ def _check(key: str, value, hint):
     types, name = _JSON_TYPES[hint]
     if isinstance(value, bool) or not isinstance(value, types):
         raise ValueError(f"config key {key!r} must be {name}, got {value!r}")
+    # NaN and an int past the float range fail this too
+    if hint is float and not abs(value) <= sys.float_info.max:
+        raise ValueError(f"config key {key!r} must be finite, got {value!r}")
     return value
 
 
@@ -144,7 +140,8 @@ def config_from_dict(raw: dict) -> RunConfig:
     if "layers" in raw:
         n_layers = _check("layers", raw.pop("layers"), int)
         if n_layers < 1:
-            raise ValueError("layers must be >= 1")
+            raise ValueError("config key 'layers' or flag --layers must "
+                             "be >= 1")
         if "hidden_dims" not in raw:
             kwargs["hidden_dims"] = hidden_dims_for_layers(n_layers)
     for key in ("seeds", "lambda_fair"):
@@ -316,16 +313,15 @@ def _drive(config: RunConfig, pipeline: str, run, tasks, summarize,
     """Run ``pipeline``: ``_map_runs(run, dataset, config, tasks)``, then
     write report.json (the common header plus the fields ``summarize``
     makes of the results) and the files it names, role -> ``(file name,
-    write, *args)``; return the report with the written ``paths``.  The
-    ratios, then the subgroup labels a non-empty ``needs_subgroups`` asks
-    for, are checked before the run directory is made."""
-    _checked_ratios(config.ratios)
+    write, *args)``; return the report with the written ``paths``.  A
+    non-empty ``needs_subgroups`` asks for subgroup labels.  The run
+    directory is made only once every run has succeeded."""
     dataset, flagged = prepare_dataset(config)
     if needs_subgroups and dataset.t_labels is None:
         raise ValueError(f"{needs_subgroups} requires subgroup labels")
+    fields, files = summarize(_map_runs(run, dataset, config, tasks))
     out_dir = config.run_dir(pipeline)
     os.makedirs(out_dir, exist_ok=True)
-    fields, files = summarize(_map_runs(run, dataset, config, tasks))
     payload = {
         "pipeline": pipeline,
         "dataset": config.name,
@@ -379,15 +375,24 @@ def _theory_run(dataset: Dataset, config: RunConfig, seed: int,
             f"seed {seed}: every refined group was skipped; "
             "theory comparison has no support"
         )
-    entry = report.to_json_dict()
-    entry.update({
+    return {
         "seed": seed,
+        "filter": report.kind,
+        "nrmse": report.nrmse.value,
+        "pcc": report.pcc.value,
+        "n_pairs_used": report.rows["tau_raw"].size,
+        "n_dropped_cross_group": report.n_dropped_cross,
+        "groups": _records({
+            "group": np.arange(report.rho2.size), "rho2": report.rho2,
+            "c1": report.c1, "n_pairs": report.n_pairs,
+            "skipped": report.skipped, "reason": report.skip_reasons,
+        }),
+        "skipped_groups": np.flatnonzero(report.skipped).tolist(),
         "test_auc": run.test_auc,
         "test_auc_same_group": run.test_auc_same_group,
         "best_epoch": run.result.best_epoch,
         "best_val_auc": run.result.best_val_auc,
-    })
-    return entry, report.rows
+    }, report.rows
 
 
 def run_validate_theory(config: RunConfig) -> dict:

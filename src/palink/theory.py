@@ -134,29 +134,6 @@ class TheoryReport:
     pcc: MetricValue
     n_dropped_cross: int
 
-    def to_json_dict(self) -> dict:
-        """The report's fields for report.json, where a NaN metric is
-        written as null."""
-        return {
-            "filter": self.kind,
-            "nrmse": self.nrmse.value,
-            "pcc": self.pcc.value,
-            "n_pairs_used": int(self.rows["tau_raw"].size),
-            "n_dropped_cross_group": self.n_dropped_cross,
-            "groups": [
-                {
-                    "group": g,
-                    "rho2": None if np.isnan(self.rho2[g]) else float(self.rho2[g]),
-                    "c1": float(self.c1[g]),
-                    "n_pairs": int(self.n_pairs[g]),
-                    "skipped": bool(self.skipped[g]),
-                    "reason": self.skip_reasons[g],
-                }
-                for g in range(self.rho2.size)
-            ],
-            "skipped_groups": [int(g) for g in np.flatnonzero(self.skipped)],
-        }
-
 
 def build_theory_report(
     view: WithinGroupView, alphas, pairs, gcn_scores,

@@ -88,23 +88,17 @@ def sample_negatives(n: int, edges, count: int, rng, exclude=None) -> np.ndarray
     return NegativeSampler(n, edges, exclude).draw(count, rng)
 
 
-def _checked_ratios(ratios) -> tuple[float, ...]:
-    """``ratios`` as floats if they are three positive fractions summing to
-    1, else a ValueError."""
-    ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
-        raise ValueError("ratios must be three positive fractions")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError("ratios must sum to 1")
-    return ratios
-
-
 def split_links(dataset: Dataset, ratios=DEFAULT_RATIOS, seed: int = 0) -> LinkSplit:
     """Permute edges into train/val/test positives and draw the fixed
     evaluation negatives (1:1 with positives, disjoint between val and
     test).  ``train_pos`` keeps the sorted edge order, so training walks
-    the representations row by row."""
-    ratios = _checked_ratios(ratios)
+    the representations row by row.  ``ratios`` must be three positive
+    fractions summing to 1."""
+    ratios = tuple(float(r) for r in ratios)
+    if len(ratios) != 3 or not all(r > 0 for r in ratios):
+        raise ValueError("ratios must be three positive fractions")
+    if abs(sum(ratios) - 1.0) > 1e-9:
+        raise ValueError("ratios must sum to 1")
     m = dataset.m
     n_tr = int(m * ratios[0])
     n_val = int(m * ratios[1])
@@ -165,6 +159,8 @@ def train(dataset: Dataset, split: LinkSplit, config: TrainConfig) -> TrainResul
     """
     if config.epochs < 1:
         raise ValueError("epochs must be >= 1")
+    if not config.lr >= 0:
+        raise ValueError("lr must be >= 0")
     if config.lambda_fair != 0.0 and dataset.t_labels is None:
         raise ValueError("lambda_fair > 0 requires subgroup labels")
 

@@ -67,6 +67,13 @@ def seed_and_pid(dataset, config, seed, lam) -> tuple[int, int]:
     return seed, os.getpid()
 
 
+def split_and_view(dataset, config, seed):
+    """The seed's link split and the refined groups of its training view."""
+    split = split_links(dataset, config.ratios, seed)
+    return split, within_group_structure(
+        dataclasses.replace(dataset, edges=split.train_pos))
+
+
 def base_config(tiny_bed, **kw):
     root, paths = tiny_bed
     raw = {
@@ -229,6 +236,34 @@ class TestValidateTheory:
         report = json.load(open(payload["paths"]["report"]))
         assert report["config"]["dataset"]["name"] == "tiny"
 
+    def test_group_entries(self, tiny_bed, tmp_path):
+        # node 0 loses its edges, so it is a refined group of its own,
+        # with no pairs, which the theory report skips
+        _, paths = tiny_bed
+        edges = [line for line in open(paths["edges"]).read().splitlines()
+                 if line.startswith("#") or "0" not in line.split()]
+        (tmp_path / "edges.txt").write_text("\n".join(edges) + "\n")
+        cfg = dataclasses.replace(base_config(tiny_bed),
+                                  edges=str(tmp_path / "edges.txt"))
+        payload = run_validate_theory(cfg)
+        report = json.load(open(payload["paths"]["report"]))
+        lines = open(payload["paths"]["pairs"]).read().splitlines()
+        # one groups entry per refined group of the seed's training view,
+        # rho2 null exactly where the group is skipped
+        dataset, _ = prepare_dataset(cfg)
+        for entry in report["per_seed"]:
+            _, view = split_and_view(dataset, cfg, entry["seed"])
+            groups = entry["groups"]
+            assert [g["group"] for g in groups] == list(range(view.n_groups))
+            skipped = [g["group"] for g in groups if g["skipped"]]
+            assert skipped and entry["skipped_groups"] == skipped
+            for g in groups:
+                assert (g["rho2"] is None) == g["skipped"]
+            n_rows = sum(line.startswith(f"{entry['seed']},")
+                         for line in lines[1:])
+            assert entry["n_pairs_used"] == n_rows == sum(
+                g["n_pairs"] for g in groups if not g["skipped"])
+
     def test_metrics_match_emitted_pairs_csv(self, tiny_bed):
         # the summary metrics must be recomputable from pairs.csv alone
         cfg = base_config(tiny_bed)
@@ -251,9 +286,7 @@ class TestValidateTheory:
         payload = run_validate_theory(cfg)
         dataset, _ = prepare_dataset(cfg)
         for entry in payload["per_seed"]:
-            split = split_links(dataset, cfg.ratios, entry["seed"])
-            view = within_group_structure(
-                dataclasses.replace(dataset, edges=split.train_pos))
+            split, view = split_and_view(dataset, cfg, entry["seed"])
             pairs = np.concatenate([split.test_pos, split.test_neg])
             gof = view.group_of
             n_cross = int((gof[pairs[:, 0]] != gof[pairs[:, 1]]).sum())
@@ -522,15 +555,19 @@ class TestCli:
         return str(path)
 
     def test_synth_command(self, tmp_path, capsys):
+        # --seed and --out replace the file's seed and out
         cfg = {"sizes": [10, 10], "p_in": 0.5, "p_out": 0.05,
-               "feature_dim": 3, "out": str(tmp_path / "data")}
+               "feature_dim": 3, "seed": 1, "out": str(tmp_path / "file_out")}
         path = tmp_path / "synth.json"
         path.write_text(json.dumps(cfg))
-        code = main(["synth", "--config", str(path), "--seed", "3"])
+        code = main(["synth", "--config", str(path), "--seed", "3",
+                     "--out", str(tmp_path / "data")])
         assert code == 0
         paths = json.loads(capsys.readouterr().out)
         for role in ("edges", "features", "labels", "meta"):
             assert os.path.exists(paths[role])
+            assert paths[role].startswith(str(tmp_path / "data"))
+        assert not (tmp_path / "file_out").exists()
         meta = json.load(open(paths["meta"]))
         assert meta["config"]["seed"] == 3
 
@@ -562,6 +599,20 @@ class TestCli:
         assert report["config"]["hidden_dims"] == [64]
         assert report["config"]["seeds"] == [1]
         assert report["filter"] == "random_walk"
+
+    def test_flags_replace_their_file_keys_before_the_check(
+            self, tmp_path, tiny_bed, capsys):
+        # the file's hidden_dims and seeds would not pass the check; the
+        # flags replace them first
+        config_path = self.write_config(tmp_path, tiny_bed,
+                                        hidden_dims="wide", seeds=[])
+        code = main(["train", "--config", config_path,
+                     "--layers", "2", "--seed", "3"])
+        assert code == 0
+        report = json.load(open(json.loads(capsys.readouterr().out)["report"]))
+        assert report["config"]["hidden_dims"] == [128, 64]
+        assert report["config"]["seeds"] == [3]
+        assert report["seed"] == 3
 
     def test_train_command(self, tmp_path, tiny_bed, capsys):
         config_path = self.write_config(tmp_path, tiny_bed)
@@ -685,6 +736,24 @@ class TestCli:
          "ratios must be three positive fractions"),
         ("delta-compare", {"ratios": [0.5, 0.3, 0.3]}, [],
          "ratios must sum to 1"),
+        # each row below fails inside a run or at read time; a failed run
+        # makes no run directory
+        ("fairness-sweep", {"lambda_fair": [-1.0]}, [],
+         "lambda must be >= 0"),
+        ("train", {"epochs": 0}, [], "epochs must be >= 1"),
+        ("train", {"hidden_dims": [0]}, [],
+         "layer dimensions must be >= 1"),
+        ("train", {"lr": -1}, [], "lr must be >= 0"),
+        ("train", {"lr": float("nan")}, [],
+         "config key 'lr' must be finite, got nan"),
+        ("train", {"self_loop_weight": float("nan")}, [],
+         "config key 'self_loop_weight' must be finite, got nan"),
+        ("validate-theory", {"ratios": [float("nan"), 0.5, 0.5]}, [],
+         "config key 'ratios' must be finite, got nan"),
+        ("train", {"lr": float("inf")}, [],
+         "config key 'lr' must be finite, got inf"),
+        ("train", {"ratios": [0.5, 0.5, 10**400]}, [],
+         "config key 'ratios' must be finite, got 1000"),
     ])
     def test_bad_config_value_exits_2(self, tmp_path, tiny_bed, capsys,
                                       command, config, extra, message):

@@ -229,19 +229,6 @@ class TestTheoryReport:
         np.testing.assert_allclose(np.nan_to_num(report.rho2),
                                    np.nan_to_num(est.rho2), atol=1e-12)
 
-    def test_csv_and_json_outputs(self):
-        # the per-pair CSV is written by the pipelines from ``rows`` and
-        # checked against report.json in tests/test_pipelines.py
-        view, aset, pairs, scores, _ = self.build(seed=68)
-        report = build_theory_report(view, aset, pairs, scores, "symmetric")
-        payload = report.to_json_dict()
-        assert payload["filter"] == "symmetric"
-        assert payload["n_pairs_used"] == report.rows["tau_raw"].size
-        assert len(payload["groups"]) == view.n_groups
-        for entry in payload["groups"]:
-            if entry["skipped"]:
-                assert entry["rho2"] is None
-
     def test_misaligned_scores_rejected(self):
         view, aset, pairs, scores, _ = self.build(seed=69)
         with pytest.raises(ValueError):

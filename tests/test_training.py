@@ -116,6 +116,8 @@ class TestSplitLinks:
             split_links(ds, ratios=(0.9, -0.1, 0.2))
         with pytest.raises(ValueError):
             split_links(ds, ratios=(0.5, 0.3, 0.3))
+        with pytest.raises(ValueError, match="three positive fractions"):
+            split_links(ds, ratios=(float("nan"), 0.5, 0.5))
 
     def test_empty_part_rejected(self):
         ds = sized_dataset(10)
@@ -425,6 +427,13 @@ class TestTrain:
         split = split_links(ds, seed=0)
         with pytest.raises(ValueError):
             train(ds, split, TrainConfig(epochs=0))
+
+    @pytest.mark.parametrize("lr", [-1.0, float("nan")])
+    def test_lr_validation(self, lr):
+        ds = trainable_dataset()
+        split = split_links(ds, seed=0)
+        with pytest.raises(ValueError, match="^lr must be >= 0$"):
+            train(ds, split, TrainConfig(epochs=1, lr=lr))
 
 
 class TestCheckpoint:

@@ -34,7 +34,6 @@ from .pipelines import (
 from .spectral import (
     BoundSet,
     NormalizedMatrix,
-    SpectralSummary,
     block_spectrum,
     matrix_from_edges,
     normalized_matrix,

@@ -22,8 +22,11 @@ class FairnessAssessment:
     ``delta`` is the trained-score gap (from ``delta``), ``delta_hat`` and
     ``disparity`` the closed form and its sqrt-degree disparity (from
     ``delta_hat``); a value the producing function does not compute, or
-    that is undefined for a skipped group, is NaN.  ``reasons`` names why
-    each skipped group was skipped ("" for active groups).
+    that is undefined for a skipped group, is NaN.  ``n_t1`` and ``n_t2``
+    count each subgroup's anchors: from ``delta``, anchor observations
+    (same-group pair endpoints, so one pair counts twice); from
+    ``delta_hat``, the group's nodes.  ``reasons`` names why each skipped
+    group was skipped ("" for active groups).
     """
 
     delta: np.ndarray

@@ -79,7 +79,7 @@ def _check_compat(model: Model, nm: NormalizedMatrix, features: np.ndarray):
             f"feature dim {features.shape[1]} does not match model "
             f"{model.feature_dim}"
         )
-    if features.shape[0] != nm.n:
+    if features.shape[0] != nm.matrix.shape[0]:
         raise ValueError("feature rows must match operator size")
 
 

@@ -7,6 +7,7 @@ refines each label class into its connected components.
 """
 from __future__ import annotations
 
+import itertools
 import os
 import re
 import warnings
@@ -48,8 +49,6 @@ class Dataset:
     s_labels: np.ndarray
     t_labels: np.ndarray | None
     self_loop_weight: float
-    s_names: tuple[str, ...] = ()
-    t_names: tuple[str, ...] = ()
     n_duplicate_edges: int = 0
 
     @property
@@ -67,8 +66,6 @@ def make_dataset(
     s_labels,
     t_labels=None,
     self_loop_weight: float = 1.0,
-    s_names: tuple[str, ...] = (),
-    t_names: tuple[str, ...] = (),
 ) -> Dataset:
     """Validate and canonicalize raw arrays into a Dataset.
 
@@ -105,11 +102,9 @@ def make_dataset(
         raise DatasetError("self_loop_weight must be >= 0")
 
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if edges.size and (edges.min() < 0 or edges.max() >= n):
-        raise DatasetError("edge endpoint outside 0..n-1")
-    if np.any(edges[:, 0] == edges[:, 1]):
-        raise DatasetError("explicit self-edges are not allowed; "
-                           "use self_loop_weight")
+    bad = _bad_edge(edges, n)
+    if bad is not None:
+        raise DatasetError(bad[1])
     keys = _pair_keys(edges, n)
 
     return Dataset(
@@ -119,8 +114,6 @@ def make_dataset(
         s_labels=s_labels,
         t_labels=t_labels,
         self_loop_weight=float(self_loop_weight),
-        s_names=tuple(s_names),
-        t_names=tuple(t_names),
         n_duplicate_edges=edges.shape[0] - keys.size,
     )
 
@@ -149,32 +142,67 @@ def _key_pairs(keys, n: int) -> np.ndarray:
     return np.stack([i, keys - starts[i] + i + 1], axis=1)
 
 
-def _parse_edges_file(path: str) -> np.ndarray:
+def _bad_edge(edges: np.ndarray, n: int) -> tuple[int, str] | None:
+    """The index of the first row of ``edges`` that is not two distinct
+    nodes in 0..n-1, and what is wrong with it; None if there is none."""
+    outside = (edges < 0) | (edges >= n)
+    # column by column: ``any(axis=1)`` over two columns is 5x slower
+    rows = np.flatnonzero(outside[:, 0] | outside[:, 1]
+                          | (edges[:, 0] == edges[:, 1]))
+    if not rows.size:
+        return None
+    row = int(rows[0])
+    if outside[row].any():
+        return row, f"edge endpoint outside 0..{n - 1}"
+    return row, "explicit self-edges are not allowed; use self_loop_weight"
+
+
+def _loadtxt(path: str, **kwargs) -> np.ndarray:
+    """``np.loadtxt(path, ndmin=2, **kwargs)``; a file with no data rows
+    gives an empty array, without ``loadtxt``'s warning."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore", message="loadtxt: input contained no data")
+        return np.loadtxt(path, ndmin=2, **kwargs)
+
+
+def _parse_edges_file(path: str, n: int) -> np.ndarray:
     try:
-        with warnings.catch_warnings():  # a comment-only file has no edges
-            warnings.filterwarnings(
-                "ignore", message="loadtxt: input contained no data")
-            edges = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2)
+        edges = _loadtxt(path, dtype=np.int64, comments="#")
         if edges.size and edges.shape[1] != 2:
             raise ValueError("expected two node ids per line")
     except ValueError as exc:
         raise DatasetError(_bad_edge_line(path) or f"{path}: {exc}") from exc
-    return edges.reshape(-1, 2)
+    edges = edges.reshape(-1, 2)
+    bad = _bad_edge(edges, n)
+    if bad is not None:
+        row, why = bad
+        lineno = next(itertools.islice(_edge_rows(path), row, None))[0]
+        raise DatasetError(f"{path}:{lineno}: {why}")
+    return edges
+
+
+def _edge_rows(path: str):
+    """``(line number, tokens)`` of each line of an edge list that holds
+    more than a comment or blanks: ``loadtxt``'s rows, in order."""
+    with open(path, errors="replace") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            toks = line.split("#", 1)[0].split()
+            if toks:
+                yield lineno, toks
 
 
 def _bad_edge_line(path: str) -> str | None:
     """``path:line: why`` for the first line of an edge list that is not two
-    int64 ids; ``loadtxt``'s own row numbers skip comments and blanks."""
-    with open(path, errors="replace") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            toks = line.split("#", 1)[0].split()
-            if toks and len(toks) != 2:
-                return f"{path}:{lineno}: expected two node ids, got {len(toks)}"
-            for tok in toks:
-                if not re.fullmatch(r"[+-]?[0-9]+", tok):
-                    return f"{path}:{lineno}: {tok!r} is not an integer node id"
-                if not -2**63 <= int(tok) < 2**63:
-                    return f"{path}:{lineno}: node id {tok} is outside int64"
+    int64 ids."""
+    for lineno, toks in _edge_rows(path):
+        if len(toks) != 2:
+            return f"{path}:{lineno}: expected two node ids, got {len(toks)}"
+        for tok in toks:
+            if not re.fullmatch(r"[+-]?[0-9]+", tok):
+                return f"{path}:{lineno}: {tok!r} is not an integer node id"
+            if not -2**63 <= int(tok) < 2**63:
+                return f"{path}:{lineno}: node id {tok} is outside int64"
 
 
 def _parse_labels_file(path: str, n: int):
@@ -211,22 +239,16 @@ def _parse_labels_file(path: str, n: int):
         raise DatasetError(f"{path}: subgroup column present on only some rows")
 
     def densify(raw):
-        names: list[str] = []
         index: dict[str, int] = {}
         out = np.empty(n, dtype=np.int64)
         for nid, val in zip(node_ids, raw):
             if val not in index:
-                index[val] = len(names)
-                names.append(val)
+                index[val] = len(index)
             out[nid] = index[val]
-        return out, tuple(names)
+        return out
 
-    s_labels, s_names = densify(s_raw)
-    if all(has_t):
-        t_labels, t_names = densify(t_raw)
-    else:
-        t_labels, t_names = None, ()
-    return s_labels, s_names, t_labels, t_names
+    t_labels = densify(t_raw) if all(has_t) else None
+    return densify(s_raw), t_labels
 
 
 def load_dataset(
@@ -238,8 +260,8 @@ def load_dataset(
     """Load a dataset from an edge list, a feature CSV, and a label TSV.
 
     ``edges_path`` holds whitespace-separated integer pairs, one edge per
-    line, ``#`` starting a comment; a malformed line raises naming
-    ``path:line``.  ``features_path`` is a headerless CSV, one row per node
+    line, ``#`` starting a comment; a malformed line, an endpoint outside
+    0..n-1 or a self-edge raises naming ``path:line``.  ``features_path`` is a headerless CSV, one row per node
     (the row count defines n).  ``labels_path`` holds tab-separated rows
     ``node_id <TAB> group [<TAB> subgroup]``; label strings map to dense ids
     in first-seen order, and a subgroup column takes exactly two values.
@@ -251,27 +273,29 @@ def load_dataset(
             raise DatasetError(f"missing input file: {path}")
 
     try:
-        features = np.loadtxt(features_path, delimiter=",", dtype=np.float64, ndmin=2)
+        features = _loadtxt(features_path, delimiter=",", dtype=np.float64)
     except ValueError as exc:
         raise DatasetError(f"{features_path}: {exc}") from exc
+    if not features.size:
+        raise DatasetError(f"{features_path}: no feature rows")
     n = features.shape[0]
 
-    edges = _parse_edges_file(edges_path)
-    s_labels, s_names, t_labels, t_names = _parse_labels_file(labels_path, n)
+    edges = _parse_edges_file(edges_path, n)
+    try:
+        s_labels, t_labels = _parse_labels_file(labels_path, n)
+    except UnicodeDecodeError as exc:  # a ValueError that names no file
+        raise DatasetError(f"{labels_path}: {exc}") from exc
     return make_dataset(
         edges,
         features,
         s_labels,
         t_labels,
         self_loop_weight=self_loop_weight,
-        s_names=s_names,
-        t_names=t_names,
     )
 
 
 @dataclass(frozen=True)
 class NormalizationInfo:
-    mode: str
     zero_sum_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
     constant_columns: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
 
@@ -286,12 +310,12 @@ def normalize_features(features: np.ndarray, mode: str):
     """
     features = np.asarray(features, dtype=np.float64)
     if mode == "none":
-        return features.copy(), NormalizationInfo(mode=mode)
+        return features.copy(), NormalizationInfo()
     if mode == "row_sum_one":
         sums = features.sum(axis=1)
         zero = np.flatnonzero(sums == 0.0)
         safe = np.where(sums == 0.0, 1.0, sums)
-        return features / safe[:, None], NormalizationInfo(mode, zero_sum_rows=zero)
+        return features / safe[:, None], NormalizationInfo(zero_sum_rows=zero)
     if mode == "minmax_signed":
         lo = features.min(axis=0)
         hi = features.max(axis=0)
@@ -299,7 +323,7 @@ def normalize_features(features: np.ndarray, mode: str):
         span = np.where(hi == lo, 1.0, hi - lo)
         out = 2.0 * (features - lo) / span - 1.0
         out[:, const] = 0.0
-        return out, NormalizationInfo(mode, constant_columns=const)
+        return out, NormalizationInfo(constant_columns=const)
     raise ValueError(f"unknown normalization mode: {mode!r}")
 
 
@@ -328,7 +352,6 @@ class WithinGroupView:
     order: np.ndarray
     offsets: np.ndarray
     volumes: np.ndarray
-    s_of_group: np.ndarray
 
     @property
     def n_groups(self) -> int:
@@ -383,5 +406,4 @@ def within_group_structure(dataset: Dataset) -> WithinGroupView:
         order=order,
         offsets=offsets,
         volumes=np.bincount(group_of, weights=wg_degrees, minlength=n_comp),
-        s_of_group=s[order[offsets[:-1]]],
     )

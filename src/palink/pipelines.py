@@ -377,7 +377,7 @@ def _theory_run(dataset: Dataset, config: RunConfig, seed: int,
         )
     return {
         "seed": seed,
-        "filter": report.kind,
+        "filter": config.filter_kind,
         "nrmse": report.nrmse.value,
         "pcc": report.pcc.value,
         "n_pairs_used": report.rows["tau_raw"].size,
@@ -493,7 +493,8 @@ def run_delta_comparison(config: RunConfig) -> dict:
     """Per seed and refined group, the trained-score gap versus the
     theoretic estimate (fitted scores pushed through the same post-sigmoid
     gap), plus the closed form; reports PCC/NRMSE of estimate vs gap.
-    The random-walk estimate is zero but for rounding, so its PCC is null.
+    The random-walk estimate is zero but for rounding, so its PCC and NRMSE
+    are null.
     """
     def summarize(runs):
         scatter = [point for points in runs for point in points]
@@ -507,8 +508,9 @@ def run_delta_comparison(config: RunConfig) -> dict:
             "points": scatter,
         }
         if config.filter_kind == "random_walk":
-            fields.update(pcc=None,
-                          pcc_reason="estimate_zero_under_random_walk")
+            reason = "estimate_zero_under_random_walk"
+            fields.update(pcc=None, pcc_reason=reason, nrmse=None,
+                          nrmse_reason=reason)
         header = ("seed", "group", "delta", "delta_hat",
                   "delta_hat_closed_form", "disparity")
         return fields, {"scatter": _csv("pairs.csv", header, scatter)}

@@ -37,7 +37,6 @@ class NormalizedMatrix:
     place.  Build a new operator instead."""
 
     kind: str
-    n: int
     matrix: sp.csr_matrix
 
 
@@ -86,17 +85,7 @@ def matrix_from_edges(
         else:
             inv = np.where(degrees > 0, 1.0 / degrees, 0.0)
             mat.data = inv[row] * mat.data
-    return NormalizedMatrix(kind=kind, n=n, matrix=mat)
-
-
-@dataclass(frozen=True)
-class SpectralSummary:
-    """Per refined group (indexed by group id), the spectral gap of its
-    normalized block and whether the group has zero volume."""
-
-    kind: str
-    lambda_gaps: np.ndarray
-    degenerate: np.ndarray
+    return NormalizedMatrix(kind=kind, matrix=mat)
 
 
 def _start_vector(n: int) -> np.ndarray:
@@ -121,14 +110,14 @@ _norms = weakref.WeakKeyDictionary()  # within -> ||P_within||
 _residual_norms = weakref.WeakKeyDictionary()
 
 
-def block_spectrum(view: WithinGroupView, kind: str = "symmetric") -> SpectralSummary:
-    """Per refined group, the spectral gap max(lambda_2, |lambda_min|) of
-    its normalized block.
+def block_spectrum(view: WithinGroupView, kind: str = "symmetric") -> np.ndarray:
+    """Per refined group (indexed by group id), the spectral gap
+    max(lambda_2, |lambda_min|) of its normalized block.
 
     The random-walk block is similar to the symmetric one via D^1/2, so
     both kinds share eigenvalues: they are solved once per view object
     (by identity, assuming its arrays are never mutated in place), and
-    every summary of that view shares one read-only gap array.  A
+    every call on that view returns one read-only gap array.  A
     singleton's gap is 0 without an eigensolve.  A block of up to
     ``DENSE_EIG_LIMIT`` nodes is solved by dense ``eigvalsh``.  A larger
     one is never made dense: its top eigenpair is known (eigenvalue 1,
@@ -137,9 +126,7 @@ def block_spectrum(view: WithinGroupView, kind: str = "symmetric") -> SpectralSu
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    gaps = _memo(_gaps, view, lambda: _block_gaps(view))
-    return SpectralSummary(kind=kind, lambda_gaps=gaps,
-                           degenerate=view.volumes == 0.0)
+    return _memo(_gaps, view, lambda: _block_gaps(view))
 
 
 def _block_gaps(view: WithinGroupView) -> np.ndarray:
@@ -225,8 +212,6 @@ class BoundSet:
     bounds entries between distinct groups.
     """
 
-    kind: str
-    L: int
     xi_norm: float
     phat_norm: float
     cross_term: float
@@ -245,7 +230,7 @@ def residual_cross_term(L: int, xi_norm: float, phat_norm: float) -> float:
 def residual_and_bounds(
     full: NormalizedMatrix,
     within: NormalizedMatrix,
-    summary: SpectralSummary,
+    gaps: np.ndarray,
     L: int,
     view: WithinGroupView,
 ) -> BoundSet:
@@ -255,14 +240,15 @@ def residual_and_bounds(
     ``lambda_b^L + cross_term``; the random-walk kind additionally carries
     the global degree ratio sqrt(max D / min positive D).  Both norms in
     the cross term come from ``operator_norm`` (Lanczos, every size) and
-    depend on neither L nor the summary: ``||P_within||`` is solved once
+    depend on neither L nor the gaps: ``||P_within||`` is solved once
     per ``within`` object and ``||P - P_within||`` once per
     ``(full, within)`` pair, by identity, assuming neither matrix is
-    mutated in place.
+    mutated in place.  ``gaps`` are ``block_spectrum(view)``'s; a
+    zero-volume group of ``view`` gets a NaN radius.
     """
     if L < 1:
         raise ValueError("L must be >= 1")
-    if full.kind != within.kind or full.kind != summary.kind:
+    if full.kind != within.kind:
         raise ValueError("operator kinds do not match")
 
     by_within = _residual_norms.setdefault(full, weakref.WeakKeyDictionary())
@@ -271,20 +257,15 @@ def residual_and_bounds(
     phat_norm = _memo(_norms, within, lambda: operator_norm(within.matrix))
     cross = residual_cross_term(L, xi_norm, phat_norm)
 
-    gaps = summary.lambda_gaps
-    degenerate = summary.degenerate
-
     if full.kind == "random_walk":
         ratio = max_degree_ratio(view.wg_degrees).value
         zeta = ratio * gaps**L + cross
     else:
         ratio = None
         zeta = gaps**L + cross
-    zeta = np.where(degenerate, np.nan, zeta)
+    zeta = np.where(view.volumes == 0.0, np.nan, zeta)
 
     return BoundSet(
-        kind=full.kind,
-        L=L,
         xi_norm=xi_norm,
         phat_norm=phat_norm,
         cross_term=cross,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,6 +21,10 @@ _PAIR_CHUNK = 1 << 22
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """Generator settings.  ``t1_fraction`` and ``disparity_boost`` take
+    one value per group or one for every group, and are stored as per-group
+    tuples of floats."""
+
     sizes: tuple[int, ...] = (200, 200, 200)
     p_in: float = 0.15
     p_out: float = 0.005
@@ -36,45 +40,30 @@ class SynthConfig:
             raise ValueError("every group size must be >= 2")
         if not 0.0 <= self.p_out <= self.p_in <= 1.0:
             raise ValueError("need 0 <= p_out <= p_in <= 1")
-        for f in self._fractions():
+        for name in ("t1_fraction", "disparity_boost"):
+            value = getattr(self, name)
+            value = tuple(float(v) for v in (
+                [value] * len(self.sizes) if np.isscalar(value) else value))
+            if len(value) != len(self.sizes):
+                raise ValueError("per-group value length must match sizes")
+            object.__setattr__(self, name, value)
+        for f in self.t1_fraction:
             if not 0.0 < f < 1.0:
                 raise ValueError("subgroup fractions must lie in (0, 1)")
-        for b in self._boosts():
+        for b in self.disparity_boost:
             if b < 0:
                 raise ValueError("disparity boost must be >= 0")
         if self.feature_dim < 1:
             raise ValueError("feature_dim must be >= 1")
-
-    def _per_group(self, value) -> tuple[float, ...]:
-        if np.isscalar(value):
-            return tuple(float(value) for _ in self.sizes)
-        value = tuple(float(v) for v in value)
-        if len(value) != len(self.sizes):
-            raise ValueError("per-group value length must match sizes")
-        return value
-
-    def _fractions(self) -> tuple[float, ...]:
-        return self._per_group(self.t1_fraction)
-
-    def _boosts(self) -> tuple[float, ...]:
-        return self._per_group(self.disparity_boost)
 
     @property
     def n(self) -> int:
         return int(sum(self.sizes))
 
     def to_dict(self) -> dict:
-        return {
-            "sizes": list(self.sizes),
-            "p_in": self.p_in,
-            "p_out": self.p_out,
-            "t1_fraction": list(self._fractions()),
-            "disparity_boost": list(self._boosts()),
-            "feature_dim": self.feature_dim,
-            "feature_separation": self.feature_separation,
-            "feature_noise": self.feature_noise,
-            "seed": self.seed,
-        }
+        """The JSON layout: the fields by name, tuples as lists."""
+        return {f.name: list(v) if isinstance(v := getattr(self, f.name), tuple)
+                else v for f in fields(self)}
 
 
 def synth_generate(config: SynthConfig, out_dir: str) -> dict[str, str]:
@@ -103,15 +92,14 @@ def synth_generate(config: SynthConfig, out_dir: str) -> dict[str, str]:
     # Subgroup assignment: per group, round(fraction * size) nodes (at
     # least one) join subgroup "a".
     t_is_a = np.zeros(n, dtype=bool)
-    fractions, boosts = config._fractions(), config._boosts()
     for g, size in enumerate(sizes):
         nodes = np.arange(offsets[g], offsets[g + 1])
-        k = max(1, int(round(fractions[g] * size)))
+        k = max(1, int(round(config.t1_fraction[g] * size)))
         k = min(k, size - 1)  # keep both subgroups non-empty
         chosen = rng.choice(nodes, size=k, replace=False)
         t_is_a[chosen] = True
         # Degree disparity: extra intra-group partners for each "a" node.
-        extra = int(round(boosts[g]))
+        extra = int(round(config.disparity_boost[g]))
         if extra > 0:
             for node in np.sort(chosen):
                 pos = rng.choice(size - 1, size=min(extra, size - 1),

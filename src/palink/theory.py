@@ -123,7 +123,6 @@ class TheoryReport:
     in non-skipped groups; summary metrics are computed over those rows.
     """
 
-    kind: str
     rows: dict[str, np.ndarray]
     rho2: np.ndarray
     c1: np.ndarray
@@ -167,7 +166,7 @@ def build_theory_report(
         "gcn_score": gcn_scores[keep],
     }
     return TheoryReport(
-        kind=kind, rows=rows, rho2=est.rho2, c1=c1, n_pairs=est.n_pairs,
+        rows=rows, rho2=est.rho2, c1=c1, n_pairs=est.n_pairs,
         skipped=est.skipped, skip_reasons=est.reasons,
         nrmse=nrmse(fitted, gcn_scores[keep]),
         pcc=pcc(fitted, gcn_scores[keep]), n_dropped_cross=n_dropped,

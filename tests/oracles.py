@@ -60,10 +60,10 @@ def dense_planted_edges(config) -> tuple[np.ndarray, np.ndarray]:
     t_is_a = np.zeros(n, dtype=bool)
     for g, size in enumerate(sizes):
         nodes = np.arange(offsets[g], offsets[g + 1])
-        k = min(max(1, int(round(config._fractions()[g] * size))), size - 1)
+        k = min(max(1, int(round(config.t1_fraction[g] * size))), size - 1)
         chosen = rng.choice(nodes, size=k, replace=False)
         t_is_a[chosen] = True
-        extra = int(round(config._boosts()[g]))
+        extra = int(round(config.disparity_boost[g]))
         if extra > 0:
             for node in np.sort(chosen):
                 others = nodes[nodes != node]
@@ -104,12 +104,13 @@ def dense_power_entries(nm, L: int) -> np.ndarray:
     guarded to n <= 5000."""
     if L < 0:
         raise ValueError("L must be >= 0")
-    if nm.n > DENSE_POWER_LIMIT:
+    n = nm.matrix.shape[0]
+    if n > DENSE_POWER_LIMIT:
         raise ValueError(
-            f"dense powers limited to n <= {DENSE_POWER_LIMIT}, got n = {nm.n}"
+            f"dense powers limited to n <= {DENSE_POWER_LIMIT}, got n = {n}"
         )
     dense = nm.matrix.toarray()
-    out = np.eye(nm.n)
+    out = np.eye(n)
     for _ in range(L):
         out = out @ dense
     return out

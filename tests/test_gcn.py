@@ -317,11 +317,12 @@ ORDER_CASES = [
 
 
 class _WidthRecorder:
-    """Stands in for ``nm.matrix``: multiplies as it does and records the
-    column count of every dense operand, also through ``.T``."""
+    """Stands in for ``nm.matrix``: has its shape, multiplies as it does
+    and records the column count of every dense operand, also through
+    ``.T``."""
 
     def __init__(self, matrix, widths):
-        self.matrix, self.widths = matrix, widths
+        self.matrix, self.widths, self.shape = matrix, widths, matrix.shape
 
     @property
     def T(self):

@@ -32,6 +32,17 @@ def write_files(tmp_path, edges_text, features_text, labels_text):
     return str(e), str(f), str(l)
 
 
+def write_train_config(tmp_path, paths) -> str:
+    """A one-epoch ``train`` config on the files ``paths``."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "dataset": dict(zip(("edges", "features", "labels"), paths)),
+        "hidden_dims": [2], "epochs": 1, "seeds": [0],
+        "out": str(tmp_path / "runs"),
+    }))
+    return str(config)
+
+
 class TestLoader:
     def test_round_trip_with_comments_and_blanks(self, tmp_path):
         paths = write_files(
@@ -47,7 +58,6 @@ class TestLoader:
         # first-seen order: red -> 0, blue -> 1; x -> 0, y -> 1
         np.testing.assert_array_equal(ds.s_labels, [0, 1, 0])
         np.testing.assert_array_equal(ds.t_labels, [0, 1, 0])
-        assert ds.s_names == ("red", "blue")
         assert ds.self_loop_weight == 1.0
 
     def test_duplicate_edges_collapsed_and_counted(self, tmp_path):
@@ -102,13 +112,8 @@ class TestLoader:
     def test_oversized_node_id_exits_2_through_cli(self, tmp_path, capsys):
         paths = write_files(tmp_path, "0 99999999999999999999\n",
                             "1.0\n2.0\n", "0\ta\n1\ta\n")
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({
-            "dataset": dict(zip(("edges", "features", "labels"), paths)),
-            "hidden_dims": [2], "epochs": 1, "seeds": [0],
-            "out": str(tmp_path / "runs"),
-        }))
-        assert main(["train", "--config", str(config)]) == 2
+        config = write_train_config(tmp_path, paths)
+        assert main(["train", "--config", config]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {paths[0]}:1: node id ")
         assert "Traceback" not in err
@@ -132,15 +137,30 @@ class TestLoader:
     def test_edge_line_error_exits_2_through_cli(self, tmp_path, capsys):
         paths = write_files(tmp_path, "# header\n\n0 1\n2 x\n",
                             "1.0\n2.0\n3.0\n", "0\ta\n1\ta\n2\ta\n")
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({
-            "dataset": dict(zip(("edges", "features", "labels"), paths)),
-            "hidden_dims": [2], "epochs": 1, "seeds": [0],
-            "out": str(tmp_path / "runs"),
-        }))
-        assert main(["train", "--config", str(config)]) == 2
+        config = write_train_config(tmp_path, paths)
+        assert main(["train", "--config", config]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {paths[0]}:4: 'x' is not an integer node id\n"
+
+    @pytest.mark.parametrize("edges,features,labels,role,message", [
+        ("0 1\n# c\n\n1 5\n", "1.0\n2.0\n", b"0\ta\n1\ta\n", 0,
+         ":4: edge endpoint outside 0..1"),
+        ("0 1\n1 1\n", "1.0\n2.0\n", b"0\ta\n1\ta\n", 0,
+         ":2: explicit self-edges are not allowed; use self_loop_weight"),
+        ("0 1\n", "", b"0\ta\n1\ta\n", 1, ": no feature rows"),
+        ("0 1\n", "1.0\n2.0\n", b"0\ta\n1\t\xff\n", 2,
+         ": 'utf-8' codec can't decode byte 0xff"),
+    ], ids=["endpoint_outside", "self_edge", "empty_features",
+            "labels_not_utf8"])
+    def test_content_error_exits_2_naming_its_file(
+            self, tmp_path, capsys, edges, features, labels, role, message):
+        paths = write_files(tmp_path, edges, features, "")
+        (tmp_path / "labels.tsv").write_bytes(labels)
+        config = write_train_config(tmp_path, paths)
+        assert main(["train", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {paths[role]}{message}")
+        assert err.count("\n") == 1  # no warning, no traceback
 
     def test_three_subgroup_values_rejected(self, tmp_path):
         paths = write_files(
@@ -234,7 +254,6 @@ class TestWithinGroupView:
             view.order[view.offsets[0]:view.offsets[1]], [0, 1, 2, 3, 4])
         np.testing.assert_array_equal(
             view.order[view.offsets[1]:view.offsets[2]], [5])
-        np.testing.assert_array_equal(view.s_of_group, [0, 1])
         assert view.volumes[0] == 8.0
         assert view.volumes[1] == 0.0
         np.testing.assert_array_equal(np.diff(view.offsets) == 1,
@@ -253,7 +272,6 @@ class TestWithinGroupView:
         view = within_group_structure(ds)
         assert view.n_groups == 2
         np.testing.assert_array_equal(view.group_of, [0, 0, 1, 1])
-        np.testing.assert_array_equal(view.s_of_group, [0, 0])
 
     def test_self_loop_weight_in_degrees(self):
         ds = make_dataset([(0, 1)], np.ones((2, 1)), [0, 0],
@@ -327,7 +345,6 @@ class TestWithinGroupView:
         assert np.all(np.diff(view.order)[within] > 0)
         firsts = view.order[view.offsets[:-1]]
         assert np.all(np.diff(firsts) > 0)  # numbered by smallest member
-        np.testing.assert_array_equal(view.s_of_group, ds.s_labels[firsts])
         assert view.volumes.sum() == view.wg_degrees.sum()
 
         # a singleton of degree 1 (its self-loop) has C1 = ||alpha||

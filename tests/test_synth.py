@@ -21,6 +21,12 @@ def small_config(**kw):
     return SynthConfig(**base)
 
 
+def subgroup_a(paths) -> np.ndarray:
+    """Per node, whether labels.tsv puts it in subgroup "a"."""
+    with open(paths["labels"]) as fh:
+        return np.array([line.split("\t")[2].strip() == "a" for line in fh])
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -45,6 +51,10 @@ class TestConfig:
                           disparity_boost=(0.0, 3.0))
         assert cfg.to_dict()["t1_fraction"] == [0.2, 0.4]
         assert cfg.to_dict()["disparity_boost"] == [0.0, 3.0]
+        assert (cfg.t1_fraction, cfg.disparity_boost) == ((0.2, 0.4), (0.0, 3.0))
+        spread = SynthConfig(sizes=(10, 20), t1_fraction=0.5, disparity_boost=2)
+        assert (spread.t1_fraction, spread.disparity_boost) == ((0.5, 0.5),
+                                                                (2.0, 2.0))
         with pytest.raises(ValueError):
             SynthConfig(sizes=(10, 20), t1_fraction=(0.2, 0.4, 0.3))
 
@@ -110,7 +120,7 @@ class TestGenerate:
                            seed=3)
         paths = synth_generate(cfg, str(tmp_path / "d"))
         ds = load_dataset(paths["edges"], paths["features"], paths["labels"])
-        a_id = ds.t_names.index("a")
+        is_a = subgroup_a(paths)
         gi, gj = ds.s_labels[ds.edges[:, 0]], ds.s_labels[ds.edges[:, 1]]
         within = ds.edges[gi == gj]
         deg = np.zeros(ds.n)
@@ -118,8 +128,8 @@ class TestGenerate:
         np.add.at(deg, within[:, 1], 1.0)
         for g in range(2):
             in_g = ds.s_labels == g
-            boosted = deg[in_g & (ds.t_labels == a_id)].mean()
-            plain = deg[in_g & (ds.t_labels != a_id)].mean()
+            boosted = deg[in_g & is_a].mean()
+            plain = deg[in_g & ~is_a].mean()
             assert boosted > plain + 2.0
 
     def test_no_boost_no_systematic_gap(self, tmp_path):
@@ -129,12 +139,11 @@ class TestGenerate:
             paths = synth_generate(cfg, str(tmp_path / f"s{seed}"))
             ds = load_dataset(paths["edges"], paths["features"],
                               paths["labels"])
-            a_id = ds.t_names.index("a")
+            is_a = subgroup_a(paths)
             deg = np.zeros(ds.n)
             np.add.at(deg, ds.edges[:, 0], 1.0)
             np.add.at(deg, ds.edges[:, 1], 1.0)
-            gaps.append(deg[ds.t_labels == a_id].mean()
-                        - deg[ds.t_labels != a_id].mean())
+            gaps.append(deg[is_a].mean() - deg[~is_a].mean())
         assert abs(np.mean(gaps)) < 1.5
 
     def test_feature_separation_is_visible(self, tmp_path):

@@ -7,13 +7,15 @@ representations.  Gradients are exact reverse-mode derivatives of the
 binary cross-entropy plus the subgroup-gap penalty, written out by hand so
 they can be checked against finite differences.
 
-Pair scores are computed in fixed blocks of rows through two reusable
+Pair scores are computed in fixed blocks of rows through two gather
 buffers, and the gradient with respect to the final representations is one
 sparse pair-matrix product, so a training step never gathers a
-``pairs x dim`` array.  ``loss_and_gradients`` takes an optional forward
-cache, the ``_forward_cached`` triple, which must have been computed at the
-model's current weights; training passes the forward it already ran for
-validation after the previous step.
+``pairs x dim`` array.  A ``PairState`` keeps these buffers, the pairs
+and the pair matrix per training, not per call: each epoch rewrites them
+in place.  ``loss_and_gradients`` takes an optional forward cache, the
+``_forward_cached`` triple, which must have been computed at the model's
+current weights; training passes the forward it already ran for
+validation after the previous step, and its ``PairState``.
 """
 from __future__ import annotations
 
@@ -26,8 +28,7 @@ from scipy.special import expit
 from .fairness import regularizer_term, sampled_delta_terms
 from .spectral import KINDS, NormalizedMatrix
 
-# Rows per block in ``score_pairs``: the two gather buffers stay small
-# enough to be reused without fresh page faults.
+# Rows of the two gather buffers that pair scores are computed through.
 _PAIR_BLOCK = 1024
 
 
@@ -123,24 +124,18 @@ def forward(model: Model, nm: NormalizedMatrix, features, linear: bool = False):
     return _forward_cached(model, nm, features, linear=linear)[0]
 
 
-def score_pairs(representations: np.ndarray, pairs) -> np.ndarray:
-    """Inner-product link scores h_i . h_j for each pair.
-
-    The pairs are walked in blocks of ``_PAIR_BLOCK`` rows, gathered into
-    two buffers allocated once per call; each row is the same einsum as
-    over the whole gather, so the scores do not depend on the block size.
-    """
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    h = np.asarray(representations)
+def _score_blocks(h: np.ndarray, pairs: np.ndarray, left: np.ndarray,
+                  right: np.ndarray) -> np.ndarray:
+    """``h_i . h_j`` for each pair, walked in blocks of ``len(left)`` rows
+    gathered into ``left`` and ``right``; each row is the same einsum as
+    over the whole gather, so the scores do not depend on the block size."""
     m = pairs.shape[0]
     if m and (pairs.min() < 0 or pairs.max() >= h.shape[0]):
         raise ValueError("pair indices must lie in [0, n)")
     out = np.empty(m, dtype=h.dtype)
-    rows = min(_PAIR_BLOCK, m)
-    left = np.empty((rows, h.shape[1]), dtype=h.dtype)
-    right = np.empty_like(left)
-    for start in range(0, m, _PAIR_BLOCK):
-        stop = min(start + _PAIR_BLOCK, m)
+    block = left.shape[0]
+    for start in range(0, m, block):
+        stop = min(start + block, m)
         k = stop - start
         # mode="clip" is a no-op on the checked indices and, unlike the
         # default, writes straight into ``out`` without a temporary copy.
@@ -150,20 +145,71 @@ def score_pairs(representations: np.ndarray, pairs) -> np.ndarray:
     return out
 
 
-def _pair_gradient(h: np.ndarray, pairs: np.ndarray,
-                   dscore: np.ndarray) -> np.ndarray:
-    """Gradient with respect to ``h`` of ``sum_k dscore_k * h_i . h_j`` over
-    the pairs (i, j): dh_u sums dscore * h_partner over the pairs holding u.
+def score_pairs(representations: np.ndarray, pairs) -> np.ndarray:
+    """Inner-product link scores h_i . h_j for each pair, through two
+    ``_PAIR_BLOCK``-row gather buffers allocated for this call (a training
+    scores through its ``PairState``'s buffers instead)."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    h = np.asarray(representations)
+    left = np.empty((_PAIR_BLOCK, h.shape[1]), dtype=h.dtype)
+    return _score_blocks(h, pairs, left, np.empty_like(left))
 
-    That is ``S @ h`` for the symmetric pair matrix S with dscore at (i, j)
-    and at (j, i).  Duplicate entries add up in the product, which keeps
-    repeated pairs and (u, u) pairs exact, and no row of h is gathered.
+
+class PairState:
+    """A training's pair state, allocated once and rewritten in place, so
+    its epochs allocate (and page-fault in) none of it again.
+
+    Holds the ``(n_pos + n_neg, 2)`` pairs (positives first, written once)
+    and their labels, two ``_PAIR_BLOCK``-row gather buffers of the output
+    width, the symmetric pair matrix ``S`` as COO and the operator's
+    transpose ``pt`` as CSR.  ``S`` has the entries pos(i, j), neg(i, j),
+    pos(j, i), neg(j, i) in that order, so ``S @ h`` is the gradient with
+    respect to ``h`` of ``sum_k dscore_k * h_i . h_j``.  Duplicate entries
+    add up in the product, which keeps repeated pairs and (u, u) pairs
+    exact, and no row of ``h`` is gathered.
     """
-    n = h.shape[0]
-    both = np.concatenate([dscore, dscore])
-    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    return sparse.coo_matrix((both, (rows, cols)), shape=(n, n)) @ h
+
+    def __init__(self, pos_pairs, n_neg: int, nm: NormalizedMatrix,
+                 width: int):
+        pos = np.asarray(pos_pairs, dtype=np.int64).reshape(-1, 2)
+        self.n_pos = pos.shape[0]
+        m = self.n_pos + int(n_neg)
+        if m == 0:
+            raise ValueError("no pairs to train on")
+        n = nm.matrix.shape[0]
+        self.pairs = np.zeros((m, 2), dtype=np.int64)
+        self.pairs[: self.n_pos] = pos
+        self.labels = np.zeros(m)
+        self.labels[: self.n_pos] = 1.0
+        self.left = np.empty((_PAIR_BLOCK, width))
+        self.right = np.empty_like(self.left)
+        rows = np.concatenate([self.pairs[:, 0], self.pairs[:, 1]])
+        cols = np.concatenate([self.pairs[:, 1], self.pairs[:, 0]])
+        self.pair_matrix = sparse.coo_matrix(
+            (np.zeros(2 * m), (rows, cols)), shape=(n, n))
+        self.pt = nm.matrix.T.tocsr()
+
+    def set_negatives(self, neg_pairs) -> None:
+        """Write this epoch's negatives into the pairs and ``S``; their
+        indices are checked when they are scored."""
+        neg = np.asarray(neg_pairs, dtype=np.int64).reshape(-1, 2)
+        p, m = self.n_pos, self.pairs.shape[0]
+        self.pairs[p:] = neg
+        row, col = self.pair_matrix.row, self.pair_matrix.col
+        row[p:m], row[m + p:] = neg[:, 0], neg[:, 1]
+        col[p:m], col[m + p:] = neg[:, 1], neg[:, 0]
+
+    def score(self, h: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+        """``score_pairs(h, pairs)`` through this state's buffers."""
+        return _score_blocks(h, pairs, self.left, self.right)
+
+    def gradient(self, h: np.ndarray, dscore: np.ndarray) -> np.ndarray:
+        """``S @ h`` with ``dscore`` at each pair's (i, j) and (j, i)."""
+        m = self.pairs.shape[0]
+        data = self.pair_matrix.data
+        data[:m] = dscore
+        data[m:] = dscore
+        return self.pair_matrix @ h
 
 
 def bce_from_logits(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -184,6 +230,7 @@ def loss_and_gradients(
     group_of=None,
     t_labels=None,
     forward_cache=None,
+    pair_state: PairState | None = None,
 ):
     """Training objective and its exact gradients.
 
@@ -195,21 +242,24 @@ def loss_and_gradients(
     ``forward_cache`` optionally supplies the ``_forward_cached(model, nm,
     features)`` triple, which is then not recomputed.  It must be the
     forward pass at the model's current weights, operator and features;
-    nothing checks this.  Given that, the result is bitwise identical to
+    nothing checks this.  ``pair_state`` optionally supplies a
+    ``PairState`` built from ``pos_pairs``, ``len(neg_pairs)``, ``nm`` and
+    the model's output width, which is then reused: ``neg_pairs`` are
+    written into it and ``pos_pairs`` are not read again.  Without it the
+    call builds its own.  Given either, the result is bitwise identical to
     the call without it.
     """
-    pos_pairs = np.asarray(pos_pairs, dtype=np.int64).reshape(-1, 2)
     neg_pairs = np.asarray(neg_pairs, dtype=np.int64).reshape(-1, 2)
-    pairs = np.concatenate([pos_pairs, neg_pairs], axis=0)
-    if pairs.shape[0] == 0:
-        raise ValueError("no pairs to train on")
-    labels = np.zeros(pairs.shape[0])
-    labels[: pos_pairs.shape[0]] = 1.0
+    if pair_state is None:
+        pair_state = PairState(pos_pairs, len(neg_pairs), nm,
+                               model.weights[-1].shape[0])
+    pair_state.set_negatives(neg_pairs)
+    pairs, labels = pair_state.pairs, pair_state.labels
 
     if forward_cache is None:
         forward_cache = _forward_cached(model, nm, features)
     h, inputs, pre = forward_cache
-    scores = score_pairs(h, pairs)
+    scores = pair_state.score(h, pairs)
     probs = expit(scores)
 
     n_pairs = pairs.shape[0]
@@ -231,15 +281,15 @@ def loss_and_gradients(
 
     L = model.n_layers
     grads: list[np.ndarray] = [np.empty(0)] * L
-    g = _pair_gradient(h, pairs, dscore)
+    g = pair_state.gradient(h, dscore)
     for l, w in reversed(list(enumerate(model.weights))):
         first = _transforms_first(l, w)
         if l < L - 1:
             g = g * (pre[l] > 0.0)
         if first:
-            g = nm.matrix.T @ g  # gradient of the transformed H_{l-1} W_l^T
+            g = pair_state.pt @ g  # gradient of the transformed H_{l-1} W_l^T
         grads[l] = g.T @ inputs[l]
         if l > 0:
-            g = g @ w if first else nm.matrix.T @ (g @ w)
+            g = g @ w if first else pair_state.pt @ (g @ w)
 
     return bce + penalty, bce, penalty, grads

@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gcn import Model, _forward_cached, init_model, loss_and_gradients, score_pairs
+from .gcn import (Model, PairState, _forward_cached, init_model,
+                  loss_and_gradients)
 from .graphdata import (Dataset, WithinGroupView, _key_pairs, _pair_keys,
                         within_group_structure)
 from .metrics import roc_auc
@@ -146,7 +147,8 @@ def train(dataset: Dataset, split: LinkSplit, config: TrainConfig) -> TrainResul
 
     One optimizer step per epoch; training negatives are resampled each
     epoch (1:1 with training positives), from one ``NegativeSampler`` built
-    per run, while validation pairs stay fixed.
+    per run, while validation pairs stay fixed.  One ``PairState`` holds
+    the epoch's pairs, gather buffers and pair matrix for the whole run.
     A training negative is never a training positive or a frozen
     validation/test negative, so no held-out pair is trained on as a
     negative.  Validation/test positives stay drawable: the trainer does
@@ -161,6 +163,8 @@ def train(dataset: Dataset, split: LinkSplit, config: TrainConfig) -> TrainResul
         raise ValueError("epochs must be >= 1")
     if not config.lr >= 0:
         raise ValueError("lr must be >= 0")
+    if not config.lambda_fair >= 0:
+        raise ValueError("lambda_fair must be >= 0")
     if config.lambda_fair != 0.0 and dataset.t_labels is None:
         raise ValueError("lambda_fair > 0 requires subgroup labels")
 
@@ -192,6 +196,8 @@ def train(dataset: Dataset, split: LinkSplit, config: TrainConfig) -> TrainResul
     sampler = NegativeSampler(
         dataset.n, split.train_pos,
         exclude=np.concatenate([split.val_neg, split.test_neg]))
+    pair_state = PairState(split.train_pos, n_train, nm,
+                           model.weights[-1].shape[0])
     # A diverging run overflows in the forward pass and the loss; the
     # finiteness checks below name it, so NumPy's warnings are not shown.
     quiet = dict(over="ignore", invalid="ignore")
@@ -204,7 +210,7 @@ def train(dataset: Dataset, split: LinkSplit, config: TrainConfig) -> TrainResul
                 model, nm, features, split.train_pos, neg,
                 lambda_fair=config.lambda_fair,
                 group_of=view.group_of, t_labels=dataset.t_labels,
-                forward_cache=cache,
+                forward_cache=cache, pair_state=pair_state,
             )
         if not np.isfinite(loss):
             raise ValueError(f"epoch {epoch}: training loss is {loss}")
@@ -224,7 +230,8 @@ def train(dataset: Dataset, split: LinkSplit, config: TrainConfig) -> TrainResul
 
         with np.errstate(**quiet):
             cache = _forward_cached(model, nm, features, px=px)
-        val_auc = roc_auc(score_pairs(cache[0], val_pairs), val_labels).value
+        val_auc = roc_auc(pair_state.score(cache[0], val_pairs),
+                          val_labels).value
         history.append((epoch, float(loss), float(penalty), float(val_auc)))
         if val_auc > best_auc:
             best_auc = val_auc

@@ -13,8 +13,8 @@ import palink.gcn as gcn
 from palink.fairness import delta, regularizer_term
 from palink.gcn import (
     Model,
+    PairState,
     _forward_cached,
-    _pair_gradient,
     bce_from_logits,
     forward,
     init_model,
@@ -301,7 +301,13 @@ class TestGradients:
             pairs % (n - 1), [(3, 7), (3, 7), (7, 3), (5, 5), (5, 5)],
         ])
         dscore = rng.normal(size=pairs.shape[0])
-        got = _pair_gradient(h, pairs, dscore)
+        nm = normalized_matrix(complete_graph(n), "symmetric")
+        # the first 40 pairs are the positives, the rest are negatives
+        # written over an earlier draw, as a training's epochs do
+        state = PairState(pairs[:40], pairs.shape[0] - 40, nm, 5)
+        state.set_negatives(pairs[::-1][: pairs.shape[0] - 40])
+        state.set_negatives(pairs[40:])
+        got = state.gradient(h, dscore)
         want = lifted_pair_gradient(h, pairs, dscore)
         np.testing.assert_allclose(got, want, rtol=1e-12,
                                    atol=1e-12 * np.abs(want).max())
@@ -327,6 +333,9 @@ class _WidthRecorder:
     @property
     def T(self):
         return _WidthRecorder(self.matrix.T, self.widths)
+
+    def tocsr(self):
+        return _WidthRecorder(self.matrix.tocsr(), self.widths)
 
     def __matmul__(self, dense):
         self.widths.append(dense.shape[1])

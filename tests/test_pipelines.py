@@ -646,6 +646,18 @@ class TestCli:
         assert err.strip() == "error: epoch 2: training loss is nan"
         assert multiprocessing.active_children() == []
 
+    def test_negative_lambda_in_a_worker_exits_2(self, tmp_path, tiny_bed,
+                                                  capsys, monkeypatch):
+        monkeypatch.setattr(pipelines, "_max_workers", lambda: 2)
+        config_path = self.write_config(tmp_path, tiny_bed,
+                                        lambda_fair=[1.0, -0.5])
+        code = main(["fairness-sweep", "--config", config_path])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.strip() == "error: lambda_fair must be >= 0"
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "runs").exists()
+
     def test_dead_worker_exits_2(self, tmp_path, tiny_bed, capsys,
                                  monkeypatch):
         monkeypatch.setattr(pipelines, "_max_workers", lambda: 2)
@@ -742,7 +754,7 @@ class TestCli:
         # each row below fails inside a run or at read time; a failed run
         # makes no run directory
         ("fairness-sweep", {"lambda_fair": [-1.0]}, [],
-         "lambda must be >= 0"),
+         "lambda_fair must be >= 0"),
         ("train", {"epochs": 0}, [], "epochs must be >= 1"),
         ("train", {"hidden_dims": [0]}, [],
          "layer dimensions must be >= 1"),

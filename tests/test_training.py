@@ -1,9 +1,12 @@
 """Split/negative-sampling bookkeeping and the Adam training loop."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import palink.gcn as gcn
 from palink.gcn import forward, init_model, loss_and_gradients, score_pairs
 from palink.graphdata import make_dataset, within_group_structure
 from palink.metrics import roc_auc
@@ -336,28 +339,67 @@ class TestTrain:
             expected = w0 - config.lr * g / (np.abs(g) + ADAM_EPS)
             np.testing.assert_allclose(w1, expected, rtol=1e-12, atol=1e-15)
 
-    def test_reused_forward_matches_fresh_forward_per_epoch(self):
+    @pytest.mark.parametrize("lam", [0.0, 2.0])
+    @pytest.mark.parametrize("kind", ["symmetric", "random_walk"])
+    @pytest.mark.parametrize("ratios,block", [
+        pytest.param(training.DEFAULT_RATIOS, 7, id="block7"),
+        # more validation pairs than training pairs, at the full block
+        pytest.param((0.2, 0.6, 0.2), gcn._PAIR_BLOCK, id="val-heavy"),
+    ])
+    def test_reused_forward_matches_fresh_forward_per_epoch(
+            self, monkeypatch, lam, kind, ratios, block):
         # train() feeds each epoch's loss the forward pass it ran for
-        # validation after the previous step; recomputing that forward
-        # inside every loss must give the same bits.
+        # validation after the previous step, and reuses one PairState
+        # for every epoch's pairs, gathers and pair matrix; fresh one-shot
+        # calls must give the same loss, gradients, weights and AUC bits.
+        monkeypatch.setattr(gcn, "_PAIR_BLOCK", block)
         ds = trainable_dataset()
-        split = split_links(ds, seed=1)
-        config = TrainConfig(hidden_dims=(5, 3), epochs=4, seed=8)
+        split = split_links(ds, ratios, seed=1)
+        n_train = split.train_pos.shape[0]
+        n_val = split.val_pos.shape[0] + split.val_neg.shape[0]
+        # block7: both pair sets span several blocks and end in a partial
+        # one; val-heavy: validation outnumbers the training pairs
+        if block == 7:
+            assert 2 * n_train > 2 * block and 2 * n_train % block
+            assert n_val > block and n_val % block
+        else:
+            assert n_val > 2 * n_train
+        seen = []
+        real = training.loss_and_gradients
+
+        def recording(model, *args, **kwargs):
+            out = real(model, *args, **kwargs)
+            seen.append(([w.copy() for w in model.weights], out[3]))
+            return out
+
+        monkeypatch.setattr(training, "loss_and_gradients", recording)
+        config = TrainConfig(filter_kind=kind, hidden_dims=(5, 3), epochs=4,
+                             lambda_fair=lam, seed=8)
         result = train(ds, split, config)
 
-        model = init_model(ds.feature_dim, (5, 3), "symmetric", seed=8)
+        model = init_model(ds.feature_dim, (5, 3), kind, seed=8)
         nm = matrix_from_edges(ds.n, split.train_pos, ds.self_loop_weight,
-                               "symmetric")
+                               kind)
+        group_of = within_group_structure(
+            dataclasses.replace(ds, edges=split.train_pos)).group_of
+        val_pairs = np.concatenate([split.val_pos, split.val_neg])
+        val_labels = np.repeat([1.0, 0.0], [split.val_pos.shape[0],
+                                            split.val_neg.shape[0]])
         neg_rng = np.random.default_rng(np.random.SeedSequence([8, 1]))
         adam_m = [np.zeros_like(w) for w in model.weights]
         adam_v = [np.zeros_like(w) for w in model.weights]
+        negs = []
         for epoch in range(1, config.epochs + 1):
-            neg = sample_negatives(ds.n, split.train_pos,
-                                   split.train_pos.shape[0], neg_rng,
-                                   held_out_negatives(split))
-            loss, _, _, grads = loss_and_gradients(
-                model, nm, ds.features, split.train_pos, neg)
-            assert loss == result.history[epoch - 1][1]
+            negs.append(sample_negatives(ds.n, split.train_pos, n_train,
+                                         neg_rng, held_out_negatives(split)))
+            loss, _, penalty, grads = loss_and_gradients(
+                model, nm, ds.features, split.train_pos, negs[-1], lam,
+                group_of, ds.t_labels)
+            weights_seen, grads_seen = seen[epoch - 1]
+            for w, w_seen, g, g_seen in zip(model.weights, weights_seen,
+                                            grads, grads_seen):
+                np.testing.assert_array_equal(w, w_seen)
+                np.testing.assert_array_equal(g, g_seen)
             for w, g, m_buf, v_buf in zip(model.weights, grads, adam_m,
                                           adam_v):
                 m_buf *= ADAM_BETA1
@@ -367,9 +409,14 @@ class TestTrain:
                 m_hat = m_buf / (1.0 - ADAM_BETA1**epoch)
                 v_hat = v_buf / (1.0 - ADAM_BETA2**epoch)
                 w -= config.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            h = forward(model, nm, ds.features)
+            auc = roc_auc(score_pairs(h, val_pairs), val_labels).value
+            assert result.history[epoch - 1] == (epoch, loss, penalty, auc)
             if epoch == result.best_epoch:
                 for w, w_best in zip(model.weights, result.model.weights):
                     np.testing.assert_array_equal(w, w_best)
+        assert len(seen) == config.epochs
+        assert not any(np.array_equal(a, b) for a, b in zip(negs, negs[1:]))
         assert 1 <= result.best_epoch <= config.epochs
 
     def test_message_passing_uses_training_positives_only(self):
@@ -404,6 +451,18 @@ class TestTrain:
         split = split_links(ds, seed=0)
         with pytest.raises(ValueError):
             train(ds, split, TrainConfig(epochs=1, lambda_fair=1.0))
+
+    @pytest.mark.parametrize("lam", [-1.0, float("nan")])
+    def test_negative_lambda_rejected_before_training(self, monkeypatch,
+                                                      lam):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(training, "within_group_structure", no_training)
+        ds = trainable_dataset()
+        split = split_links(ds, seed=1)
+        with pytest.raises(ValueError, match=r"^lambda_fair must be >= 0$"):
+            train(ds, split, TrainConfig(epochs=1, lambda_fair=lam))
 
     def test_non_finite_loss_is_named(self):
         # the first step moves every weight by ~1e200; the next forward

@@ -1,11 +1,6 @@
 """GCN link prediction with degree-bias diagnostics, spectral error radii,
 and subgroup-fairness quantification and training."""
-from .fairness import (
-    FairnessAssessment,
-    delta,
-    delta_hat,
-    regularizer_term,
-)
+from .fairness import FairnessAssessment, delta, delta_hat
 from .gcn import Model, forward, init_model, loss_and_gradients, score_pairs
 from .graphdata import (
     Dataset,

@@ -1,6 +1,6 @@
 """Within-group score parity: the gap between mean link scores anchored at
-each subgroup, its closed-form degree-driven estimate, and the
-corresponding training penalty.
+each subgroup, its closed-form degree-driven estimate, and the per-group
+gaps and gradient of the training penalty.
 
 Subgroup id 0 plays the role of the first anchor set (T1) throughout; the
 gap itself is symmetric under swapping the two subgroups.
@@ -17,26 +17,17 @@ from .graphdata import WithinGroupView
 
 @dataclass(frozen=True)
 class FairnessAssessment:
-    """Per-group results, each an array indexed by refined-group id.
-
-    ``delta`` is the trained-score gap (from ``delta``), ``delta_hat`` and
-    ``disparity`` the closed form and its sqrt-degree disparity (from
-    ``delta_hat``); a value the producing function does not compute, or
-    that is undefined for a skipped group, is NaN.  ``n_t1`` and ``n_t2``
-    count each subgroup's anchors: from ``delta``, anchor observations
-    (same-group pair endpoints, so one pair counts twice); from
-    ``delta_hat``, the group's nodes.  ``reasons`` names why each skipped
-    group was skipped ("" for active groups).
-    """
+    """``delta``'s per-group results, each an array indexed by refined-group
+    id: the trained-score gap (NaN for a skipped group), each subgroup's
+    anchor observations (same-group pair endpoints, so one pair counts
+    twice), and why each skipped group was skipped ("" for active
+    groups)."""
 
     delta: np.ndarray
-    delta_hat: np.ndarray
-    disparity: np.ndarray
     n_t1: np.ndarray
     n_t2: np.ndarray
     skipped: np.ndarray
     reasons: tuple[str, ...]
-    negative_slope: np.ndarray
 
     @property
     def mean_delta(self) -> float:
@@ -101,24 +92,21 @@ def delta(pairs, scores, group_of, t_labels) -> FairnessAssessment:
     reasons = np.select([(c1 == 0) & (c2 == 0), (c1 == 0) | (c2 == 0)],
                         ["no_pairs", "empty_subgroup"], default="")
     skipped = reasons != ""
-    n_groups = c1.size
     return FairnessAssessment(
         delta=np.where(skipped, np.nan, np.abs(diff)),
-        delta_hat=np.full(n_groups, np.nan),
-        disparity=np.full(n_groups, np.nan), n_t1=c1.astype(np.int64),
-        n_t2=c2.astype(np.int64), skipped=skipped,
+        n_t1=c1.astype(np.int64), n_t2=c2.astype(np.int64), skipped=skipped,
         reasons=tuple(reasons.tolist()),
-        negative_slope=np.zeros(n_groups, dtype=bool),
     )
 
 
 def sampled_delta_terms(pairs, probs, group_of, t_labels):
-    """Per-group gaps over already-transformed scores plus the gradient of
-    their sum with respect to each pair's transformed score.
+    """The active groups' gaps over already-transformed scores, in group
+    order, plus the gradient of their sum with respect to each pair's
+    transformed score.
 
     Used by the training loop; cross-group pairs get zero gradient.
-    Returns (gaps: per-group array, NaN where a group is inactive,
-    grad: (m,) array, n_active).
+    Returns (gaps: one entry per group with both subgroups anchored,
+    grad: (m,) array).
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     probs = np.asarray(probs, dtype=np.float64)
@@ -127,18 +115,7 @@ def sampled_delta_terms(pairs, probs, group_of, t_labels):
     active = (c1 > 0) & (c2 > 0)
     grad = np.zeros(probs.shape[0])
     grad[idx] = (np.sign(diff) * active)[gid] * weight
-    return np.where(active, np.abs(diff), np.nan), grad, int(active.sum())
-
-
-def regularizer_term(gaps, lam: float) -> float:
-    """(lam / B) * sum of the B defined (non-NaN) per-group gaps."""
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    gaps = np.asarray(gaps, dtype=np.float64)
-    vals = gaps[~np.isnan(gaps)]
-    if not vals.size:
-        return 0.0
-    return float(lam * np.sum(vals) / vals.size)
+    return np.abs(diff[active]), grad
 
 
 def delta_hat(
@@ -147,16 +124,17 @@ def delta_hat(
     c1,
     t_labels,
     kind: str = "symmetric",
-) -> FairnessAssessment:
+) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form estimate of the subgroup score gap per refined group.
 
     For the symmetric filter the estimate is
     ``|rho2 * C1^2 * (sum_j sqrt(D_jj)) * disparity| / |S|`` with
     ``disparity = mean sqrt(D) over T1 - mean sqrt(D) over T2``; for the
     random-walk filter the theoretic scores are degree-free within a group,
-    so the estimate is identically zero.  Groups with an empty subgroup or
-    no slope estimate are skipped; negative slopes are applied as-is but
-    flagged.
+    so the estimate is identically zero.  Returns ``(delta_hat,
+    disparity)``, arrays indexed by refined-group id: both are NaN where a
+    subgroup is empty, and ``delta_hat`` also where ``rho2`` is not finite.
+    A negative slope is applied as-is.
     """
     if kind not in ("symmetric", "random_walk"):
         raise ValueError(f"unknown filter kind: {kind!r}")
@@ -181,13 +159,5 @@ def delta_hat(
         dh = np.abs(rho2 * c1**2 * total * disparity) / np.diff(view.offsets)
     if kind == "random_walk":
         dh = np.zeros(n_groups)
-    reasons = np.select([(n_t1 == 0) | (n_t2 == 0), ~np.isfinite(rho2)],
-                        ["empty_subgroup", "no_slope"], default="")
-    skipped = reasons != ""
-    return FairnessAssessment(
-        delta=np.full(n_groups, np.nan),
-        delta_hat=np.where(skipped, np.nan, dh), disparity=disparity,
-        n_t1=n_t1, n_t2=n_t2, skipped=skipped,
-        reasons=tuple(reasons.tolist()),
-        negative_slope=~skipped & (rho2 < 0),
-    )
+    undefined = np.isnan(disparity) | ~np.isfinite(rho2)
+    return np.where(undefined, np.nan, dh), disparity

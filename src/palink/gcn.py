@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sparse
 from scipy.special import expit
 
-from .fairness import regularizer_term, sampled_delta_terms
+from .fairness import sampled_delta_terms
 from .spectral import KINDS, NormalizedMatrix
 
 # Rows of the two gather buffers that pair scores are computed through.
@@ -237,7 +237,9 @@ def loss_and_gradients(
     Objective: mean BCE over positive and negative pairs plus
     ``(lambda_fair / B) * sum_b gap_b`` where the per-group gap is computed
     post-sigmoid over the same pairs.  Returns
-    ``(loss, bce, penalty, grads)`` with one gradient per weight matrix.
+    ``(loss, bce, penalty, grads)`` with one gradient per weight matrix;
+    B counts the groups with both subgroups anchored, and with none the
+    penalty is 0.
 
     ``forward_cache`` optionally supplies the ``_forward_cached(model, nm,
     features)`` triple, which is then not recomputed.  It must be the
@@ -249,6 +251,8 @@ def loss_and_gradients(
     call builds its own.  Given either, the result is bitwise identical to
     the call without it.
     """
+    if not lambda_fair >= 0:
+        raise ValueError("lambda_fair must be >= 0")
     neg_pairs = np.asarray(neg_pairs, dtype=np.int64).reshape(-1, 2)
     if pair_state is None:
         pair_state = PairState(pos_pairs, len(neg_pairs), nm,
@@ -272,12 +276,10 @@ def loss_and_gradients(
             raise ValueError(
                 "lambda_fair > 0 requires group and subgroup labels"
             )
-        gaps, dprob, n_active = sampled_delta_terms(
-            pairs, probs, group_of, t_labels
-        )
-        penalty = regularizer_term(gaps, lambda_fair)
-        if n_active:
-            dscore = dscore + (lambda_fair / n_active) * dprob * probs * (1.0 - probs)
+        gaps, dprob = sampled_delta_terms(pairs, probs, group_of, t_labels)
+        if gaps.size:
+            penalty = float(lambda_fair * np.sum(gaps) / gaps.size)
+            dscore = dscore + (lambda_fair / gaps.size) * dprob * probs * (1.0 - probs)
 
     L = model.n_layers
     grads: list[np.ndarray] = [np.empty(0)] * L

@@ -166,20 +166,14 @@ def _loadtxt(path: str, **kwargs) -> np.ndarray:
         return np.loadtxt(path, ndmin=2, **kwargs)
 
 
-def _parse_edges_file(path: str, n: int) -> np.ndarray:
+def _parse_edges_file(path: str) -> np.ndarray:
     try:
         edges = _loadtxt(path, dtype=np.int64, comments="#")
         if edges.size and edges.shape[1] != 2:
             raise ValueError("expected two node ids per line")
     except ValueError as exc:
         raise DatasetError(_bad_edge_line(path) or f"{path}: {exc}") from exc
-    edges = edges.reshape(-1, 2)
-    bad = _bad_edge(edges, n)
-    if bad is not None:
-        row, why = bad
-        lineno = next(itertools.islice(_edge_rows(path), row, None))[0]
-        raise DatasetError(f"{path}:{lineno}: {why}")
-    return edges
+    return edges.reshape(-1, 2)
 
 
 def _edge_rows(path: str):
@@ -261,8 +255,10 @@ def load_dataset(
 
     ``edges_path`` holds whitespace-separated integer pairs, one edge per
     line, ``#`` starting a comment; a malformed line, an endpoint outside
-    0..n-1 or a self-edge raises naming ``path:line``.  ``features_path`` is a headerless CSV, one row per node
-    (the row count defines n).  ``labels_path`` holds tab-separated rows
+    0..n-1 or a self-edge raises naming ``path:line`` (an error in the
+    features or labels raises first, except a malformed edge line).
+    ``features_path`` is a headerless CSV, one row per node (the row count
+    defines n).  ``labels_path`` holds tab-separated rows
     ``node_id <TAB> group [<TAB> subgroup]``; label strings map to dense ids
     in first-seen order, and a subgroup column takes exactly two values.
     ``self_loop_weight`` is the diagonal weight of every adjacency built
@@ -280,18 +276,22 @@ def load_dataset(
         raise DatasetError(f"{features_path}: no feature rows")
     n = features.shape[0]
 
-    edges = _parse_edges_file(edges_path, n)
+    edges = _parse_edges_file(edges_path)
     try:
         s_labels, t_labels = _parse_labels_file(labels_path, n)
     except UnicodeDecodeError as exc:  # a ValueError that names no file
         raise DatasetError(f"{labels_path}: {exc}") from exc
-    return make_dataset(
-        edges,
-        features,
-        s_labels,
-        t_labels,
-        self_loop_weight=self_loop_weight,
-    )
+    try:
+        return make_dataset(edges, features, s_labels, t_labels,
+                            self_loop_weight=self_loop_weight)
+    except DatasetError as exc:
+        # make_dataset checks the edges; name the failing row's line
+        bad = _bad_edge(edges, n)
+        if bad is None or exc.args != (bad[1],):
+            raise
+        row, why = bad
+        lineno = next(itertools.islice(_edge_rows(edges_path), row, None))[0]
+        raise DatasetError(f"{edges_path}:{lineno}: {why}") from None
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ import numpy as np
 
 @dataclass(frozen=True)
 class MetricValue:
-    name: str
     value: float
     n: int
     flags: tuple[str, ...] = ()
@@ -39,13 +38,12 @@ def roc_auc(scores, labels) -> MetricValue:
     if pos.size + neg.size != scores.size:
         raise ValueError("labels must be 0 or 1")
     if pos.size == 0 or neg.size == 0:
-        return MetricValue("roc_auc", float("nan"), scores.size, ("one_class",))
+        return MetricValue(float("nan"), scores.size, ("one_class",))
 
     below = np.searchsorted(neg, pos, side="left")
     tied = np.searchsorted(neg, pos, side="right") - below
     u = below.sum() + 0.5 * tied.sum()
-    return MetricValue(name="roc_auc", value=float(u / (pos.size * neg.size)),
-                       n=scores.size)
+    return MetricValue(float(u / (pos.size * neg.size)), scores.size)
 
 
 def nrmse(predictions, targets) -> MetricValue:
@@ -55,15 +53,13 @@ def nrmse(predictions, targets) -> MetricValue:
     if predictions.shape != targets.shape or predictions.ndim != 1:
         raise ValueError("predictions and targets must be aligned 1-d arrays")
     if predictions.size == 0:
-        return MetricValue("nrmse", float("nan"), 0, ("no_pairs",))
+        return MetricValue(float("nan"), 0, ("no_pairs",))
     rmse = float(np.sqrt(np.mean((predictions - targets) ** 2)))
     span = float(targets.max() - targets.min())
     if span == 0.0:
-        return MetricValue(
-            name="nrmse", value=float("nan"), n=predictions.size,
-            flags=("degenerate_range",),
-        )
-    return MetricValue(name="nrmse", value=rmse / span, n=predictions.size)
+        return MetricValue(float("nan"), predictions.size,
+                           ("degenerate_range",))
+    return MetricValue(rmse / span, predictions.size)
 
 
 def pcc(x, y) -> MetricValue:
@@ -73,17 +69,15 @@ def pcc(x, y) -> MetricValue:
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be aligned 1-d arrays")
     if x.size < 2:
-        return MetricValue("pcc", float("nan"), x.size, ("insufficient_samples",))
+        return MetricValue(float("nan"), x.size, ("insufficient_samples",))
     xc = x - x.mean()
     yc = y - y.mean()
     sx = float(np.sqrt((xc * xc).sum()))
     sy = float(np.sqrt((yc * yc).sum()))
     if sx == 0.0 or sy == 0.0:
-        return MetricValue(
-            name="pcc", value=float("nan"), n=x.size, flags=("zero_variance",)
-        )
+        return MetricValue(float("nan"), x.size, ("zero_variance",))
     value = float((xc * yc).sum() / (sx * sy))
-    return MetricValue(name="pcc", value=min(1.0, max(-1.0, value)), n=x.size)
+    return MetricValue(min(1.0, max(-1.0, value)), x.size)
 
 
 def max_degree_ratio(wg_degrees) -> MetricValue:
@@ -92,12 +86,10 @@ def max_degree_ratio(wg_degrees) -> MetricValue:
     deg = np.asarray(wg_degrees, dtype=np.float64)
     pos = deg[deg > 0]
     if pos.size == 0:
-        return MetricValue("max_degree_ratio", float("nan"), 0,
-                           ("no_positive_degree",))
+        return MetricValue(float("nan"), 0, ("no_positive_degree",))
     flags: tuple[str, ...] = ()
     n_zero = deg.size - pos.size
     if n_zero:
         flags = (f"excluded_zero_degree={n_zero}",)
     value = float(np.sqrt(pos.max() / pos.min()))
-    return MetricValue(name="max_degree_ratio", value=value, n=int(pos.size),
-                       flags=flags)
+    return MetricValue(value, int(pos.size), flags)

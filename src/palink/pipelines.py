@@ -117,7 +117,8 @@ def config_from_dict(raw: dict) -> RunConfig:
     """The RunConfig of ``RunConfig.to_dict``'s JSON layout, where
     ``dataset.name`` is optional, ``filter`` may be an alias, ``layers``
     stands in for a missing ``hidden_dims`` and ``seeds`` and
-    ``lambda_fair`` may be bare values."""
+    ``lambda_fair`` may be bare values.  The training values are checked
+    here, through one ``TrainConfig`` per penalty weight."""
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
     raw = dict(raw)
@@ -147,7 +148,10 @@ def config_from_dict(raw: dict) -> RunConfig:
     for key in ("seeds", "lambda_fair"):
         if key in raw and not isinstance(raw[key], (list, tuple)):
             raw[key] = [raw[key]]
-    return RunConfig(**kwargs, **_read_fields(RunConfig, raw))
+    config = RunConfig(**kwargs, **_read_fields(RunConfig, raw))
+    for lam in config.lambda_fair:
+        TrainConfig(epochs=config.epochs, lr=config.lr, lambda_fair=lam)
+    return config
 
 
 def hidden_dims_for_layers(n_layers: int) -> tuple[int, ...]:
@@ -478,13 +482,13 @@ def _delta_run(dataset: Dataset, config: RunConfig, seed: int,
     rows = report.rows
     fitted_pairs = np.stack([rows["i"], rows["j"]], axis=1)
     est = delta(fitted_pairs, rows["tau_fitted"], group_of, dataset.t_labels)
-    closed = delta_hat(run.result.train_view, report.rho2, report.c1,
-                       dataset.t_labels, config.filter_kind)
+    closed, disparity = delta_hat(run.result.train_view, report.rho2,
+                                  report.c1, dataset.t_labels,
+                                  config.filter_kind)
     return _records({
         "seed": seed, "group": np.arange(assess.delta.size),
         "delta": assess.delta, "delta_hat": est.delta,
-        "delta_hat_closed_form": closed.delta_hat,
-        "disparity": closed.disparity,
+        "delta_hat_closed_form": closed, "disparity": disparity,
         "n_t1": assess.n_t1, "n_t2": assess.n_t2,
     }, ~assess.skipped & ~est.skipped)
 

@@ -124,12 +124,23 @@ def split_links(dataset: Dataset, ratios=DEFAULT_RATIOS, seed: int = 0) -> LinkS
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """One training's settings; a negative or NaN ``lr`` or ``lambda_fair``
+    and ``epochs < 1`` raise here."""
+
     filter_kind: str = "symmetric"
     hidden_dims: tuple[int, ...] = (128, 64)
     epochs: int = 100
     lr: float = 0.01
     lambda_fair: float = 0.0
     seed: int = 0
+
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if not self.lr >= 0:
+            raise ValueError("lr must be >= 0")
+        if not self.lambda_fair >= 0:
+            raise ValueError("lambda_fair must be >= 0")
 
 
 @dataclass
@@ -159,12 +170,6 @@ def train(dataset: Dataset, split: LinkSplit, config: TrainConfig) -> TrainResul
     forward pass.  A non-finite loss or weight raises ``ValueError`` naming
     the epoch.
     """
-    if config.epochs < 1:
-        raise ValueError("epochs must be >= 1")
-    if not config.lr >= 0:
-        raise ValueError("lr must be >= 0")
-    if not config.lambda_fair >= 0:
-        raise ValueError("lambda_fair must be >= 0")
     if config.lambda_fair != 0.0 and dataset.t_labels is None:
         raise ValueError("lambda_fair > 0 requires subgroup labels")
 

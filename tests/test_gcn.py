@@ -10,7 +10,7 @@ import pytest
 from scipy.special import expit
 
 import palink.gcn as gcn
-from palink.fairness import delta, regularizer_term
+from palink.fairness import delta
 from palink.gcn import (
     Model,
     PairState,
@@ -252,9 +252,30 @@ class TestGradients:
         h = forward(model, nm, ds.features)
         pairs = np.concatenate([pos, neg], axis=0)
         scores = score_pairs(h, pairs)
-        assessment = delta(pairs, scores, group_of, t)
-        assert penalty == pytest.approx(
-            regularizer_term(assessment.delta, lam), abs=1e-12)
+        a = delta(pairs, scores, group_of, t)
+        assert (~a.skipped).sum() > 0
+        assert penalty == float(lam * np.sum(a.delta[~a.skipped])
+                                / (~a.skipped).sum())
+
+    @pytest.mark.parametrize("lam", [-1.0, float("nan")])
+    def test_negative_or_nan_lambda_rejected(self, lam):
+        ds, nm, model, pos, neg, group_of, t = gradient_instance(44)
+        with pytest.raises(ValueError, match=r"^lambda_fair must be >= 0$"):
+            loss_and_gradients(model, nm, ds.features, pos, neg, lam,
+                               group_of, t)
+
+    def test_no_active_group_gives_zero_penalty(self):
+        # group 0 holds one subgroup's nodes and every other node is alone,
+        # so no group has both subgroups anchored
+        ds, nm, model, pos, neg, _, t = gradient_instance(44)
+        group_of = np.where(t == t[0], 0, 1 + np.arange(ds.n))
+        args = (model, nm, ds.features, pos, neg)
+        loss0, bce0, _, grads0 = loss_and_gradients(*args, 0.0, group_of, t)
+        loss, bce, penalty, grads = loss_and_gradients(*args, 3.0, group_of,
+                                                       t)
+        assert penalty == 0.0 and (loss, bce) == (loss0, bce0)
+        for g, g0 in zip(grads, grads0):
+            np.testing.assert_array_equal(g, g0)
 
     def test_zero_lambda_has_no_penalty(self):
         ds, nm, model, pos, neg, group_of, t = gradient_instance(45)

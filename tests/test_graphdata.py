@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from palink import graphdata
 from palink.cli import main
 from palink.fairness import delta_hat
 from palink.graphdata import (
@@ -161,6 +162,31 @@ class TestLoader:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {paths[role]}{message}")
         assert err.count("\n") == 1  # no warning, no traceback
+
+    def test_one_edge_check_per_load(self, tmp_path, monkeypatch):
+        calls = []
+        real = graphdata._bad_edge
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(graphdata, "_bad_edge", counted)
+        paths = write_files(tmp_path, "0 1\n1 2\n", "1.0\n2.0\n3.0\n",
+                            "0\ta\n1\ta\n2\tb\n")
+        load_dataset(*paths)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("labels,message", [
+        ("0\ta\n", "1 label rows for 2 nodes"),
+        ("0\ta\tx\n1\ta\tx\n", "subgroup labels must take exactly"),
+    ], ids=["label_rows", "one_subgroup"])
+    def test_label_error_wins_over_edge_endpoint(self, tmp_path, labels,
+                                                 message):
+        # the endpoint is checked with the arrays, after the labels
+        paths = write_files(tmp_path, "0 5\n", "1.0\n2.0\n", labels)
+        with pytest.raises(DatasetError, match=message):
+            load_dataset(*paths)
 
     def test_three_subgroup_values_rejected(self, tmp_path):
         paths = write_files(
@@ -355,7 +381,8 @@ class TestWithinGroupView:
             c1[lone], np.linalg.norm(alphas[firsts[lone]], axis=1),
             rtol=1e-15,
         )
-        out = delta_hat(view, np.ones(view.n_groups), c1, ds.t_labels)
-        assert len(out.reasons) == out.delta_hat.size == view.n_groups
-        assert all(out.reasons[g] == "empty_subgroup"
-                   for g in np.flatnonzero(lone))
+        closed, disparity = delta_hat(view, np.ones(view.n_groups), c1,
+                                      ds.t_labels)
+        assert closed.size == disparity.size == view.n_groups
+        # a singleton has one subgroup only
+        assert np.isnan(closed[lone]).all() and np.isnan(disparity[lone]).all()

@@ -174,6 +174,19 @@ class TestConfigParsing:
         written = {f"dataset.{key}" for key in layout.pop("dataset")}
         assert documented == written | set(layout) | {"layers"}
 
+    def test_readme_library_example_runs(self, tiny_bed, capsys):
+        readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+        with open(readme) as fh:
+            text = fh.read()
+        block = text.split("## Library usage", 1)[1]
+        block = block.split("```python\n", 1)[1].split("\n```", 1)[0]
+        data_dir = os.path.dirname(tiny_bed[1]["edges"])
+        exec(block.replace('"data/', f'"{data_dir}/'), {})
+        out = capsys.readouterr().out
+        for label in ("test AUC:", "mean gap:", "closed-form gap:",
+                      "symmetric 4 per-group entry radii:"):
+            assert label in out
+
     def test_scalar_seed_and_lambda(self):
         raw = self.raw()
         raw["seeds"] = 7
@@ -648,15 +661,21 @@ class TestCli:
 
     def test_negative_lambda_in_a_worker_exits_2(self, tmp_path, tiny_bed,
                                                   capsys, monkeypatch):
+        # a bad training value exits 2 when the config is read: before the
+        # (here missing) edges file is opened and before any worker forks
         monkeypatch.setattr(pipelines, "_max_workers", lambda: 2)
-        config_path = self.write_config(tmp_path, tiny_bed,
-                                        lambda_fair=[1.0, -0.5])
-        code = main(["fairness-sweep", "--config", config_path])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.strip() == "error: lambda_fair must be >= 0"
-        assert multiprocessing.active_children() == []
-        assert not (tmp_path / "runs").exists()
+        missing = {"edges": str(tmp_path / "no_edges.txt")}
+        for bad, message in [({"lambda_fair": [1.0, -0.5]},
+                              "lambda_fair must be >= 0"),
+                             ({"lr": -1}, "lr must be >= 0"),
+                             ({"epochs": 0}, "epochs must be >= 1")]:
+            config_path = self.write_config(tmp_path, tiny_bed, seeds=[0, 1],
+                                            dataset=missing, **bad)
+            code = main(["fairness-sweep", "--config", config_path])
+            assert code == 2
+            assert capsys.readouterr().err.strip() == f"error: {message}"
+            assert multiprocessing.active_children() == []
+            assert not (tmp_path / "runs").exists()
 
     def test_dead_worker_exits_2(self, tmp_path, tiny_bed, capsys,
                                  monkeypatch):

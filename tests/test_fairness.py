@@ -9,7 +9,9 @@ import pytest
 from scipy.special import expit, logit
 
 from palink.fairness import delta, delta_hat, sampled_delta_terms
+from palink.gcn import Model, loss_and_gradients, score_pairs
 from palink.graphdata import make_dataset, within_group_structure
+from palink.spectral import matrix_from_edges
 
 from conftest import random_planted_dataset
 from oracles import delta_enumeration_oracle, within_group_pairs
@@ -140,6 +142,42 @@ class TestSampledDeltaTerms:
         )
         assert gaps.shape == (0,)
         np.testing.assert_array_equal(grad, [0.0])
+
+
+def regularizer_instance():
+    """A one-layer linear encoder on an edgeless graph (identity operator,
+    identity weights), so each pair's score is the inner product of two
+    hand-set feature rows.  Group {0,1,2} has subgroups [0,0,1] and
+    pair probabilities (0,1)=0.8, (0,2)=0.2; group {3,4,5} has subgroups
+    [0,0,1] and (3,4)=0.5, (3,5)=0.35.  Each group's anchored means give
+    gap = 2|p01 - p02| / 3: 0.4 and 0.1."""
+    x = np.zeros((6, 2))
+    x[0, 0], x[1, 0], x[2, 0] = 1.0, logit(0.8), logit(0.2)
+    x[3, 1], x[4, 1], x[5, 1] = 1.0, logit(0.5), logit(0.35)
+    model = Model(filter_kind="symmetric", weights=[np.eye(2)])
+    nm = matrix_from_edges(6, np.empty((0, 2)), 1.0, "symmetric")
+    pos = np.array([[0, 1], [3, 4]])
+    neg = np.array([[0, 2], [3, 5]])
+    return model, nm, x, pos, neg, [0, 0, 0, 1, 1, 1], [0, 0, 1, 0, 0, 1]
+
+
+class TestRegularizer:
+    def test_hand_value(self):
+        model, nm, x, pos, neg, group_of, t = regularizer_instance()
+        loss, bce, penalty, _ = loss_and_gradients(model, nm, x, pos, neg,
+                                                   2.0, group_of, t)
+        # (2.0 / 2 active groups) * (0.4 + 0.1)
+        assert penalty == pytest.approx(0.5, abs=1e-12)
+        assert loss == bce + penalty
+
+    def test_accepts_assessment(self):
+        model, nm, x, pos, neg, group_of, t = regularizer_instance()
+        _, _, penalty, _ = loss_and_gradients(model, nm, x, pos, neg, 3.0,
+                                              group_of, t)
+        pairs = np.concatenate([pos, neg])
+        a = delta(pairs, score_pairs(x, pairs), group_of, t)
+        np.testing.assert_allclose(a.delta, [0.4, 0.1], atol=1e-12)
+        assert penalty == pytest.approx(3.0 * a.mean_delta, abs=1e-15)
 
 
 def delta_hat_brute_force(view, rho2, c1, t_labels, g):

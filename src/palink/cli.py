@@ -45,15 +45,21 @@ def _add_overrides(parser: argparse.ArgumentParser) -> None:
 
 def _read_config(args, what: str) -> dict:
     """The JSON object at ``--config`` with each flag given written over
-    its key; ``--layers`` also drops the file's ``hidden_dims``."""
+    its key; ``--layers N`` writes ``hidden_dims``."""
     with open(args.config) as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"{args.config}: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{what} must be a JSON object")
     flags = {key: getattr(args, key) for key in _FLAG_KEYS
              if getattr(args, key, None) is not None}
     if "layers" in flags:
-        raw.pop("hidden_dims", None)
+        n_layers = flags.pop("layers")
+        if n_layers < 1:
+            raise ValueError("flag --layers must be >= 1")
+        flags["hidden_dims"] = [128] * (n_layers - 1) + [64]
     return {**raw, **flags}
 
 

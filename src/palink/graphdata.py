@@ -11,7 +11,7 @@ import itertools
 import os
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -294,36 +294,33 @@ def load_dataset(
         raise DatasetError(f"{edges_path}:{lineno}: {why}") from None
 
 
-@dataclass(frozen=True)
-class NormalizationInfo:
-    zero_sum_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
-    constant_columns: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
-
-
 def normalize_features(features: np.ndarray, mode: str):
-    """Normalize a feature matrix; returns ``(features, NormalizationInfo)``.
+    """Normalize a feature matrix; returns ``(features, counts)``, where
+    ``counts`` holds ``n_zero_sum_rows`` and ``n_constant_columns``.
 
     ``row_sum_one`` divides each row by its sum (zero-sum rows are left
-    unchanged and flagged).  ``minmax_signed`` affinely maps each column
-    onto [-1, 1] (constant columns map to 0 and are flagged).  ``none``
+    unchanged and counted).  ``minmax_signed`` affinely maps each column
+    onto [-1, 1] (constant columns map to 0 and are counted).  ``none``
     returns the input untouched.  Both non-trivial modes are idempotent.
     """
     features = np.asarray(features, dtype=np.float64)
+    counts = {"n_zero_sum_rows": 0, "n_constant_columns": 0}
     if mode == "none":
-        return features.copy(), NormalizationInfo()
+        return features.copy(), counts
     if mode == "row_sum_one":
         sums = features.sum(axis=1)
-        zero = np.flatnonzero(sums == 0.0)
+        counts["n_zero_sum_rows"] = int(np.count_nonzero(sums == 0.0))
         safe = np.where(sums == 0.0, 1.0, sums)
-        return features / safe[:, None], NormalizationInfo(zero_sum_rows=zero)
+        return features / safe[:, None], counts
     if mode == "minmax_signed":
         lo = features.min(axis=0)
         hi = features.max(axis=0)
         const = np.flatnonzero(hi == lo)
+        counts["n_constant_columns"] = int(const.size)
         span = np.where(hi == lo, 1.0, hi - lo)
         out = 2.0 * (features - lo) / span - 1.0
         out[:, const] = 0.0
-        return out, NormalizationInfo(constant_columns=const)
+        return out, counts
     raise ValueError(f"unknown normalization mode: {mode!r}")
 
 

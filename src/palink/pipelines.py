@@ -115,9 +115,8 @@ def _read_fields(cls, raw: dict, what: str = "config") -> dict:
 
 def config_from_dict(raw: dict) -> RunConfig:
     """The RunConfig of ``RunConfig.to_dict``'s JSON layout, where
-    ``dataset.name`` is optional, ``filter`` may be an alias, ``layers``
-    stands in for a missing ``hidden_dims`` and ``seeds`` and
-    ``lambda_fair`` may be bare values.  The training values are checked
+    ``dataset.name`` is optional, ``filter`` may be an alias and ``seeds``
+    and ``lambda_fair`` may be bare values.  The training values are checked
     here, through one ``TrainConfig`` per penalty weight."""
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
@@ -138,13 +137,6 @@ def config_from_dict(raw: dict) -> RunConfig:
         if kind not in FILTER_ALIASES:
             raise ValueError(f"unknown filter: {kind!r}")
         kwargs["filter_kind"] = FILTER_ALIASES[kind]
-    if "layers" in raw:
-        n_layers = _check("layers", raw.pop("layers"), int)
-        if n_layers < 1:
-            raise ValueError("config key 'layers' or flag --layers must "
-                             "be >= 1")
-        if "hidden_dims" not in raw:
-            kwargs["hidden_dims"] = hidden_dims_for_layers(n_layers)
     for key in ("seeds", "lambda_fair"):
         if key in raw and not isinstance(raw[key], (list, tuple)):
             raw[key] = [raw[key]]
@@ -152,11 +144,6 @@ def config_from_dict(raw: dict) -> RunConfig:
     for lam in config.lambda_fair:
         TrainConfig(epochs=config.epochs, lr=config.lr, lambda_fair=lam)
     return config
-
-
-def hidden_dims_for_layers(n_layers: int) -> tuple[int, ...]:
-    """L layers as 128-wide hidden stack feeding a 64-dim output."""
-    return tuple([128] * (n_layers - 1) + [64])
 
 
 def _jsonable(obj):
@@ -206,12 +193,9 @@ def prepare_dataset(config: RunConfig) -> tuple[Dataset, dict]:
         config.edges, config.features, config.labels,
         self_loop_weight=config.self_loop_weight,
     )
-    feats, info = normalize_features(dataset.features, config.normalization)
+    feats, counts = normalize_features(dataset.features, config.normalization)
     return replace(dataset, features=feats), {
-        "n_duplicate_edges": dataset.n_duplicate_edges,
-        "n_zero_sum_rows": int(info.zero_sum_rows.size),
-        "n_constant_columns": int(info.constant_columns.size),
-    }
+        "n_duplicate_edges": dataset.n_duplicate_edges, **counts}
 
 
 @dataclass

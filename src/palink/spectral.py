@@ -217,7 +217,6 @@ class BoundSet:
     cross_term: float
     zeta: np.ndarray
     lambda_gaps: np.ndarray
-    degree_ratio: float | None
 
 
 def residual_cross_term(L: int, xi_norm: float, phat_norm: float) -> float:
@@ -257,13 +256,9 @@ def residual_and_bounds(
     phat_norm = _memo(_norms, within, lambda: operator_norm(within.matrix))
     cross = residual_cross_term(L, xi_norm, phat_norm)
 
-    if full.kind == "random_walk":
-        ratio = max_degree_ratio(view.wg_degrees).value
-        zeta = ratio * gaps**L + cross
-    else:
-        ratio = None
-        zeta = gaps**L + cross
-    zeta = np.where(view.volumes == 0.0, np.nan, zeta)
+    ratio = (max_degree_ratio(view.wg_degrees).value
+             if full.kind == "random_walk" else 1.0)
+    zeta = np.where(view.volumes == 0.0, np.nan, ratio * gaps**L + cross)
 
     return BoundSet(
         xi_norm=xi_norm,
@@ -271,5 +266,4 @@ def residual_and_bounds(
         cross_term=cross,
         zeta=zeta,
         lambda_gaps=gaps,
-        degree_ratio=ratio,
     )

@@ -22,7 +22,6 @@ from palink.pipelines import (
     RunConfig,
     _write_csv,
     config_from_dict,
-    hidden_dims_for_layers,
     prepare_dataset,
     run_delta_comparison,
     run_fairness_sweep,
@@ -116,7 +115,7 @@ class TestConfigParsing:
 
     def test_unknown_keys_rejected(self):
         # a field name is a config key only where the layout spells it so
-        for key in ("learning_rate", "filter_kind", "edges"):
+        for key in ("learning_rate", "filter_kind", "edges", "layers"):
             raw = self.raw()
             raw[key] = "x"
             with pytest.raises(ValueError,
@@ -133,17 +132,9 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             config_from_dict(raw)
 
-    def test_layers_expand_to_hidden_dims(self):
-        raw = self.raw()
-        raw["layers"] = 3
-        assert config_from_dict(raw).hidden_dims == (128, 128, 64)
-        assert hidden_dims_for_layers(1) == (64,)
-        raw["hidden_dims"] = [5, 4]
-        assert config_from_dict(raw).hidden_dims == (5, 4)
-
     @pytest.mark.parametrize("extra", [
         {},
-        {"filter": "rw", "layers": 3, "seeds": 4, "lambda_fair": 2,
+        {"filter": "rw", "hidden_dims": [5, 4], "seeds": 4, "lambda_fair": 2,
          "lr": 1, "self_loop_weight": 0, "ratios": [0.8, 0.1, 0.1],
          "normalization": "minmax_signed", "out": "elsewhere"},
     ])
@@ -172,7 +163,7 @@ class TestConfigParsing:
                 documented.update(prefix + name for name in names)
         layout = config_from_dict(self.raw()).to_dict()
         written = {f"dataset.{key}" for key in layout.pop("dataset")}
-        assert documented == written | set(layout) | {"layers"}
+        assert documented == written | set(layout)
 
     def test_readme_library_example_runs(self, tiny_bed, capsys):
         readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
@@ -758,8 +749,9 @@ class TestCli:
         ("synth", [1], [], "synth config must be a JSON object"),
         ("train", {"dataset": {"self_loop_weight": 0.0}}, [],
          "unknown config keys: ['dataset.self_loop_weight']"),
-        ("train", {"layers": "abc"}, [], "'layers' must be an integer"),
-        ("train", {"layers": 0}, [], "layers must be >= 1"),
+        ("train", {"layers": 3}, [], "unknown config keys: ['layers']"),
+        ("train", {"layers": 3, "hidden_dims": [4]}, [],
+         "unknown config keys: ['layers']"),
         ("train", {"epochs": True}, [], "'epochs' must be an integer"),
         ("train", {"lr": False}, [], "'lr' must be a number"),
         ("synth", {"feature_dim": True}, [],
@@ -806,3 +798,53 @@ class TestCli:
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "runs").exists()
         assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("command", ["train", "synth"])
+    @pytest.mark.parametrize("content", [b'{"epochs": 3,', b"\xff{}"],
+                             ids=["truncated", "not_utf8"])
+    def test_config_that_is_not_json_is_named(self, tmp_path, capsys,
+                                              command, content):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {path}: ")
+
+    def test_readme_command_line_example_runs(self, tmp_path, monkeypatch):
+        readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+        with open(readme) as fh:
+            text = fh.read()
+        block = text.split("## Command-line usage", 1)[1]
+        block = block.split("```bash\n", 1)[1].split("\n```", 1)[0]
+        files = re.findall(r"cat > (\S+) <<'EOF'\n(.*?\n)EOF\n", block,
+                           re.S)
+        commands = [line.split()[1:] for line in block.splitlines()
+                    if line.startswith("palink ")]
+        assert len(files) == 2 and len(commands) == 5
+        monkeypatch.chdir(tmp_path)
+        for name, body in files:
+            (tmp_path / name).write_text(body)
+        for argv in commands:
+            assert main(argv) == 0, argv
+
+
+class TestPackage:
+    def test_import_loads_every_module_but_cli(self):
+        code = (
+            "import json, sys, palink\n"
+            "print(json.dumps([\n"
+            "    sorted(m for m in sys.modules if m.startswith('palink.')),\n"
+            "    sorted(n for n in vars(palink) if not n.startswith('_')),\n"
+            "    palink.load_dataset is palink.graphdata.load_dataset,\n"
+            "    palink.__version__]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(pipelines.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        loaded, public, same_loader, version = json.loads(out.stdout)
+        modules = ["fairness", "gcn", "graphdata", "metrics", "pipelines",
+                   "spectral", "synth", "theory", "training"]
+        assert loaded == [f"palink.{name}" for name in modules]
+        assert public == sorted(modules + ["load_dataset"])
+        assert same_loader and isinstance(version, str)

@@ -521,8 +521,10 @@ class TestBounds:
         within = normalized_matrix(view, "random_walk")
         gaps = block_spectrum(view, "random_walk")
         bounds = residual_and_bounds(full, within, gaps, L=2, view=view)
-        # degrees: {1, 2, 1, 3, 1, 0}; max/min positive = 3/1
-        assert bounds.degree_ratio == pytest.approx(math.sqrt(3.0))
+        # degrees: {1, 2, 1, 3, 1, 0}; max/min positive = 3/1, so the
+        # radius carries the factor sqrt(3)
+        assert bounds.zeta[0] == pytest.approx(
+            math.sqrt(3.0) * gaps[0]**2 + bounds.cross_term)
         assert np.isnan(bounds.zeta[1])  # zero-volume singleton group
 
     def test_all_zero_degrees_give_nan_radii(self):
@@ -539,7 +541,6 @@ class TestBounds:
                                          view=view)
             assert bounds.zeta.shape == (4,)
             assert np.isnan(bounds.zeta).all(), kind
-        assert np.isnan(bounds.degree_ratio)
 
     def test_kind_mismatch_and_bad_L(self, k3):
         view = within_group_structure(k3)

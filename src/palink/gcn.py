@@ -16,6 +16,18 @@ in place.  ``loss_and_gradients`` takes an optional forward cache, the
 ``_forward_cached`` triple, which must have been computed at the model's
 current weights; training passes the forward it already ran for
 validation after the previous step, and its ``PairState``.
+
+A ``PairState`` also owns the dense arrays of a training step, by name in
+an ``_Arrays``: the forward's layer outputs (ReLU is applied in place),
+the loss's pair-length scores, probabilities, BCE terms and score
+gradient, and the backward's ``n``-row ``G @ W`` products and ReLU masks.
+Each epoch writes into them with ``out=``, in the same operand order as a
+fresh computation, so the bits do not depend on the reuse.  A forward
+cache taken through a state is overwritten by that state's next forward.
+The sparse products (``P @``, ``P^T @``, ``S @``) go through SciPy's
+public API and still return fresh arrays; so do the weight gradients,
+which callers keep.  ``forward`` and a ``loss_and_gradients`` call
+without a state make their own arrays through the same code.
 """
 from __future__ import annotations
 
@@ -91,31 +103,51 @@ def _transforms_first(l: int, w: np.ndarray) -> bool:
     return l > 0 and w.shape[0] < w.shape[1]
 
 
+class _Arrays:
+    """Named arrays, each allocated on its first request and handed out
+    again while its shape holds; a new instance hands out new arrays."""
+
+    def __init__(self):
+        self._arrays: dict = {}
+
+    def __call__(self, name, shape, dtype=np.float64) -> np.ndarray:
+        a = self._arrays.get(name)
+        if a is None or a.shape != shape:
+            a = self._arrays[name] = np.empty(shape, dtype)
+        return a
+
+
 def _forward_cached(model: Model, nm: NormalizedMatrix, features, px=None,
-                    linear: bool = False):
+                    linear: bool = False, arrays: _Arrays | None = None):
     """Forward pass keeping what each W_l multiplies (``P @ H_{l-1}``, or
-    ``H_{l-1}`` if ``_transforms_first``) and the pre-activations.
+    ``H_{l-1}`` if ``_transforms_first``) and each layer's output H_l.
 
     ``px`` optionally supplies a precomputed P @ features for the first
     layer (it is constant across epochs); ``linear=True`` forces identity
-    activations at every layer.
+    activations at every layer.  The dense products and the in-place ReLU
+    write into ``arrays`` (new ones if omitted), so the next forward
+    through the same ``arrays`` overwrites this one's outputs.
     """
     features = np.asarray(features, dtype=np.float64)
     _check_compat(model, nm, features)
+    if arrays is None:
+        arrays = _Arrays()
     h = features
     inputs = []  # what W_l multiplies
-    pre = []  # Z_l
+    outs = []  # H_l
     L = model.n_layers
     for l, w in enumerate(model.weights):
+        shape = (h.shape[0], w.shape[0])
         if _transforms_first(l, w):
             inputs.append(h)
-            z = nm.matrix @ (h @ w.T)
+            h = nm.matrix @ np.matmul(h, w.T, out=arrays(("hw", l), shape))
         else:
             inputs.append(px if l == 0 and px is not None else nm.matrix @ h)
-            z = inputs[-1] @ w.T
-        pre.append(z)
-        h = z if linear or l == L - 1 else np.maximum(z, 0.0)
-    return h, inputs, pre
+            h = np.matmul(inputs[-1], w.T, out=arrays(("z", l), shape))
+        if not (linear or l == L - 1):
+            np.maximum(h, 0.0, out=h)
+        outs.append(h)
+    return h, inputs, outs
 
 
 def forward(model: Model, nm: NormalizedMatrix, features, linear: bool = False):
@@ -125,14 +157,16 @@ def forward(model: Model, nm: NormalizedMatrix, features, linear: bool = False):
 
 
 def _score_blocks(h: np.ndarray, pairs: np.ndarray, left: np.ndarray,
-                  right: np.ndarray) -> np.ndarray:
-    """``h_i . h_j`` for each pair, walked in blocks of ``len(left)`` rows
-    gathered into ``left`` and ``right``; each row is the same einsum as
-    over the whole gather, so the scores do not depend on the block size."""
+                  right: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``h_i . h_j`` for each pair, into ``out`` (new if omitted), walked
+    in blocks of ``len(left)`` rows gathered into ``left`` and ``right``;
+    each row is the same einsum as over the whole gather, so the scores do
+    not depend on the block size."""
     m = pairs.shape[0]
     if m and (pairs.min() < 0 or pairs.max() >= h.shape[0]):
         raise ValueError("pair indices must lie in [0, n)")
-    out = np.empty(m, dtype=h.dtype)
+    if out is None:
+        out = np.empty(m, dtype=h.dtype)
     block = left.shape[0]
     for start in range(0, m, block):
         stop = min(start + block, m)
@@ -162,7 +196,11 @@ class PairState:
     Holds the ``(n_pos + n_neg, 2)`` pairs (positives first, written once)
     and their labels, two ``_PAIR_BLOCK``-row gather buffers of the output
     width, the symmetric pair matrix ``S`` as COO and the operator's
-    transpose ``pt`` as CSR.  ``S`` has the entries pos(i, j), neg(i, j),
+    transpose ``pt`` as CSR: the operator itself under the symmetric
+    filter, whose canonical CSR transposes to the same arrays.  ``arrays``
+    holds the step's dense arrays (see the module docstring), allocated by
+    the first forward and loss through this state and rewritten by every
+    later one.  ``S`` has the entries pos(i, j), neg(i, j),
     pos(j, i), neg(j, i) in that order, so ``S @ h`` is the gradient with
     respect to ``h`` of ``sum_k dscore_k * h_i . h_j``.  Duplicate entries
     add up in the product, which keeps repeated pairs and (u, u) pairs
@@ -187,7 +225,9 @@ class PairState:
         cols = np.concatenate([self.pairs[:, 1], self.pairs[:, 0]])
         self.pair_matrix = sparse.coo_matrix(
             (np.zeros(2 * m), (rows, cols)), shape=(n, n))
-        self.pt = nm.matrix.T.tocsr()
+        self.pt = (nm.matrix if nm.kind == "symmetric"
+                   else nm.matrix.T.tocsr())
+        self.arrays = _Arrays()
 
     def set_negatives(self, neg_pairs) -> None:
         """Write this epoch's negatives into the pairs and ``S``; their
@@ -217,7 +257,15 @@ def bce_from_logits(scores: np.ndarray, labels: np.ndarray) -> float:
     computed in the numerically stable log-sum-exp form."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
-    return float(np.mean(np.logaddexp(0.0, scores) - labels * scores))
+    return _bce(scores, labels)
+
+
+def _bce(scores, labels, terms=None, tmp=None) -> float:
+    """``bce_from_logits`` of float64 arrays, with its two elementwise
+    arrays written into ``terms`` and ``tmp`` if given (new if not)."""
+    lse = np.logaddexp(0.0, scores, out=terms)
+    return float(np.mean(np.subtract(
+        lse, np.multiply(labels, scores, out=tmp), out=terms)))
 
 
 def loss_and_gradients(
@@ -247,9 +295,11 @@ def loss_and_gradients(
     nothing checks this.  ``pair_state`` optionally supplies a
     ``PairState`` built from ``pos_pairs``, ``len(neg_pairs)``, ``nm`` and
     the model's output width, which is then reused: ``neg_pairs`` are
-    written into it and ``pos_pairs`` are not read again.  Without it the
-    call builds its own.  Given either, the result is bitwise identical to
-    the call without it.
+    written into it, ``pos_pairs`` are not read again, and the forward
+    (if not supplied), the pair-length arrays and the backward's dense
+    products are written into its ``arrays``.  Without it the call builds
+    its own.  Given either, the result is bitwise identical to the call
+    without it.  The gradients are new arrays on every call.
     """
     if not lambda_fair >= 0:
         raise ValueError("lambda_fair must be >= 0")
@@ -260,15 +310,20 @@ def loss_and_gradients(
     pair_state.set_negatives(neg_pairs)
     pairs, labels = pair_state.pairs, pair_state.labels
 
+    arrays = pair_state.arrays
     if forward_cache is None:
-        forward_cache = _forward_cached(model, nm, features)
-    h, inputs, pre = forward_cache
-    scores = pair_state.score(h, pairs)
-    probs = expit(scores)
-
+        forward_cache = _forward_cached(model, nm, features, arrays=arrays)
+    h, inputs, outs = forward_cache
     n_pairs = pairs.shape[0]
-    bce = bce_from_logits(scores, labels)
-    dscore = (probs - labels) / n_pairs
+    scores = _score_blocks(h, pairs, pair_state.left, pair_state.right,
+                           arrays("scores", (n_pairs,)))
+    probs = expit(scores, out=arrays("probs", (n_pairs,)))
+
+    # dscore's array is free until (probs - labels) is written into it
+    terms, dscore = arrays("terms", (n_pairs,)), arrays("dscore", (n_pairs,))
+    bce = _bce(scores, labels, terms, dscore)
+    np.subtract(probs, labels, out=dscore)
+    dscore /= n_pairs
 
     penalty = 0.0
     if lambda_fair != 0.0:
@@ -279,7 +334,12 @@ def loss_and_gradients(
         gaps, dprob = sampled_delta_terms(pairs, probs, group_of, t_labels)
         if gaps.size:
             penalty = float(lambda_fair * np.sum(gaps) / gaps.size)
-            dscore = dscore + (lambda_fair / gaps.size) * dprob * probs * (1.0 - probs)
+            # dscore + (lambda_fair / B) * dprob * probs * (1 - probs), in
+            # place in dprob, a new array
+            term = np.multiply(lambda_fair / gaps.size, dprob, out=dprob)
+            term *= probs
+            term *= np.subtract(1.0, probs, out=terms)
+            dscore += term
 
     L = model.n_layers
     grads: list[np.ndarray] = [np.empty(0)] * L
@@ -287,11 +347,15 @@ def loss_and_gradients(
     for l, w in reversed(list(enumerate(model.weights))):
         first = _transforms_first(l, w)
         if l < L - 1:
-            g = g * (pre[l] > 0.0)
+            # H_l > 0 exactly where Z_l > 0 (NaN in neither); g is a
+            # sparse product's new array or this call's "gw" array
+            g *= np.greater(outs[l], 0.0,
+                            out=arrays(("mask", l), outs[l].shape, bool))
         if first:
             g = pair_state.pt @ g  # gradient of the transformed H_{l-1} W_l^T
         grads[l] = g.T @ inputs[l]
         if l > 0:
-            g = g @ w if first else pair_state.pt @ (g @ w)
+            gw = np.matmul(g, w, out=arrays(("gw", l), (g.shape[0], w.shape[1])))
+            g = gw if first else pair_state.pt @ gw
 
     return bce + penalty, bce, penalty, grads

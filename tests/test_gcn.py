@@ -22,7 +22,7 @@ from palink.gcn import (
     score_pairs,
 )
 from palink.graphdata import make_dataset
-from palink.spectral import KINDS, normalized_matrix
+from palink.spectral import KINDS, matrix_from_edges, normalized_matrix
 
 from conftest import complete_graph, random_planted_dataset
 from oracles import (
@@ -333,6 +333,44 @@ class TestGradients:
         np.testing.assert_allclose(got, want, rtol=1e-12,
                                    atol=1e-12 * np.abs(want).max())
         np.testing.assert_array_equal(got[n - 1], 0.0)
+
+    @pytest.mark.parametrize("weight", [1.0, 0.5, 0.0])
+    def test_symmetric_operator_is_its_own_transpose(self, weight):
+        # PairState takes the symmetric operator as its transpose: the
+        # canonical CSR that matrix_from_edges builds transposes to the
+        # same indptr, indices and data, bit for bit
+        ds = random_planted_dataset(np.random.default_rng(50), n_max=40)
+        for kind in KINDS:
+            nm = matrix_from_edges(ds.n, ds.edges, weight, kind)
+            state = PairState(ds.edges, 0, nm, 3)
+            if kind == "symmetric":
+                t = nm.matrix.T.tocsr()
+                for name in ("indptr", "indices", "data"):
+                    a, b = getattr(t, name), getattr(nm.matrix, name)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                assert state.pt is nm.matrix
+            else:
+                assert (state.pt != nm.matrix.T).nnz == 0
+
+    def test_one_shot_calls_keep_their_results(self):
+        # without a PairState, forward and the loss make their own arrays,
+        # so a later call writes over nothing an earlier one returned;
+        # (8, 3, 6) ends in a widening layer, whose output is a dense
+        # array of the call's own rather than a sparse product's
+        ds, nm, model, pos, neg, group_of, t = gradient_instance(
+            56, hidden=(8, 3, 6))
+        h = forward(model, nm, ds.features)
+        _, inputs, outs = _forward_cached(model, nm, ds.features)
+        grads = loss_and_gradients(model, nm, ds.features, pos, neg, 1.0,
+                                   group_of, t)[3]
+        returned = [h, *inputs, *outs, *grads]
+        kept = [a.copy() for a in returned]
+        other = init_model(ds.feature_dim, (8, 3, 6), nm.kind, seed=57)
+        forward(other, nm, ds.features)
+        _forward_cached(other, nm, ds.features)
+        loss_and_gradients(other, nm, ds.features, pos, neg, 1.0, group_of, t)
+        for a, b in zip(returned, kept):
+            np.testing.assert_array_equal(a, b)
 
 
 # (8, 3, 6) has a narrowing layer between two widening ones; (4, 16) has

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,7 +229,7 @@ class TestValidateTheory:
         assert agg["test_auc_mean"] == pytest.approx(np.mean(vals))
         assert agg["test_auc_std"] == pytest.approx(np.std(vals, ddof=1))
 
-        lines = open(payload["paths"]["pairs"]).read().splitlines()
+        lines = Path(payload["paths"]["pairs"]).read_text().splitlines()
         assert lines[0] == "seed,group,tau_raw,tau_fitted,gcn_score"
         n_rows = sum(e["n_pairs_used"] for e in payload["per_seed"])
         assert len(lines) == 1 + n_rows
@@ -237,21 +238,21 @@ class TestValidateTheory:
             int(seed), int(group)
             float(tr), float(tf), float(sc)
 
-        report = json.load(open(payload["paths"]["report"]))
+        report = json.loads(Path(payload["paths"]["report"]).read_text())
         assert report["config"]["dataset"]["name"] == "tiny"
 
     def test_group_entries(self, tiny_bed, tmp_path):
         # node 0 loses its edges, so it is a refined group of its own,
         # with no pairs, which the theory report skips
         _, paths = tiny_bed
-        edges = [line for line in open(paths["edges"]).read().splitlines()
+        edges = [line for line in Path(paths["edges"]).read_text().splitlines()
                  if line.startswith("#") or "0" not in line.split()]
         (tmp_path / "edges.txt").write_text("\n".join(edges) + "\n")
         cfg = dataclasses.replace(base_config(tiny_bed),
                                   edges=str(tmp_path / "edges.txt"))
         payload = run_validate_theory(cfg)
-        report = json.load(open(payload["paths"]["report"]))
-        lines = open(payload["paths"]["pairs"]).read().splitlines()
+        report = json.loads(Path(payload["paths"]["report"]).read_text())
+        lines = Path(payload["paths"]["pairs"]).read_text().splitlines()
         # one groups entry per refined group of the seed's training view,
         # rho2 null exactly where the group is skipped
         dataset, _ = prepare_dataset(cfg)
@@ -273,7 +274,8 @@ class TestValidateTheory:
         cfg = base_config(tiny_bed)
         payload = run_validate_theory(cfg)
         by_seed: dict[int, list[tuple[float, float]]] = {}
-        for line in open(payload["paths"]["pairs"]).read().splitlines()[1:]:
+        pairs_csv = Path(payload["paths"]["pairs"]).read_text()
+        for line in pairs_csv.splitlines()[1:]:
             seed, _group, _tr, tf, sc = line.split(",")
             by_seed.setdefault(int(seed), []).append((float(tf), float(sc)))
         for entry in payload["per_seed"]:
@@ -320,12 +322,12 @@ class TestFairnessSweep:
             assert 0.0 <= row["auc_mean"] <= 1.0
             assert row["delta_mean"] >= 0.0
 
-        lines = open(payload["paths"]["table"]).read().splitlines()
+        lines = Path(payload["paths"]["table"]).read_text().splitlines()
         assert lines[0] == \
             "dataset,lambda_fair,delta_mean,delta_std,auc_mean,auc_std"
         assert len(lines) == 1 + len(table)
         header = lines[0].split(",")
-        report = json.load(open(payload["paths"]["report"]))
+        report = json.loads(Path(payload["paths"]["report"]).read_text())
         for line, row in zip(lines[1:], report["table"]):
             assert line.split(",") == [csv_cell(row[k]) for k in header]
 
@@ -369,7 +371,7 @@ def test_pipelines_on_one_config_keep_their_own_files(tiny_bed, tmp_path):
     assert sorted(os.listdir(second["paths"]["run_dir"])) == \
         ["fairness_table.csv", "report.json"]
     for payload in (first, second):
-        report = json.load(open(payload["paths"]["report"]))
+        report = json.loads(Path(payload["paths"]["report"]).read_text())
         assert report["pipeline"] == payload["pipeline"]
 
 
@@ -459,12 +461,12 @@ class TestDeltaComparison:
             assert point["delta_hat"] >= 0.0
             assert point["n_t1"] > 0 and point["n_t2"] > 0
 
-        lines = open(payload["paths"]["scatter"]).read().splitlines()
+        lines = Path(payload["paths"]["scatter"]).read_text().splitlines()
         assert lines[0] == \
             "seed,group,delta,delta_hat,delta_hat_closed_form,disparity"
         assert len(lines) == 1 + payload["n_points"]
         header = lines[0].split(",")
-        report = json.load(open(payload["paths"]["report"]))
+        report = json.loads(Path(payload["paths"]["report"]).read_text())
         for line, point in zip(lines[1:], report["points"]):
             assert line.split(",") == [csv_cell(point[k]) for k in header]
 
@@ -474,7 +476,8 @@ class TestDeltaComparison:
         # correlation with it would report noise, and an NRMSE a statistic
         # of the trained gaps alone
         cfg = base_config(tiny_bed, filter=kind)
-        report = json.load(open(run_delta_comparison(cfg)["paths"]["report"]))
+        path = run_delta_comparison(cfg)["paths"]["report"]
+        report = json.loads(Path(path).read_text())
         deltas, estimates = (np.array([p[key] for p in report["points"]])
                              for key in ("delta", "delta_hat"))
         assert report["n_points"] >= 2
@@ -504,7 +507,7 @@ class TestRunTrain:
         assert meta["seed"] == 1
         assert meta["config"]["dataset"]["name"] == "tiny"
 
-        lines = open(payload["paths"]["history"]).read().splitlines()
+        lines = Path(payload["paths"]["history"]).read_text().splitlines()
         assert lines[0] == "epoch,train_loss,reg_term,val_auc"
         assert len(lines) == 1 + cfg.epochs
         regs = [float(line.split(",")[2]) for line in lines[1:]]
@@ -527,7 +530,7 @@ def test_report_header_counts_what_loading_flagged(tiny_bed, tmp_path,
     # one edge listed twice (reversed), feature column 0 constant and
     # feature row 0 all zero
     _, paths = tiny_bed
-    edges = open(paths["edges"]).read().splitlines()
+    edges = Path(paths["edges"]).read_text().splitlines()
     u, v = next(line for line in edges if not line.startswith("#")).split()
     (tmp_path / "edges.txt").write_text("\n".join([*edges, f"{v} {u}"]))
     feats = np.loadtxt(paths["features"], delimiter=",")
@@ -538,7 +541,7 @@ def test_report_header_counts_what_loading_flagged(tiny_bed, tmp_path,
         base_config(tiny_bed, seeds=[0], normalization=normalization),
         edges=str(tmp_path / "edges.txt"),
         features=str(tmp_path / "features.csv"))
-    report = json.load(open(run_train(cfg)["paths"]["report"]))
+    report = json.loads(Path(run_train(cfg)["paths"]["report"]).read_text())
     assert report["input"] == {"n_duplicate_edges": 1, **flagged}
 
 
@@ -575,7 +578,7 @@ class TestCli:
             assert os.path.exists(paths[role])
             assert paths[role].startswith(str(tmp_path / "data"))
         assert not (tmp_path / "file_out").exists()
-        meta = json.load(open(paths["meta"]))
+        meta = json.loads(Path(paths["meta"]).read_text())
         assert meta["config"]["seed"] == 3
 
     @pytest.mark.parametrize("flag", [["--filter", "rw"], ["--layers", "2"],
@@ -602,7 +605,7 @@ class TestCli:
         paths = json.loads(capsys.readouterr().out)
         assert "_rw_" in os.path.basename(paths["run_dir"])
         assert paths["run_dir"].startswith(str(tmp_path / "override_runs"))
-        report = json.load(open(paths["report"]))
+        report = json.loads(Path(paths["report"]).read_text())
         assert report["config"]["hidden_dims"] == [64]
         assert report["config"]["seeds"] == [1]
         assert report["filter"] == "random_walk"
@@ -616,7 +619,8 @@ class TestCli:
         code = main(["train", "--config", config_path,
                      "--layers", "2", "--seed", "3"])
         assert code == 0
-        report = json.load(open(json.loads(capsys.readouterr().out)["report"]))
+        path = json.loads(capsys.readouterr().out)["report"]
+        report = json.loads(Path(path).read_text())
         assert report["config"]["hidden_dims"] == [128, 64]
         assert report["config"]["seeds"] == [3]
         assert report["seed"] == 3
@@ -627,7 +631,7 @@ class TestCli:
                      "--lambda-fair", "2.0"])
         assert code == 0
         paths = json.loads(capsys.readouterr().out)
-        report = json.load(open(paths["report"]))
+        report = json.loads(Path(paths["report"]).read_text())
         assert report["lambda_fair"] == 2.0
 
     def test_non_finite_training_exits_2(self, tmp_path, tiny_bed, capsys):
@@ -728,58 +732,132 @@ class TestCli:
         assert err.strip() == "error: unknown synth config keys: ['bogus']"
         assert not (tmp_path / "data").exists()
 
+    # Each row names itself, with the id pytest once generated from its
+    # position, so a row can leave without renaming the rows after it.
     @pytest.mark.parametrize("command,config,extra,message", [
-        ("train", {"epochs": "3"}, [], "'epochs' must be an integer"),
-        ("train", {"lr": "x"}, [], "'lr' must be a number"),
-        ("train", {"self_loop_weight": "a"}, [],
-         "'self_loop_weight' must be a number"),
-        ("train", {"hidden_dims": 5}, [],
-         "'hidden_dims' must be a non-empty list"),
-        ("train", [1, 2], [], "config must be a JSON object"),
-        ("train", {}, ["--layers", "0"], "--layers must be >= 1"),
-        ("train", {"seeds": []}, [], "'seeds' must be a non-empty list"),
-        ("train", {"lambda_fair": []}, [],
-         "'lambda_fair' must be a non-empty list"),
-        ("validate-theory", {"seeds": []}, [],
-         "'seeds' must be a non-empty list"),
-        ("fairness-sweep", {"lambda_fair": []}, [],
-         "'lambda_fair' must be a non-empty list"),
-        ("synth", {"sizes": 5}, [], "'sizes' must be a non-empty list"),
-        ("synth", {"p_in": "a"}, [], "'p_in' must be a number"),
-        ("synth", [1], [], "synth config must be a JSON object"),
-        ("train", {"dataset": {"self_loop_weight": 0.0}}, [],
-         "unknown config keys: ['dataset.self_loop_weight']"),
-        ("train", {"layers": 3}, [], "unknown config keys: ['layers']"),
-        ("train", {"layers": 3, "hidden_dims": [4]}, [],
-         "unknown config keys: ['layers']"),
-        ("train", {"epochs": True}, [], "'epochs' must be an integer"),
-        ("train", {"lr": False}, [], "'lr' must be a number"),
-        ("synth", {"feature_dim": True}, [],
-         "'feature_dim' must be an integer"),
-        ("train", {"ratios": [0.9, 0.1]}, [],
-         "ratios must be three positive fractions"),
-        ("fairness-sweep", {"ratios": [0.9, -0.1, 0.2]}, [],
-         "ratios must be three positive fractions"),
-        ("delta-compare", {"ratios": [0.5, 0.3, 0.3]}, [],
-         "ratios must sum to 1"),
+        pytest.param(
+            "train", {"epochs": "3"}, [], "'epochs' must be an integer",
+            id="train-config0-extra0-'epochs' must be an integer"),
+        pytest.param(
+            "train", {"lr": "x"}, [], "'lr' must be a number",
+            id="train-config1-extra1-'lr' must be a number"),
+        pytest.param(
+            "train", {"self_loop_weight": "a"}, [],
+            "'self_loop_weight' must be a number",
+            id="train-config2-extra2-'self_loop_weight' must be a number"),
+        pytest.param(
+            "train", {"hidden_dims": 5}, [],
+            "'hidden_dims' must be a non-empty list",
+            id="train-config3-extra3-'hidden_dims' must be a non-empty list"),
+        pytest.param(
+            "train", [1, 2], [], "config must be a JSON object",
+            id="train-config4-extra4-config must be a JSON object"),
+        pytest.param(
+            "train", {}, ["--layers", "0"], "--layers must be >= 1",
+            id="train-config5-extra5---layers must be >= 1"),
+        pytest.param(
+            "train", {"seeds": []}, [], "'seeds' must be a non-empty list",
+            id="train-config6-extra6-'seeds' must be a non-empty list"),
+        pytest.param(
+            "train", {"lambda_fair": []}, [],
+            "'lambda_fair' must be a non-empty list",
+            id="train-config7-extra7-'lambda_fair' must be a non-empty list"),
+        pytest.param(
+            "validate-theory", {"seeds": []}, [],
+            "'seeds' must be a non-empty list",
+            id=("validate-theory-config8-extra8-'seeds' must be a non-empty "
+                "list")),
+        pytest.param(
+            "fairness-sweep", {"lambda_fair": []}, [],
+            "'lambda_fair' must be a non-empty list",
+            id=("fairness-sweep-config9-extra9-'lambda_fair' must be a "
+                "non-empty list")),
+        pytest.param(
+            "synth", {"sizes": 5}, [], "'sizes' must be a non-empty list",
+            id="synth-config10-extra10-'sizes' must be a non-empty list"),
+        pytest.param(
+            "synth", {"p_in": "a"}, [], "'p_in' must be a number",
+            id="synth-config11-extra11-'p_in' must be a number"),
+        pytest.param(
+            "synth", [1], [], "synth config must be a JSON object",
+            id="synth-config12-extra12-synth config must be a JSON object"),
+        pytest.param(
+            "train", {"dataset": {"self_loop_weight": 0.0}}, [],
+            "unknown config keys: ['dataset.self_loop_weight']",
+            id=("train-config13-extra13-unknown config keys: "
+                "['dataset.self_loop_weight']")),
+        pytest.param(
+            "train", {"layers": 3}, [], "unknown config keys: ['layers']",
+            id="train-config14-extra14-unknown config keys: ['layers']"),
+        pytest.param(
+            "train", {"layers": 3, "hidden_dims": [4]}, [],
+            "unknown config keys: ['layers']",
+            id="train-config15-extra15-unknown config keys: ['layers']"),
+        pytest.param(
+            "train", {"epochs": True}, [], "'epochs' must be an integer",
+            id="train-config16-extra16-'epochs' must be an integer"),
+        pytest.param(
+            "train", {"lr": False}, [], "'lr' must be a number",
+            id="train-config17-extra17-'lr' must be a number"),
+        pytest.param(
+            "synth", {"feature_dim": True}, [],
+            "'feature_dim' must be an integer",
+            id="synth-config18-extra18-'feature_dim' must be an integer"),
+        pytest.param(
+            "train", {"ratios": [0.9, 0.1]}, [],
+            "ratios must be three positive fractions",
+            id=("train-config19-extra19-ratios must be three positive "
+                "fractions")),
+        pytest.param(
+            "fairness-sweep", {"ratios": [0.9, -0.1, 0.2]}, [],
+            "ratios must be three positive fractions",
+            id=("fairness-sweep-config20-extra20-ratios must be three "
+                "positive fractions")),
+        pytest.param(
+            "delta-compare", {"ratios": [0.5, 0.3, 0.3]}, [],
+            "ratios must sum to 1",
+            id="delta-compare-config21-extra21-ratios must sum to 1"),
         # each row below fails inside a run or at read time; a failed run
         # makes no run directory
-        ("fairness-sweep", {"lambda_fair": [-1.0]}, [],
-         "lambda_fair must be >= 0"),
-        ("train", {"epochs": 0}, [], "epochs must be >= 1"),
-        ("train", {"hidden_dims": [0]}, [],
-         "layer dimensions must be >= 1"),
-        ("train", {"lr": -1}, [], "lr must be >= 0"),
-        ("train", {"lr": float("nan")}, [],
-         "config key 'lr' must be finite, got nan"),
-        ("train", {"self_loop_weight": float("nan")}, [],
-         "config key 'self_loop_weight' must be finite, got nan"),
-        ("validate-theory", {"ratios": [float("nan"), 0.5, 0.5]}, [],
-         "config key 'ratios' must be finite, got nan"),
-        ("train", {"lr": float("inf")}, [],
-         "config key 'lr' must be finite, got inf"),
-        ("train", {"ratios": [0.5, 0.5, 10**400]}, [],
-         "config key 'ratios' must be finite, got 1000"),
+        pytest.param(
+            "fairness-sweep", {"lambda_fair": [-1.0]}, [],
+            "lambda_fair must be >= 0",
+            id="fairness-sweep-config22-extra22-lambda_fair must be >= 0"),
+        pytest.param(
+            "train", {"epochs": 0}, [], "epochs must be >= 1",
+            id="train-config23-extra23-epochs must be >= 1"),
+        pytest.param(
+            "train", {"hidden_dims": [0]}, [],
+            "layer dimensions must be >= 1",
+            id="train-config24-extra24-layer dimensions must be >= 1"),
+        pytest.param(
+            "train", {"lr": -1}, [], "lr must be >= 0",
+            id="train-config25-extra25-lr must be >= 0"),
+        pytest.param(
+            "train", {"lr": float("nan")}, [],
+            "config key 'lr' must be finite, got nan",
+            id=("train-config26-extra26-config key 'lr' must be finite, got "
+                "nan")),
+        pytest.param(
+            "train", {"self_loop_weight": float("nan")}, [],
+            "config key 'self_loop_weight' must be finite, got nan",
+            id=("train-config27-extra27-config key 'self_loop_weight' must be "
+                "finite, got nan")),
+        pytest.param(
+            "validate-theory", {"ratios": [float("nan"), 0.5, 0.5]}, [],
+            "config key 'ratios' must be finite, got nan",
+            id=("validate-theory-config28-extra28-config key 'ratios' must be "
+                "finite, got nan")),
+        pytest.param(
+            "train", {"lr": float("inf")}, [],
+            "config key 'lr' must be finite, got inf",
+            id=("train-config29-extra29-config key 'lr' must be finite, got "
+                "inf")),
+        pytest.param(
+            "train", {"ratios": [0.5, 0.5, 10**400]}, [],
+            "config key 'ratios' must be finite, got 1000",
+            id=("train-config30-extra30-config key 'ratios' must be finite, "
+                "got 1000")),
     ])
     def test_bad_config_value_exits_2(self, tmp_path, tiny_bed, capsys,
                                       command, config, extra, message):

@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,18 +69,18 @@ class TestGenerate:
         a = synth_generate(cfg, str(tmp_path / "a"))
         b = synth_generate(cfg, str(tmp_path / "b"))
         for role in ("edges", "features", "labels", "meta"):
-            assert open(a[role], "rb").read() == open(b[role], "rb").read()
+            assert Path(a[role]).read_bytes() == Path(b[role]).read_bytes()
 
     def test_different_seed_different_edges(self, tmp_path):
         a = synth_generate(small_config(seed=1), str(tmp_path / "a"))
         b = synth_generate(small_config(seed=2), str(tmp_path / "b"))
-        assert open(a["edges"]).read() != open(b["edges"]).read()
+        assert Path(a["edges"]).read_text() != Path(b["edges"]).read_text()
 
     def test_round_trip_and_meta(self, tmp_path):
         cfg = small_config()
         paths = synth_generate(cfg, str(tmp_path / "d"))
         ds = load_dataset(paths["edges"], paths["features"], paths["labels"])
-        meta = json.load(open(paths["meta"]))
+        meta = json.loads(Path(paths["meta"]).read_text())
         assert ds.n == meta["n"] == cfg.n
         assert ds.m == meta["m"]
         assert meta["config"] == cfg.to_dict()
@@ -201,7 +202,7 @@ class TestPinnedBytes:
     def test_benchmark_bed_keeps_its_sha256(self, tmp_path, bed):
         kwargs, digests = PINNED_BEDS[bed]
         paths = synth_generate(SynthConfig(seed=2, **kwargs), str(tmp_path))
-        got = {role: hashlib.sha256(open(path, "rb").read()).hexdigest()
+        got = {role: hashlib.sha256(Path(path).read_bytes()).hexdigest()
                for role, path in paths.items()}
         assert got == digests
 

@@ -419,6 +419,26 @@ class TestTrain:
         assert not any(np.array_equal(a, b) for a, b in zip(negs, negs[1:]))
         assert 1 <= result.best_epoch <= config.epochs
 
+    def test_epochs_write_into_the_state_arrays(self, monkeypatch):
+        # each epoch's forward writes into the PairState's arrays, so the
+        # caches that epochs 1 and 2 computed (which the losses of epochs 2
+        # and 3 start from) share the layer-0 activation's memory; the
+        # forward before the first step has arrays of its own
+        caches = []
+        real = training.loss_and_gradients
+
+        def recording(*args, **kwargs):
+            caches.append(kwargs["forward_cache"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(training, "loss_and_gradients", recording)
+        ds = trainable_dataset()
+        train(ds, split_links(ds, seed=1),
+              TrainConfig(hidden_dims=(5, 3), epochs=3, seed=8))
+        before, epoch1, epoch2 = (cache[2][0] for cache in caches)
+        assert np.shares_memory(epoch1, epoch2)
+        assert not np.shares_memory(before, epoch1)
+
     def test_message_passing_uses_training_positives_only(self):
         ds = trainable_dataset()
         split = split_links(ds, seed=2)

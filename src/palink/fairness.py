@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .graphdata import WithinGroupView
 
@@ -33,6 +32,19 @@ class FairnessAssessment:
     def mean_delta(self) -> float:
         vals = self.delta[~self.skipped]
         return float(np.mean(vals)) if vals.size else float("nan")
+
+
+def _sigmoid(x, out=None, tmp=None):
+    """Logistic sigmoid of a float64 array: ``e / (1 + e)`` where ``x < 0``
+    and ``1 / (1 + e)`` elsewhere, with ``e = exp(-|x|) <= 1``, so no input
+    overflows and NaN stays NaN.  Written into ``out`` with ``tmp`` as
+    scratch (each new if omitted)."""
+    e = np.abs(x, out=tmp)
+    np.exp(np.negative(e, out=e), out=e)
+    # the numerator: as e <= 1, max(e, heaviside(x)) is e where x < 0
+    # and 1 elsewhere
+    num = np.maximum(e, np.heaviside(x, 1.0, out=out), out=out)
+    return np.divide(num, np.add(1.0, e, out=e), out=num)
 
 
 def _subgroup_gaps(pairs, values, group_of, t_labels):
@@ -87,7 +99,7 @@ def delta(pairs, scores, group_of, t_labels) -> FairnessAssessment:
     if np.any(pairs[:, 0] == pairs[:, 1]):
         raise ValueError("self-pairs are not valid scored pairs")
 
-    _, _, _, c1, c2, diff = _subgroup_gaps(pairs, expit(scores), group_of,
+    _, _, _, c1, c2, diff = _subgroup_gaps(pairs, _sigmoid(scores), group_of,
                                            t_labels)
     reasons = np.select([(c1 == 0) & (c2 == 0), (c1 == 0) | (c2 == 0)],
                         ["no_pairs", "empty_subgroup"], default="")

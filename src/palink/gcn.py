@@ -20,7 +20,8 @@ validation after the previous step, and its ``PairState``.
 A ``PairState`` also owns the dense arrays of a training step, by name in
 an ``_Arrays``: the forward's layer outputs (ReLU is applied in place),
 the loss's pair-length scores, probabilities, BCE terms and score
-gradient, and the backward's ``n``-row ``G @ W`` products and ReLU masks.
+gradient, and the backward's ``n``-row ``G @ W`` products, ReLU masks and
+each weight gradient's block product (``_weight_gradient``).
 Each epoch writes into them with ``out=``, in the same operand order as a
 fresh computation, so the bits do not depend on the reuse.  A forward
 cache taken through a state is overwritten by that state's next forward.
@@ -35,13 +36,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.special import expit
 
-from .fairness import sampled_delta_terms
+from .fairness import _sigmoid, sampled_delta_terms
 from .spectral import KINDS, NormalizedMatrix
 
 # Rows of the two gather buffers that pair scores are computed through.
 _PAIR_BLOCK = 1024
+# Rows per block of a weight gradient's sum over nodes (``_weight_gradient``).
+_GRAD_BLOCK = 64
 
 
 @dataclass
@@ -261,11 +263,28 @@ def bce_from_logits(scores: np.ndarray, labels: np.ndarray) -> float:
 
 
 def _bce(scores, labels, terms=None, tmp=None) -> float:
-    """``bce_from_logits`` of float64 arrays, with its two elementwise
-    arrays written into ``terms`` and ``tmp`` if given (new if not)."""
-    lse = np.logaddexp(0.0, scores, out=terms)
-    return float(np.mean(np.subtract(
-        lse, np.multiply(labels, scores, out=tmp), out=terms)))
+    """``bce_from_logits`` of float64 arrays: the mean of ``softplus(s) -
+    y s`` with ``softplus(s) = max(s, 0) + log1p(exp(-|s|))``, whose
+    exponent never overflows.  The per-pair terms are written into
+    ``terms``, with ``tmp`` as scratch (each new if not given)."""
+    t = np.abs(scores, out=terms)
+    np.log1p(np.exp(np.negative(t, out=t), out=t), out=t)
+    t += np.maximum(scores, 0.0, out=tmp)
+    t -= np.multiply(labels, scores, out=tmp)
+    return float(np.mean(t))
+
+
+def _weight_gradient(g: np.ndarray, x: np.ndarray, tmp: np.ndarray):
+    """``g.T @ x``, a sum over the ``n`` rows, taken as one product per
+    ``_GRAD_BLOCK``-row block (into ``tmp``) added up in row order.  A BLAS
+    may split one long product's sum by its thread count, and OpenBLAS
+    does; the short block products came out bitwise equal at 1 and 2
+    threads, so the gradient's bits do not depend on the thread count."""
+    acc = np.matmul(g[:_GRAD_BLOCK].T, x[:_GRAD_BLOCK])
+    for start in range(_GRAD_BLOCK, g.shape[0], _GRAD_BLOCK):
+        stop = start + _GRAD_BLOCK
+        acc += np.matmul(g[start:stop].T, x[start:stop], out=tmp)
+    return acc
 
 
 def loss_and_gradients(
@@ -317,10 +336,10 @@ def loss_and_gradients(
     n_pairs = pairs.shape[0]
     scores = _score_blocks(h, pairs, pair_state.left, pair_state.right,
                            arrays("scores", (n_pairs,)))
-    probs = expit(scores, out=arrays("probs", (n_pairs,)))
-
-    # dscore's array is free until (probs - labels) is written into it
+    # terms and dscore are free as scratch until the BCE terms and
+    # (probs - labels) are written into them
     terms, dscore = arrays("terms", (n_pairs,)), arrays("dscore", (n_pairs,))
+    probs = _sigmoid(scores, arrays("probs", (n_pairs,)), terms)
     bce = _bce(scores, labels, terms, dscore)
     np.subtract(probs, labels, out=dscore)
     dscore /= n_pairs
@@ -353,7 +372,8 @@ def loss_and_gradients(
                             out=arrays(("mask", l), outs[l].shape, bool))
         if first:
             g = pair_state.pt @ g  # gradient of the transformed H_{l-1} W_l^T
-        grads[l] = g.T @ inputs[l]
+        grads[l] = _weight_gradient(
+            g, inputs[l], arrays(("dw", l), (g.shape[1], inputs[l].shape[1])))
         if l > 0:
             gw = np.matmul(g, w, out=arrays(("gw", l), (g.shape[0], w.shape[1])))
             g = gw if first else pair_state.pt @ gw

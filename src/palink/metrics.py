@@ -87,9 +87,4 @@ def max_degree_ratio(wg_degrees) -> MetricValue:
     pos = deg[deg > 0]
     if pos.size == 0:
         return MetricValue(float("nan"), 0, ("no_positive_degree",))
-    flags: tuple[str, ...] = ()
-    n_zero = deg.size - pos.size
-    if n_zero:
-        flags = (f"excluded_zero_degree={n_zero}",)
-    value = float(np.sqrt(pos.max() / pos.min()))
-    return MetricValue(value, int(pos.size), flags)
+    return MetricValue(float(np.sqrt(pos.max() / pos.min())), int(pos.size))

@@ -10,7 +10,7 @@ import pytest
 from scipy.special import expit
 
 import palink.gcn as gcn
-from palink.fairness import delta
+from palink.fairness import _sigmoid, delta
 from palink.gcn import (
     Model,
     PairState,
@@ -207,6 +207,75 @@ class TestScoresAndLoss:
         assert val == pytest.approx(1000.0, rel=1e-12)
 
 
+# Each form of the sigmoid and of the softplus rounds one exp (libm's in
+# SciPy's expit and np.logaddexp, NumPy's vectorized one here, each within
+# about an ulp), then a log1p or a division and one addition, half an ulp
+# each.  So either is within about 2 ulp of the exact value, and the two
+# within 4 ulp of each other.  The label term of a BCE term can cancel its
+# softplus, so that bound is taken at the larger operand's magnitude.
+ULPS = 4
+# Zero, both signs of the exp overflow (709.78) and underflow (745)
+# thresholds, far past both, and the infinities.
+EDGES = np.array([0.0, -0.0, 709.8, -709.8, 745.0, -745.0, 1e3, -1e3,
+                  np.inf, -np.inf])
+
+
+def logistic_grid():
+    rng = np.random.default_rng(34)
+    return np.concatenate([EDGES, np.linspace(-40.0, 40.0, 8001),
+                           rng.normal(scale=10.0, size=4000),
+                           rng.uniform(-800.0, 800.0, size=4000)])
+
+
+class TestLogistic:
+    """The NumPy sigmoid and BCE softplus against SciPy's expit and
+    np.logaddexp: no exponent may overflow, and NaN must reach the loss
+    so that training names the epoch."""
+
+    def test_sigmoid_matches_expit(self):
+        x = logistic_grid()
+        with np.errstate(all="raise", under="ignore"):
+            got = _sigmoid(x)
+        want = expit(x)
+        tiny = np.finfo(np.float64).tiny
+        normal = want >= tiny
+        assert np.all(np.abs(got - want)[normal]
+                      <= ULPS * np.spacing(want[normal]))
+        # below x = -709.78 expit's exp(-x) overflows and it returns 0,
+        # where e / (1 + e) keeps the subnormal value
+        assert np.all((got[~normal] >= 0.0) & (got[~normal] < tiny))
+        assert _sigmoid(np.array([np.inf]))[0] == 1.0
+        assert _sigmoid(np.array([-np.inf]))[0] == 0.0
+        assert _sigmoid(np.array([0.0]))[0] == 0.5
+
+    @pytest.mark.parametrize("label", [0.0, 1.0])
+    def test_bce_terms_match_logaddexp(self, label):
+        s = logistic_grid()
+        y = np.full_like(s, label)
+        finite = np.isfinite(s)
+        terms = np.empty(finite.sum())
+        with np.errstate(all="raise", under="ignore"):
+            mean = gcn._bce(s[finite], y[finite], terms)
+        softplus = np.logaddexp(0.0, s[finite])
+        want = softplus - y[finite] * s[finite]
+        scale = np.maximum(softplus, np.abs(y[finite] * s[finite]))
+        assert np.all(np.abs(terms - want) <= ULPS * np.spacing(scale))
+        assert mean == np.mean(terms)
+
+        # 0 * inf and inf - inf leave NaN in both forms, and only there
+        inf = s[~finite]
+        with np.errstate(over="raise", invalid="ignore"):
+            got = np.empty_like(inf)
+            gcn._bce(inf, y[~finite], got)
+            want = np.logaddexp(0.0, inf) - y[~finite] * inf
+        np.testing.assert_array_equal(got, want)
+
+    def test_nan_reaches_the_loss(self):
+        with np.errstate(all="raise"):
+            assert np.isnan(_sigmoid(np.array([np.nan]))).all()
+            assert np.isnan(bce_from_logits([0.0, np.nan], [1.0, 0.0]))
+
+
 def gradient_instance(seed, n=8, hidden=(4, 3), kind=None):
     rng = np.random.default_rng(seed)
     ds = random_planted_dataset(rng, n_max=n, b_max=2, with_subgroups=True)
@@ -226,6 +295,14 @@ def gradient_instance(seed, n=8, hidden=(4, 3), kind=None):
 
 
 class TestGradients:
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+    def test_weight_gradient_sums_every_row(self, n):
+        rng = np.random.default_rng(n)
+        g, x = rng.normal(size=(n, 5)), rng.normal(size=(n, 3))
+        got = gcn._weight_gradient(g, x, np.empty((5, 3)))
+        np.testing.assert_allclose(got, np.einsum("ki,kj->ij", g, x),
+                                   rtol=1e-12, atol=1e-12)
+
     @pytest.mark.parametrize("lam", [0.0, 1.0])
     @pytest.mark.parametrize("seed", [41, 42])
     def test_matches_finite_differences(self, seed, lam):

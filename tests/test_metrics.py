@@ -149,7 +149,6 @@ class TestMaxDegreeRatio:
         got = max_degree_ratio([0.0, 1.0, 4.0])
         assert got.value == 2.0
         assert got.n == 2
-        assert any(f.startswith("excluded_zero_degree") for f in got.flags)
 
     def test_all_zero_flagged(self):
         got = max_degree_ratio([0.0, 0.0])

@@ -387,6 +387,43 @@ class TestParallelRuns:
             outputs.append(read_outputs(runner(cfg)))
         assert outputs[0] == outputs[1]
 
+    def test_same_bytes_at_one_and_two_blas_threads(self, tmp_path):
+        # OpenBLAS may order one long product's sum by its thread count.
+        # The weight gradients sum over every node: taken as one product
+        # each, they moved checkpoint.npz's bits between 1 and 2 threads on
+        # this bed (2 x 200 nodes was the smallest that moved; 3 x 200
+        # leaves a margin for other BLAS kernels' block sizes).
+        cpus = (len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+        if cpus < 2:
+            pytest.skip(f"{cpus} usable CPU: BLAS cannot run 2 threads")
+        paths = synth_generate(
+            SynthConfig(sizes=(200, 200, 200), p_in=0.08, p_out=0.002,
+                        disparity_boost=5.0, feature_dim=16, seed=0),
+            str(tmp_path / "data"))
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "dataset": {"name": "blas", **{key: paths[key] for key in
+                                           ("edges", "features", "labels")}},
+            "normalization": "minmax_signed", "hidden_dims": [128, 64],
+            "epochs": 1, "seeds": [0], "lambda_fair": [2.0], "out": "runs"}))
+        src = os.path.dirname(os.path.dirname(pipelines.__file__))
+        outputs = []
+        for threads in ("1", "2"):
+            cwd = tmp_path / f"threads{threads}"
+            cwd.mkdir()
+            env = dict(os.environ, PYTHONPATH=src,
+                       OPENBLAS_NUM_THREADS=threads)
+            out = subprocess.run(
+                [sys.executable, "-m", "palink.cli", "train", "--config",
+                 str(config)], cwd=cwd, env=env, capture_output=True,
+                check=True)
+            files = {str(path.relative_to(cwd)): path.read_bytes()
+                     for path in sorted(cwd.rglob("*")) if path.is_file()}
+            outputs.append((out.stdout, files))
+        assert len(outputs[0][1]) == 3
+        assert outputs[0] == outputs[1]
+
     def test_runs_in_workers_in_task_order(self, monkeypatch):
         monkeypatch.setattr(pipelines, "_max_workers", lambda: 2)
         tasks = [(seed, 0.0) for seed in range(5)]
@@ -434,10 +471,13 @@ class TestParallelRuns:
     def test_import_loads_no_process_pool_machinery(self):
         # Every run pays for ``import palink``; the pool's modules take
         # tens of milliseconds to import, so only a pool loads them.
+        # scipy.special took about 40 ms and 3.5 MiB of peak RSS, and the
+        # package's sigmoid and softplus are NumPy's own.
         code = (
             "import sys, palink\n"
             "from palink import pipelines\n"
-            "mods = ('multiprocessing', 'concurrent.futures.process')\n"
+            "mods = ('multiprocessing', 'concurrent.futures.process',\n"
+            "        'scipy.special')\n"
             "print([m for m in mods if m in sys.modules])\n"
             "pipelines._max_workers = lambda: 1\n"
             "pipelines._map_runs(lambda *a: 0, None, None, [(0, 0.0)] * 2)\n"

@@ -13,6 +13,7 @@ import json
 import sys
 
 from .pipelines import (
+    FILTER_ABBREV,
     _check,
     _read_fields,
     config_from_dict,
@@ -36,7 +37,7 @@ def _add_common(parser: argparse.ArgumentParser, seed_key: str,
 
 def _add_overrides(parser: argparse.ArgumentParser) -> None:
     _add_common(parser, "seeds", "replace the seed list with a single seed")
-    parser.add_argument("--filter", choices=("sym", "rw"))
+    parser.add_argument("--filter", choices=tuple(FILTER_ABBREV.values()))
     parser.add_argument("--layers", type=int,
                         help="number of layers; hidden dims become "
                              "128 x (N-1) then 64")

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphdata import WithinGroupView
+from .spectral import KINDS
 
 
 @dataclass(frozen=True)
@@ -148,7 +149,7 @@ def delta_hat(
     subgroup is empty, and ``delta_hat`` also where ``rho2`` is not finite.
     A negative slope is applied as-is.
     """
-    if kind not in ("symmetric", "random_walk"):
+    if kind not in KINDS:
         raise ValueError(f"unknown filter kind: {kind!r}")
     t_labels = np.asarray(t_labels)
     rho2 = np.asarray(rho2, dtype=np.float64)

@@ -10,25 +10,25 @@ they can be checked against finite differences.
 Pair scores are computed in fixed blocks of rows through two gather
 buffers, and the gradient with respect to the final representations is one
 sparse pair-matrix product, so a training step never gathers a
-``pairs x dim`` array.  A ``PairState`` keeps these buffers, the pairs
-and the pair matrix per training, not per call: each epoch rewrites them
-in place.  ``loss_and_gradients`` takes an optional forward cache, the
-``_forward_cached`` triple, which must have been computed at the model's
-current weights; training passes the forward it already ran for
-validation after the previous step, and its ``PairState``.
+``pairs x dim`` array.  ``loss_and_gradients`` takes an optional forward
+cache, the ``_forward_cached`` triple, which must have been computed at
+the model's current weights; training passes the forward it already ran
+for validation after the previous step, and its ``PairState``.
 
-A ``PairState`` also owns the dense arrays of a training step, by name in
-an ``_Arrays``: the forward's layer outputs (ReLU is applied in place),
-the loss's pair-length scores, probabilities, BCE terms and score
-gradient, and the backward's ``n``-row ``G @ W`` products, ReLU masks and
-each weight gradient's block product (``_weight_gradient``).
-Each epoch writes into them with ``out=``, in the same operand order as a
+A ``PairState`` keeps a training's pairs, its pair matrix and, by name in
+an ``_Arrays``, every dense array of a step: the forward's layer outputs
+(ReLU is applied in place), the two gather buffers, the loss's
+pair-length scores, probabilities, BCE terms and score gradient, and the
+backward's ``n``-row ``G @ W`` products, ReLU masks and each weight
+gradient's block product (``_weight_gradient``).  Each epoch rewrites
+them in place, the arrays with ``out=`` in the same operand order as a
 fresh computation, so the bits do not depend on the reuse.  A forward
 cache taken through a state is overwritten by that state's next forward.
 The sparse products (``P @``, ``P^T @``, ``S @``) go through SciPy's
 public API and still return fresh arrays; so do the weight gradients,
-which callers keep.  ``forward`` and a ``loss_and_gradients`` call
-without a state make their own arrays through the same code.
+which callers keep.  ``forward``, ``score_pairs`` and a
+``loss_and_gradients`` call without a state make their own arrays
+through the same code.
 """
 from __future__ import annotations
 
@@ -158,20 +158,21 @@ def forward(model: Model, nm: NormalizedMatrix, features, linear: bool = False):
     return _forward_cached(model, nm, features, linear=linear)[0]
 
 
-def _score_blocks(h: np.ndarray, pairs: np.ndarray, left: np.ndarray,
-                  right: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _score_blocks(h: np.ndarray, pairs: np.ndarray, arrays: _Arrays,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """``h_i . h_j`` for each pair, into ``out`` (new if omitted), walked
-    in blocks of ``len(left)`` rows gathered into ``left`` and ``right``;
-    each row is the same einsum as over the whole gather, so the scores do
-    not depend on the block size."""
+    in blocks of ``_PAIR_BLOCK`` rows gathered into the ``"left"`` and
+    ``"right"`` arrays of ``arrays``; each row is the same einsum as over
+    the whole gather, so the scores do not depend on the block size."""
     m = pairs.shape[0]
     if m and (pairs.min() < 0 or pairs.max() >= h.shape[0]):
         raise ValueError("pair indices must lie in [0, n)")
     if out is None:
         out = np.empty(m, dtype=h.dtype)
-    block = left.shape[0]
-    for start in range(0, m, block):
-        stop = min(start + block, m)
+    left, right = (arrays(side, (_PAIR_BLOCK, h.shape[1]), h.dtype)
+                   for side in ("left", "right"))
+    for start in range(0, m, _PAIR_BLOCK):
+        stop = min(start + _PAIR_BLOCK, m)
         k = stop - start
         # mode="clip" is a no-op on the checked indices and, unlike the
         # default, writes straight into ``out`` without a temporary copy.
@@ -182,13 +183,10 @@ def _score_blocks(h: np.ndarray, pairs: np.ndarray, left: np.ndarray,
 
 
 def score_pairs(representations: np.ndarray, pairs) -> np.ndarray:
-    """Inner-product link scores h_i . h_j for each pair, through two
-    ``_PAIR_BLOCK``-row gather buffers allocated for this call (a training
-    scores through its ``PairState``'s buffers instead)."""
+    """Inner-product link scores h_i . h_j for each pair, through gather
+    buffers of this call's own (a training uses its ``PairState.arrays``)."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    h = np.asarray(representations)
-    left = np.empty((_PAIR_BLOCK, h.shape[1]), dtype=h.dtype)
-    return _score_blocks(h, pairs, left, np.empty_like(left))
+    return _score_blocks(np.asarray(representations), pairs, _Arrays())
 
 
 class PairState:
@@ -196,21 +194,19 @@ class PairState:
     its epochs allocate (and page-fault in) none of it again.
 
     Holds the ``(n_pos + n_neg, 2)`` pairs (positives first, written once)
-    and their labels, two ``_PAIR_BLOCK``-row gather buffers of the output
-    width, the symmetric pair matrix ``S`` as COO and the operator's
-    transpose ``pt`` as CSR: the operator itself under the symmetric
-    filter, whose canonical CSR transposes to the same arrays.  ``arrays``
-    holds the step's dense arrays (see the module docstring), allocated by
-    the first forward and loss through this state and rewritten by every
-    later one.  ``S`` has the entries pos(i, j), neg(i, j),
-    pos(j, i), neg(j, i) in that order, so ``S @ h`` is the gradient with
-    respect to ``h`` of ``sum_k dscore_k * h_i . h_j``.  Duplicate entries
-    add up in the product, which keeps repeated pairs and (u, u) pairs
-    exact, and no row of ``h`` is gathered.
+    and their labels, the symmetric pair matrix ``S`` as COO and the
+    operator's transpose ``pt`` as CSR: the operator itself under the
+    symmetric filter, whose canonical CSR transposes to the same arrays.
+    ``arrays`` holds the step's dense arrays (see the module docstring),
+    allocated by the first forward, loss and scoring through this state
+    and rewritten by every later one.  ``S`` has the entries pos(i, j),
+    neg(i, j), pos(j, i), neg(j, i) in that order, so ``S @ h`` is the
+    gradient with respect to ``h`` of ``sum_k dscore_k * h_i . h_j``.
+    Duplicate entries add up in the product, which keeps repeated pairs
+    and (u, u) pairs exact, and no row of ``h`` is gathered.
     """
 
-    def __init__(self, pos_pairs, n_neg: int, nm: NormalizedMatrix,
-                 width: int):
+    def __init__(self, pos_pairs, n_neg: int, nm: NormalizedMatrix):
         pos = np.asarray(pos_pairs, dtype=np.int64).reshape(-1, 2)
         self.n_pos = pos.shape[0]
         m = self.n_pos + int(n_neg)
@@ -221,8 +217,6 @@ class PairState:
         self.pairs[: self.n_pos] = pos
         self.labels = np.zeros(m)
         self.labels[: self.n_pos] = 1.0
-        self.left = np.empty((_PAIR_BLOCK, width))
-        self.right = np.empty_like(self.left)
         rows = np.concatenate([self.pairs[:, 0], self.pairs[:, 1]])
         cols = np.concatenate([self.pairs[:, 1], self.pairs[:, 0]])
         self.pair_matrix = sparse.coo_matrix(
@@ -241,10 +235,6 @@ class PairState:
         row[p:m], row[m + p:] = neg[:, 0], neg[:, 1]
         col[p:m], col[m + p:] = neg[:, 1], neg[:, 0]
 
-    def score(self, h: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-        """``score_pairs(h, pairs)`` through this state's buffers."""
-        return _score_blocks(h, pairs, self.left, self.right)
-
     def gradient(self, h: np.ndarray, dscore: np.ndarray) -> np.ndarray:
         """``S @ h`` with ``dscore`` at each pair's (i, j) and (j, i)."""
         m = self.pairs.shape[0]
@@ -254,19 +244,12 @@ class PairState:
         return self.pair_matrix @ h
 
 
-def bce_from_logits(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Mean binary cross-entropy of sigmoid(scores) against labels,
-    computed in the numerically stable log-sum-exp form."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    return _bce(scores, labels)
-
-
 def _bce(scores, labels, terms=None, tmp=None) -> float:
-    """``bce_from_logits`` of float64 arrays: the mean of ``softplus(s) -
-    y s`` with ``softplus(s) = max(s, 0) + log1p(exp(-|s|))``, whose
-    exponent never overflows.  The per-pair terms are written into
-    ``terms``, with ``tmp`` as scratch (each new if not given)."""
+    """Mean binary cross-entropy of ``sigmoid(scores)`` against ``labels``,
+    both float64 arrays: the mean of ``softplus(s) - y s`` with
+    ``softplus(s) = max(s, 0) + log1p(exp(-|s|))``, whose exponent never
+    overflows.  The per-pair terms are written into ``terms``, with
+    ``tmp`` as scratch (each new if not given)."""
     t = np.abs(scores, out=terms)
     np.log1p(np.exp(np.negative(t, out=t), out=t), out=t)
     t += np.maximum(scores, 0.0, out=tmp)
@@ -312,20 +295,19 @@ def loss_and_gradients(
     features)`` triple, which is then not recomputed.  It must be the
     forward pass at the model's current weights, operator and features;
     nothing checks this.  ``pair_state`` optionally supplies a
-    ``PairState`` built from ``pos_pairs``, ``len(neg_pairs)``, ``nm`` and
-    the model's output width, which is then reused: ``neg_pairs`` are
-    written into it, ``pos_pairs`` are not read again, and the forward
-    (if not supplied), the pair-length arrays and the backward's dense
-    products are written into its ``arrays``.  Without it the call builds
-    its own.  Given either, the result is bitwise identical to the call
-    without it.  The gradients are new arrays on every call.
+    ``PairState`` built from ``pos_pairs``, ``len(neg_pairs)`` and ``nm``,
+    which is then reused: ``neg_pairs`` are written into it, ``pos_pairs``
+    are not read again, and the forward (if not supplied), the pair-length
+    arrays and the backward's dense products are written into its
+    ``arrays``.  Without it the call builds its own.  Given either, the
+    result is bitwise identical to the call without it.  The gradients are
+    new arrays on every call.
     """
     if not lambda_fair >= 0:
         raise ValueError("lambda_fair must be >= 0")
     neg_pairs = np.asarray(neg_pairs, dtype=np.int64).reshape(-1, 2)
     if pair_state is None:
-        pair_state = PairState(pos_pairs, len(neg_pairs), nm,
-                               model.weights[-1].shape[0])
+        pair_state = PairState(pos_pairs, len(neg_pairs), nm)
     pair_state.set_negatives(neg_pairs)
     pairs, labels = pair_state.pairs, pair_state.labels
 
@@ -334,8 +316,7 @@ def loss_and_gradients(
         forward_cache = _forward_cached(model, nm, features, arrays=arrays)
     h, inputs, outs = forward_cache
     n_pairs = pairs.shape[0]
-    scores = _score_blocks(h, pairs, pair_state.left, pair_state.right,
-                           arrays("scores", (n_pairs,)))
+    scores = _score_blocks(h, pairs, arrays, arrays("scores", (n_pairs,)))
     # terms and dscore are free as scratch until the BCE terms and
     # (probs - labels) are written into them
     terms, dscore = arrays("terms", (n_pairs,)), arrays("dscore", (n_pairs,))

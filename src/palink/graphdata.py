@@ -157,6 +157,16 @@ def _bad_edge(edges: np.ndarray, n: int) -> tuple[int, str] | None:
     return row, "explicit self-edges are not allowed; use self_loop_weight"
 
 
+def _first_seen(ids: np.ndarray, k: int) -> np.ndarray:
+    """``ids``, each in ``0..k-1`` and each of those present, renumbered
+    ``0..k-1`` in order of first appearance: O(n), with no sort of ``ids``."""
+    first = np.full(k, ids.size, dtype=np.int64)
+    np.minimum.at(first, ids, np.arange(ids.size))
+    relabel = np.empty(k, dtype=np.int64)
+    relabel[np.argsort(first)] = np.arange(k)
+    return relabel[ids]
+
+
 def _loadtxt(path: str, **kwargs) -> np.ndarray:
     """``np.loadtxt(path, ndmin=2, **kwargs)``; a file with no data rows
     gives an empty array, without ``loadtxt``'s warning."""
@@ -176,13 +186,14 @@ def _parse_edges_file(path: str) -> np.ndarray:
     return edges.reshape(-1, 2)
 
 
-def _edge_rows(path: str):
-    """``(line number, tokens)`` of each line of an edge list that holds
-    more than a comment or blanks: ``loadtxt``'s rows, in order."""
+def _edge_rows(path: str, sep: str | None = None):
+    """``(line number, tokens)`` of each ``loadtxt`` row of a file, split at
+    ``sep`` (whitespace if None): a line with nothing before a ``#`` (or
+    only blanks, at whitespace) is no row."""
     with open(path, errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
-            toks = line.split("#", 1)[0].split()
-            if toks:
+            toks = line.split("#", 1)[0].rstrip("\n").split(sep)
+            if toks and toks != [""]:
                 yield lineno, toks
 
 
@@ -197,6 +208,21 @@ def _bad_edge_line(path: str) -> str | None:
                 return f"{path}:{lineno}: {tok!r} is not an integer node id"
             if not -2**63 <= int(tok) < 2**63:
                 return f"{path}:{lineno}: node id {tok} is outside int64"
+
+
+def _bad_feature_line(path: str) -> str | None:
+    """``path:line: why`` for the first line of a feature CSV whose width
+    differs from the first row's or that holds a token ``float`` rejects."""
+    width = None
+    for lineno, toks in _edge_rows(path, ","):
+        width = width or len(toks)
+        if len(toks) != width:
+            return f"{path}:{lineno}: expected {width} values, got {len(toks)}"
+        for tok in toks:
+            try:
+                float(tok)
+            except ValueError:
+                return f"{path}:{lineno}: {tok!r} is not a number"
 
 
 def _parse_labels_file(path: str, n: int):
@@ -232,13 +258,12 @@ def _parse_labels_file(path: str, n: int):
     if any(has_t) and not all(has_t):
         raise DatasetError(f"{path}: subgroup column present on only some rows")
 
+    nodes = np.array(node_ids)
+
     def densify(raw):
-        index: dict[str, int] = {}
+        values, ids = np.unique(raw, return_inverse=True)
         out = np.empty(n, dtype=np.int64)
-        for nid, val in zip(node_ids, raw):
-            if val not in index:
-                index[val] = len(index)
-            out[nid] = index[val]
+        out[nodes] = _first_seen(ids, values.size)
         return out
 
     t_labels = densify(t_raw) if all(has_t) else None
@@ -271,7 +296,8 @@ def load_dataset(
     try:
         features = _loadtxt(features_path, delimiter=",", dtype=np.float64)
     except ValueError as exc:
-        raise DatasetError(f"{features_path}: {exc}") from exc
+        raise DatasetError(_bad_feature_line(features_path)
+                           or f"{features_path}: {exc}") from exc
     if not features.size:
         raise DatasetError(f"{features_path}: no feature rows")
     n = features.shape[0]
@@ -383,12 +409,7 @@ def within_group_structure(dataset: Dataset) -> WithinGroupView:
     else:
         n_comp, raw = n, np.arange(n)
 
-    # Relabel components in order of smallest member node.
-    first = np.full(n_comp, n, dtype=np.int64)
-    np.minimum.at(first, raw, np.arange(n))
-    relabel = np.empty(n_comp, dtype=np.int64)
-    relabel[np.argsort(first)] = np.arange(n_comp)
-    group_of = relabel[raw]
+    group_of = _first_seen(raw, n_comp)  # numbered by smallest member node
 
     order = np.argsort(group_of, kind="stable")
     offsets = np.zeros(n_comp + 1, dtype=np.int64)

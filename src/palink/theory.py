@@ -17,6 +17,7 @@ import numpy as np
 from .gcn import Model
 from .graphdata import WithinGroupView
 from .metrics import MetricValue, nrmse, pcc
+from .spectral import KINDS
 
 
 def alpha_vectors(model: Model, features) -> np.ndarray:
@@ -38,7 +39,7 @@ def group_c1(view: WithinGroupView, alphas, kind: str) -> np.ndarray:
     Symmetric filter: ||sum_k (sqrt(D_kk)/vol) alpha_k||; random walk:
     ||sum_k (D_kk/vol) alpha_k||.  Zero-volume groups get 0.
     """
-    if kind not in ("symmetric", "random_walk"):
+    if kind not in KINDS:
         raise ValueError(f"unknown filter kind: {kind!r}")
     alphas = np.asarray(alphas, dtype=np.float64)
     if alphas.shape[0] != view.n:

@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gcn import (Model, PairState, _forward_cached, init_model,
-                  loss_and_gradients)
+from .gcn import (Model, PairState, _forward_cached, _score_blocks,
+                  init_model, loss_and_gradients)
 from .graphdata import (Dataset, WithinGroupView, _key_pairs, _pair_keys,
                         within_group_structure)
 from .metrics import roc_auc
@@ -153,14 +153,15 @@ class TrainResult:
     train_view: WithinGroupView
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(dataset: Dataset, split: LinkSplit, config: TrainConfig) -> TrainResult:
     """Full-batch Adam on BCE plus the subgroup-gap penalty.
 
     One optimizer step per epoch; training negatives are resampled each
     epoch (1:1 with training positives), from one ``NegativeSampler`` built
     per run, while validation pairs stay fixed.  One ``PairState`` holds
-    the epoch's pairs, gather buffers, pair matrix and the dense arrays of
-    the forward, loss and backward for the whole run.
+    the epoch's pairs, pair matrix and the dense arrays of the forward,
+    loss and backward (the gather buffers among them) for the whole run.
     A training negative is never a training positive or a frozen
     validation/test negative, so no held-out pair is trained on as a
     negative.  Validation/test positives stay drawable: the trainer does
@@ -169,7 +170,7 @@ def train(dataset: Dataset, split: LinkSplit, config: TrainConfig) -> TrainResul
     The forward pass that scores the validation pairs after each step is
     the one the next epoch's loss starts from, so each epoch runs one
     forward pass.  A non-finite loss or weight raises ``ValueError`` naming
-    the epoch.
+    the epoch, so NumPy's overflow and invalid-value warnings are not shown.
     """
     if config.lambda_fair != 0.0 and dataset.t_labels is None:
         raise ValueError("lambda_fair > 0 requires subgroup labels")
@@ -202,28 +203,22 @@ def train(dataset: Dataset, split: LinkSplit, config: TrainConfig) -> TrainResul
     sampler = NegativeSampler(
         dataset.n, split.train_pos,
         exclude=np.concatenate([split.val_neg, split.test_neg]))
-    pair_state = PairState(split.train_pos, n_train, nm,
-                           model.weights[-1].shape[0])
-    # A diverging run overflows in the forward pass and the loss; the
-    # finiteness checks below name it, so NumPy's warnings are not shown.
-    quiet = dict(over="ignore", invalid="ignore")
+    pair_state = PairState(split.train_pos, n_train, nm)
     # The forward before the first step makes arrays of its own, and the
     # epochs' forwards write into the state's.  Freeing the first ones
     # raises glibc's adaptive mmap threshold past the n-row arrays, so the
     # sparse products' per-epoch outputs are reused from the heap instead
     # of being unmapped and faulted in again every epoch: about 11k rather
     # than 37k minor faults in a 20-epoch n=3000 training.
-    with np.errstate(**quiet):
-        cache = _forward_cached(model, nm, features, px=px)
+    cache = _forward_cached(model, nm, features, px=px)
     for epoch in range(1, config.epochs + 1):
         neg = sampler.draw(n_train, neg_rng)
-        with np.errstate(**quiet):
-            loss, _, penalty, grads = loss_and_gradients(
-                model, nm, features, split.train_pos, neg,
-                lambda_fair=config.lambda_fair,
-                group_of=view.group_of, t_labels=dataset.t_labels,
-                forward_cache=cache, pair_state=pair_state,
-            )
+        loss, _, penalty, grads = loss_and_gradients(
+            model, nm, features, split.train_pos, neg,
+            lambda_fair=config.lambda_fair,
+            group_of=view.group_of, t_labels=dataset.t_labels,
+            forward_cache=cache, pair_state=pair_state,
+        )
         if not np.isfinite(loss):
             raise ValueError(f"epoch {epoch}: training loss is {loss}")
         for w, g, m_buf, v_buf in zip(model.weights, grads, adam_m, adam_v):
@@ -240,10 +235,9 @@ def train(dataset: Dataset, split: LinkSplit, config: TrainConfig) -> TrainResul
                     f"epoch {epoch}: weight W_{l} is no longer finite"
                 )
 
-        with np.errstate(**quiet):
-            cache = _forward_cached(model, nm, features, px=px,
-                                    arrays=pair_state.arrays)
-        val_auc = roc_auc(pair_state.score(cache[0], val_pairs),
+        cache = _forward_cached(model, nm, features, px=px,
+                                arrays=pair_state.arrays)
+        val_auc = roc_auc(_score_blocks(cache[0], val_pairs, pair_state.arrays),
                           val_labels).value
         history.append((epoch, float(loss), float(penalty), float(val_auc)))
         if val_auc > best_auc:

@@ -252,6 +252,13 @@ class TestDeltaHat:
             # the disparity does not depend on the slope
             assert np.isfinite(disparity[0]) and np.isnan(disparity[1])
 
+    @pytest.mark.parametrize("kind", ["sym", "laplacian"])
+    def test_unknown_kind_raises(self, toy_cs, kind):
+        view = within_group_structure(toy_cs)
+        ones = np.ones(view.n_groups)
+        with pytest.raises(ValueError, match="unknown filter kind"):
+            delta_hat(view, ones, ones, toy_cs.t_labels, kind)
+
     def test_subgroup_swap_invariance(self, toy_cs):
         view = within_group_structure(toy_cs)
         ones = np.ones(view.n_groups)

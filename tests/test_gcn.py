@@ -15,7 +15,6 @@ from palink.gcn import (
     Model,
     PairState,
     _forward_cached,
-    bce_from_logits,
     forward,
     init_model,
     loss_and_gradients,
@@ -189,7 +188,7 @@ class TestScoresAndLoss:
     def test_bce_zero_scores_is_log_two(self):
         scores = np.zeros(6)
         labels = np.array([1, 0, 1, 1, 0, 0], dtype=float)
-        assert bce_from_logits(scores, labels) == pytest.approx(math.log(2.0))
+        assert gcn._bce(scores, labels) == pytest.approx(math.log(2.0))
 
     def test_bce_matches_direct_formula(self):
         rng = np.random.default_rng(33)
@@ -197,13 +196,12 @@ class TestScoresAndLoss:
         labels = (rng.random(50) < 0.5).astype(float)
         p = expit(scores)
         direct = -np.mean(labels * np.log(p) + (1 - labels) * np.log(1 - p))
-        assert bce_from_logits(scores, labels) == pytest.approx(direct,
-                                                                abs=1e-12)
+        assert gcn._bce(scores, labels) == pytest.approx(direct, abs=1e-12)
 
     def test_bce_stable_at_extreme_scores(self):
-        val = bce_from_logits([1000.0, -1000.0], [1.0, 0.0])
+        val = gcn._bce(np.array([1000.0, -1000.0]), np.array([1.0, 0.0]))
         assert val == pytest.approx(0.0, abs=1e-12)
-        val = bce_from_logits([1000.0], [0.0])
+        val = gcn._bce(np.array([1000.0]), np.array([0.0]))
         assert val == pytest.approx(1000.0, rel=1e-12)
 
 
@@ -273,7 +271,8 @@ class TestLogistic:
     def test_nan_reaches_the_loss(self):
         with np.errstate(all="raise"):
             assert np.isnan(_sigmoid(np.array([np.nan]))).all()
-            assert np.isnan(bce_from_logits([0.0, np.nan], [1.0, 0.0]))
+            assert np.isnan(gcn._bce(np.array([0.0, np.nan]),
+                                     np.array([1.0, 0.0])))
 
 
 def gradient_instance(seed, n=8, hidden=(4, 3), kind=None):
@@ -402,7 +401,7 @@ class TestGradients:
         nm = normalized_matrix(complete_graph(n), "symmetric")
         # the first 40 pairs are the positives, the rest are negatives
         # written over an earlier draw, as a training's epochs do
-        state = PairState(pairs[:40], pairs.shape[0] - 40, nm, 5)
+        state = PairState(pairs[:40], pairs.shape[0] - 40, nm)
         state.set_negatives(pairs[::-1][: pairs.shape[0] - 40])
         state.set_negatives(pairs[40:])
         got = state.gradient(h, dscore)
@@ -419,7 +418,7 @@ class TestGradients:
         ds = random_planted_dataset(np.random.default_rng(50), n_max=40)
         for kind in KINDS:
             nm = matrix_from_edges(ds.n, ds.edges, weight, kind)
-            state = PairState(ds.edges, 0, nm, 3)
+            state = PairState(ds.edges, 0, nm)
             if kind == "symmetric":
                 t = nm.matrix.T.tocsr()
                 for name in ("indptr", "indices", "data"):

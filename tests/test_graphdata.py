@@ -95,6 +95,10 @@ class TestLoader:
             ("0 1\n", "1.0\n2.0\n", "0\ta\n0\tb\n"),  # duplicate node label
             ("0 1\n", "1.0\n2.0\n", "0\ta\tx\n1\tb\n"),  # partial t column
             ("0 1\n", "1.0\n2.0\n", "0\ta\tx\n1\tb\ty\n2\tc\tz\n"),  # extra row
+            ("0 1\n", "1.0\n2.0\n", "0\ta\n1\n"),  # one label field
+            ("0 1\n", "1.0\n2.0\n", "0\ta\tx\ty\n1\ta\tx\ty\n"),  # four
+            ("0 1\n", "1.0\n2.0\n", "0\ta\nx\ta\n"),  # non-integer label id
+            ("0 1\n", "1.0\n2.0\n", "0\ta\n2\ta\n"),  # label id outside
         ],
     )
     def test_malformed_inputs_raise(self, tmp_path, edges, features, labels):
@@ -149,10 +153,21 @@ class TestLoader:
         ("0 1\n1 1\n", "1.0\n2.0\n", b"0\ta\n1\ta\n", 0,
          ":2: explicit self-edges are not allowed; use self_loop_weight"),
         ("0 1\n", "", b"0\ta\n1\ta\n", 1, ": no feature rows"),
+        ("0 1\n", "# c\n\n1.0,2.0\n3.0,bad\n", b"0\ta\n1\ta\n", 1,
+         ":4: 'bad' is not a number\n"),
+        ("0 1\n", "1.0,2.0\n3.0,4.0\n5.0\n", b"0\ta\n1\ta\n", 1,
+         ":3: expected 2 values, got 1\n"),
         ("0 1\n", "1.0\n2.0\n", b"0\ta\n1\t\xff\n", 2,
          ": 'utf-8' codec can't decode byte 0xff"),
+        ("0 1\n", "1.0\n2.0\n", b"# c\n\n0\ta\n1\n", 2,
+         ":4: expected 2 or 3 tab-separated fields\n"),
+        ("0 1\n", "1.0\n2.0\n", b"# c\n\n0\ta\nx\ta\n", 2,
+         ":4: non-integer node id\n"),
+        ("0 1\n", "1.0\n2.0\n", b"0\ta\n5\ta\n", 2,
+         ": node id 5 outside 0..1\n"),
     ], ids=["endpoint_outside", "self_edge", "empty_features",
-            "labels_not_utf8"])
+            "feature_token", "feature_short_row", "labels_not_utf8",
+            "label_fields", "label_node_id", "label_node_outside"])
     def test_content_error_exits_2_naming_its_file(
             self, tmp_path, capsys, edges, features, labels, role, message):
         paths = write_files(tmp_path, edges, features, "")
@@ -221,6 +236,19 @@ class TestMakeDataset:
     def test_rejects_single_subgroup_value(self):
         with pytest.raises(DatasetError):
             make_dataset([(0, 1)], np.ones((2, 1)), [0, 0], t_labels=[1, 1])
+
+    @pytest.mark.parametrize("features,s_labels,t_labels,message", [
+        (np.ones(3), [0, 0, 0], None, "non-empty 2-d array"),
+        (np.ones((0, 2)), [], None, "non-empty 2-d array"),
+        (np.ones((3, 1)), [0, 0], None, "expected 3 group labels"),
+        (np.ones((3, 1)), [0, 0, 0], [0, 1], "expected 3 subgroup labels"),
+        (np.ones((3, 1)), [0, -1, 0], None, "must be non-negative"),
+    ], ids=["features_1d", "features_empty", "group_count",
+            "subgroup_count", "negative_group"])
+    def test_malformed_arrays_raise(self, features, s_labels, t_labels,
+                                    message):
+        with pytest.raises(DatasetError, match=message):
+            make_dataset([(0, 1)], features, s_labels, t_labels)
 
 
 class TestNormalization:

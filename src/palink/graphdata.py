@@ -21,6 +21,8 @@ from scipy.sparse.csgraph import connected_components
 class DatasetError(ValueError):
     """Raised when input files or arrays violate the dataset contract."""
 
+    _edge_row: int | None = None  # the edge row ``make_dataset`` rejected
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -104,7 +106,7 @@ def make_dataset(
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     bad = _bad_edge(edges, n)
     if bad is not None:
-        raise DatasetError(bad[1])
+        raise bad
     keys = _pair_keys(edges, n)
 
     return Dataset(
@@ -142,9 +144,9 @@ def _key_pairs(keys, n: int) -> np.ndarray:
     return np.stack([i, keys - starts[i] + i + 1], axis=1)
 
 
-def _bad_edge(edges: np.ndarray, n: int) -> tuple[int, str] | None:
-    """The index of the first row of ``edges`` that is not two distinct
-    nodes in 0..n-1, and what is wrong with it; None if there is none."""
+def _bad_edge(edges: np.ndarray, n: int) -> DatasetError | None:
+    """The error for the first row of ``edges`` that is not two distinct
+    nodes in 0..n-1, carrying the row's index; None if there is none."""
     outside = (edges < 0) | (edges >= n)
     # column by column: ``any(axis=1)`` over two columns is 5x slower
     rows = np.flatnonzero(outside[:, 0] | outside[:, 1]
@@ -152,9 +154,11 @@ def _bad_edge(edges: np.ndarray, n: int) -> tuple[int, str] | None:
     if not rows.size:
         return None
     row = int(rows[0])
-    if outside[row].any():
-        return row, f"edge endpoint outside 0..{n - 1}"
-    return row, "explicit self-edges are not allowed; use self_loop_weight"
+    exc = DatasetError(
+        f"edge endpoint outside 0..{n - 1}" if outside[row].any()
+        else "explicit self-edges are not allowed; use self_loop_weight")
+    exc._edge_row = row
+    return exc
 
 
 def _first_seen(ids: np.ndarray, k: int) -> np.ndarray:
@@ -167,107 +171,98 @@ def _first_seen(ids: np.ndarray, k: int) -> np.ndarray:
     return relabel[ids]
 
 
-def _loadtxt(path: str, **kwargs) -> np.ndarray:
-    """``np.loadtxt(path, ndmin=2, **kwargs)``; a file with no data rows
-    gives an empty array, without ``loadtxt``'s warning."""
+def _loadtxt(source, **kwargs) -> np.ndarray:
+    """``np.loadtxt(source, ndmin=2, **kwargs)``; a source with no data
+    rows gives an empty array, without ``loadtxt``'s warning."""
     with warnings.catch_warnings():
         warnings.filterwarnings(
             "ignore", message="loadtxt: input contained no data")
-        return np.loadtxt(path, ndmin=2, **kwargs)
+        return np.loadtxt(source, ndmin=2, **kwargs)
 
 
-def _parse_edges_file(path: str) -> np.ndarray:
+def _read(tokens: list[str], dtype) -> np.ndarray | None:
+    """``tokens`` read as ``np.loadtxt`` reads values of ``dtype``, one
+    per token, or None if some token is not one such value.  This is the
+    number rule of the feature CSV and, at int64, the node-id rule of the
+    edge list and the labels: optional blanks, an optional sign, ASCII
+    digits, inside int64."""
     try:
-        edges = _loadtxt(path, dtype=np.int64, comments="#")
-        if edges.size and edges.shape[1] != 2:
-            raise ValueError("expected two node ids per line")
-    except ValueError as exc:
-        raise DatasetError(_bad_edge_line(path) or f"{path}: {exc}") from exc
-    return edges.reshape(-1, 2)
+        # each token a line of its own, where loadtxt skips an empty one
+        # and splits one at a comma
+        values = _loadtxt(tokens, dtype=dtype, delimiter=",", comments=None)
+    except ValueError:
+        return None
+    return values.ravel() if values.shape == (len(tokens), 1) else None
 
 
-def _edge_rows(path: str, sep: str | None = None):
-    """``(line number, tokens)`` of each ``loadtxt`` row of a file, split at
-    ``sep`` (whitespace if None): a line with nothing before a ``#`` (or
-    only blanks, at whitespace) is no row."""
+def _is_row(line: str) -> bool:
+    """Whether a line of an input file is a row: in all three files, a
+    line with only blanks before any ``#`` is none."""
+    return line.lstrip()[:1] not in ("", "#")
+
+
+def _rows(path: str, sep: str | None = None):
+    """``(line number, tokens)`` of each row of an edge list or feature
+    CSV, cut at its ``#`` and split at ``sep`` (whitespace if None)."""
     with open(path, errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
-            toks = line.split("#", 1)[0].rstrip("\n").split(sep)
-            if toks and toks != [""]:
-                yield lineno, toks
+            if _is_row(line):
+                yield lineno, line.split("#", 1)[0].rstrip("\n").split(sep)
 
 
-def _bad_edge_line(path: str) -> str | None:
-    """``path:line: why`` for the first line of an edge list that is not two
-    int64 ids."""
-    for lineno, toks in _edge_rows(path):
-        if len(toks) != 2:
-            return f"{path}:{lineno}: expected two node ids, got {len(toks)}"
-        for tok in toks:
-            if not re.fullmatch(r"[+-]?[0-9]+", tok):
-                return f"{path}:{lineno}: {tok!r} is not an integer node id"
-            if not -2**63 <= int(tok) < 2**63:
-                return f"{path}:{lineno}: node id {tok} is outside int64"
-
-
-def _bad_feature_line(path: str) -> str | None:
-    """``path:line: why`` for the first line of a feature CSV whose width
-    differs from the first row's or that holds a token ``float`` rejects."""
-    width = None
-    for lineno, toks in _edge_rows(path, ","):
+def _bad_line(path: str, sep, width, dtype, noun: str, what: str):
+    """``path:line: ...`` for the first row of ``path`` (see ``_rows``)
+    that does not hold ``width`` tokens (the first row's count if None)
+    or that holds a token ``_read`` rejects as ``dtype``; None if there is
+    none.  One read per row, then one per token of the row that fails."""
+    for lineno, toks in _rows(path, sep):
         width = width or len(toks)
         if len(toks) != width:
-            return f"{path}:{lineno}: expected {width} values, got {len(toks)}"
-        for tok in toks:
-            try:
-                float(tok)
-            except ValueError:
-                return f"{path}:{lineno}: {tok!r} is not a number"
+            return f"{path}:{lineno}: expected {width} {noun}, got {len(toks)}"
+        if _read(toks, dtype) is None:
+            tok = next(t for t in toks if _read([t], dtype) is None)
+            if re.fullmatch(r"[+-]?[0-9]+", tok):  # an integer past int64
+                return f"{path}:{lineno}: node id {tok} is outside int64"
+            return f"{path}:{lineno}: {tok!r} is not {what}"
+    return None
 
 
 def _parse_labels_file(path: str, n: int):
-    node_ids, s_raw, t_raw = [], [], []
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            toks = line.split("\t")
+        lines = fh.read().split("\n")
+    rows = [line.split("\t") for line in lines if _is_row(line)]
+    widths = {len(toks) for toks in rows}
+    node_ids = _read([toks[0] for toks in rows], np.int64)
+    if node_ids is None or not widths <= {2, 3}:  # name the first bad line
+        numbers = (i for i, line in enumerate(lines, start=1) if _is_row(line))
+        for lineno, toks in zip(numbers, rows):
             if len(toks) not in (2, 3):
-                raise DatasetError(
-                    f"{path}:{lineno}: expected 2 or 3 tab-separated fields"
-                )
-            try:
-                node_ids.append(int(toks[0]))
-            except ValueError as exc:
-                raise DatasetError(f"{path}:{lineno}: non-integer node id") from exc
-            s_raw.append(toks[1].strip())
-            t_raw.append(toks[2].strip() if len(toks) == 3 else None)
+                raise DatasetError(f"{path}:{lineno}: expected 2 or 3 "
+                                   "tab-separated fields")
+            if _read(toks[:1], np.int64) is None:
+                raise DatasetError(f"{path}:{lineno}: non-integer node id")
 
-    if len(node_ids) != n:
-        raise DatasetError(f"{path}: {len(node_ids)} label rows for {n} nodes")
-    seen = np.zeros(n, dtype=bool)
-    for nid in node_ids:
+    if len(rows) != n:
+        raise DatasetError(f"{path}: {len(rows)} label rows for {n} nodes")
+    seen = bytearray(n)
+    for nid in node_ids.tolist():
         if not 0 <= nid < n:
             raise DatasetError(f"{path}: node id {nid} outside 0..{n - 1}")
         if seen[nid]:
             raise DatasetError(f"{path}: duplicate label row for node {nid}")
-        seen[nid] = True
-
-    has_t = [t is not None for t in t_raw]
-    if any(has_t) and not all(has_t):
+        seen[nid] = 1
+    if widths == {2, 3}:
         raise DatasetError(f"{path}: subgroup column present on only some rows")
 
-    nodes = np.array(node_ids)
-
-    def densify(raw):
-        values, ids = np.unique(raw, return_inverse=True)
+    def densify(column):
+        values, ids = np.unique([toks[column].strip() for toks in rows],
+                                return_inverse=True)
         out = np.empty(n, dtype=np.int64)
-        out[nodes] = _first_seen(ids, values.size)
+        out[node_ids] = _first_seen(ids, values.size)
         return out
 
-    t_labels = densify(t_raw) if all(has_t) else None
-    return densify(s_raw), t_labels
+    t_labels = densify(2) if widths == {3} else None
+    return densify(1), t_labels
 
 
 def load_dataset(
@@ -278,7 +273,7 @@ def load_dataset(
 ) -> Dataset:
     """Load a dataset from an edge list, a feature CSV, and a label TSV.
 
-    ``edges_path`` holds whitespace-separated integer pairs, one edge per
+    ``edges_path`` holds whitespace-separated node-id pairs, one edge per
     line, ``#`` starting a comment; a malformed line, an endpoint outside
     0..n-1 or a self-edge raises naming ``path:line`` (an error in the
     features or labels raises first, except a malformed edge line).
@@ -286,23 +281,37 @@ def load_dataset(
     defines n).  ``labels_path`` holds tab-separated rows
     ``node_id <TAB> group [<TAB> subgroup]``; label strings map to dense ids
     in first-seen order, and a subgroup column takes exactly two values.
-    ``self_loop_weight`` is the diagonal weight of every adjacency built
-    from the dataset.
+    Ids and numbers are read as ``np.loadtxt`` reads int64 and float64, and
+    a line with only blanks before any ``#`` is no row.  Adjacencies built
+    from the dataset carry ``self_loop_weight`` on their diagonal.
     """
     for path in (edges_path, features_path, labels_path):
         if not os.path.exists(path):
             raise DatasetError(f"missing input file: {path}")
 
     try:
-        features = _loadtxt(features_path, delimiter=",", dtype=np.float64)
+        try:
+            features = _loadtxt(features_path, delimiter=",", dtype=np.float64)
+        except ValueError:  # loadtxt's CSV reader reads blanks as a row
+            with open(features_path) as fh:
+                features = _loadtxt([line for line in fh if _is_row(line)],
+                                    delimiter=",", dtype=np.float64)
     except ValueError as exc:
-        raise DatasetError(_bad_feature_line(features_path)
-                           or f"{features_path}: {exc}") from exc
+        raise DatasetError(
+            _bad_line(features_path, ",", None, np.float64, "values",
+                      "a number") or f"{features_path}: {exc}") from exc
     if not features.size:
         raise DatasetError(f"{features_path}: no feature rows")
     n = features.shape[0]
 
-    edges = _parse_edges_file(edges_path)
+    try:
+        edges = _loadtxt(edges_path, dtype=np.int64, comments="#")
+        if edges.size and edges.shape[1] != 2:
+            raise ValueError("expected two node ids per line")
+    except ValueError as exc:
+        raise DatasetError(
+            _bad_line(edges_path, None, 2, np.int64, "node ids",
+                      "an integer node id") or f"{edges_path}: {exc}") from exc
     try:
         s_labels, t_labels = _parse_labels_file(labels_path, n)
     except UnicodeDecodeError as exc:  # a ValueError that names no file
@@ -311,13 +320,11 @@ def load_dataset(
         return make_dataset(edges, features, s_labels, t_labels,
                             self_loop_weight=self_loop_weight)
     except DatasetError as exc:
-        # make_dataset checks the edges; name the failing row's line
-        bad = _bad_edge(edges, n)
-        if bad is None or exc.args != (bad[1],):
+        if exc._edge_row is None:
             raise
-        row, why = bad
-        lineno = next(itertools.islice(_edge_rows(edges_path), row, None))[0]
-        raise DatasetError(f"{edges_path}:{lineno}: {why}") from None
+        # make_dataset checks the edges; name the failing row's line
+        rows = itertools.islice(_rows(edges_path), exc._edge_row, None)
+        raise DatasetError(f"{edges_path}:{next(rows)[0]}: {exc}") from None
 
 
 def normalize_features(features: np.ndarray, mode: str):
@@ -390,24 +397,15 @@ def within_group_structure(dataset: Dataset) -> WithinGroupView:
     """
     s = dataset.s_labels
     edges = dataset.edges
-    if edges.size:
-        mask = s[edges[:, 0]] == s[edges[:, 1]]
-        wg_edges = edges[mask]
-    else:
-        wg_edges = edges.reshape(0, 2)
+    wg_edges = edges[s[edges[:, 0]] == s[edges[:, 1]]]
 
     n = dataset.n
     counts = np.bincount(wg_edges.ravel(), minlength=n).astype(np.float64)
     wg_degrees = counts + dataset.self_loop_weight
 
-    if wg_edges.size:
-        data = np.ones(wg_edges.shape[0], dtype=np.int8)
-        adj = sp.coo_matrix(
-            (data, (wg_edges[:, 0], wg_edges[:, 1])), shape=(n, n)
-        )
-        n_comp, raw = connected_components(adj, directed=False)
-    else:
-        n_comp, raw = n, np.arange(n)
+    data = np.ones(wg_edges.shape[0], dtype=np.int8)
+    adj = sp.coo_matrix((data, (wg_edges[:, 0], wg_edges[:, 1])), shape=(n, n))
+    n_comp, raw = connected_components(adj, directed=False)
 
     group_of = _first_seen(raw, n_comp)  # numbered by smallest member node
 

@@ -75,8 +75,6 @@ class NegativeSampler:
                 f"requested {count} negatives but only {self.available} "
                 "non-adjacent pairs remain"
             )
-        if count == 0:
-            return np.zeros((0, 2), dtype=np.int64)
         ranks = np.sort(rng.choice(self.available, size=count, replace=False))
         keys = ranks + np.searchsorted(self._shift, ranks, side="right")
         return _key_pairs(keys, self._n)

@@ -46,20 +46,23 @@ def write_train_config(tmp_path, paths) -> str:
 
 class TestLoader:
     def test_round_trip_with_comments_and_blanks(self, tmp_path):
-        paths = write_files(
-            tmp_path,
-            "# header comment\n0 1\n\n1 2  # trailing comment\n",
-            "1.0,2.0\n3.0,4.0\n5.0,6.0\n",
-            "0\tred\tx\n1\tblue\ty\n2\tred\tx\n",
-        )
-        ds = load_dataset(*paths, self_loop_weight=1.0)
-        assert ds.n == 3
-        np.testing.assert_array_equal(ds.edges, [[0, 1], [1, 2]])
-        np.testing.assert_allclose(ds.features, [[1, 2], [3, 4], [5, 6]])
-        # first-seen order: red -> 0, blue -> 1; x -> 0, y -> 1
-        np.testing.assert_array_equal(ds.s_labels, [0, 1, 0])
-        np.testing.assert_array_equal(ds.t_labels, [0, 1, 0])
-        assert ds.self_loop_weight == 1.0
+        # the second feature file holds lines of blanks, one before a #
+        for features in ("1.0,2.0\n3.0,4.0\n5.0,6.0\n",
+                         "1.0,2.0\n  \n3.0,4.0\n \t # c\n5.0,6.0\n\t\n"):
+            paths = write_files(
+                tmp_path,
+                "# header comment\n0 1\n\n1 2  # trailing comment\n",
+                features,
+                "0\tred\tx\n1\tblue\ty\n2\tred\tx\n",
+            )
+            ds = load_dataset(*paths, self_loop_weight=1.0)
+            assert ds.n == 3
+            np.testing.assert_array_equal(ds.edges, [[0, 1], [1, 2]])
+            np.testing.assert_allclose(ds.features, [[1, 2], [3, 4], [5, 6]])
+            # first-seen order: red -> 0, blue -> 1; x -> 0, y -> 1
+            np.testing.assert_array_equal(ds.s_labels, [0, 1, 0])
+            np.testing.assert_array_equal(ds.t_labels, [0, 1, 0])
+            assert ds.self_loop_weight == 1.0
 
     def test_duplicate_edges_collapsed_and_counted(self, tmp_path):
         paths = write_files(
@@ -165,9 +168,22 @@ class TestLoader:
          ":4: non-integer node id\n"),
         ("0 1\n", "1.0\n2.0\n", b"0\ta\n5\ta\n", 2,
          ": node id 5 outside 0..1\n"),
+        ("0 1\n", "1_0\n2.0\n", b"0\ta\n1\ta\n", 1,
+         ":1: '1_0' is not a number\n"),
+        ("0 1\n", "1.0\n2.0\n", b"0\ta\n1_0\ta\n", 2,
+         ":2: non-integer node id\n"),
+        ("0 1\n", "1.0\n2.0\n", "0\ta\n\u0661\ta\n".encode(), 2,
+         ":2: non-integer node id\n"),
+        ("0 1\n", "1.0\n2.0\n", b"0\ta\nx\ta\n2\n", 2,
+         ":2: non-integer node id\n"),
+        ("0 1\n", "1.0\n2.0\n", b"0,1\ta\n\ta\n", 2,
+         ":1: non-integer node id\n"),
     ], ids=["endpoint_outside", "self_edge", "empty_features",
             "feature_token", "feature_short_row", "labels_not_utf8",
-            "label_fields", "label_node_id", "label_node_outside"])
+            "label_fields", "label_node_id", "label_node_outside",
+            "feature_underscore", "label_node_underscore",
+            "label_node_non_ascii", "label_node_id_before_fields",
+            "label_node_comma"])
     def test_content_error_exits_2_naming_its_file(
             self, tmp_path, capsys, edges, features, labels, role, message):
         paths = write_files(tmp_path, edges, features, "")
@@ -191,6 +207,35 @@ class TestLoader:
                             "0\ta\n1\ta\n2\tb\n")
         load_dataset(*paths)
         assert len(calls) == 1
+        # a failing load checks the edges once too, and names the line
+        write_files(tmp_path, "0 1\n1 1\n", "1.0\n2.0\n3.0\n",
+                    "0\ta\n1\ta\n2\tb\n")
+        with pytest.raises(DatasetError, match=r"edges\.txt:2: explicit"):
+            load_dataset(*paths)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("token,value", [
+        ("+3", 3), (" 7 ", 7), ("1_0", None), ("\u0661", None),
+        ("1.0", None), ("0x1", None), ("1e3", None), ("", None),
+        (str(2**63), None),
+    ])
+    def test_node_id_rule_is_loadtxts_int64(self, tmp_path, token, value):
+        # the one node-id rule of edges and labels, token by token
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns on no data
+            try:
+                read = np.loadtxt([token], dtype=np.int64, ndmin=1).tolist()
+            except ValueError:
+                read = []
+        assert read == ([] if value is None else [value])
+        rule = graphdata._read([token], np.int64)
+        assert (None if rule is None else rule.tolist()) == (
+            None if value is None else [value])
+        paths = write_files(tmp_path, "", "1.0\n", f"{token}\ta\n")
+        message = ("non-integer node id" if value is None
+                   else f"node id {value} outside 0..0")
+        with pytest.raises(DatasetError, match=message):
+            load_dataset(*paths)
 
     @pytest.mark.parametrize("labels,message", [
         ("0\ta\n", "1 label rows for 2 nodes"),

@@ -145,8 +145,13 @@ class TestSampleNegatives:
         assert pair_set(got) == {(1, 2), (1, 3), (2, 3)}
 
     def test_zero_count(self):
-        out = sample_negatives(5, [(0, 1)], 0, np.random.default_rng(0))
-        assert out.shape == (0, 2)
+        # with 9 free pairs, and with none (n=2, one edge)
+        for n in (5, 2):
+            rng = np.random.default_rng(0)
+            state = rng.bit_generator.state
+            out = sample_negatives(n, [(0, 1)], 0, rng)
+            assert out.shape == (0, 2) and out.dtype == np.int64
+            assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("n, m, n_exclude, pool", [
         pytest.param(4, 3, 0, "full", id="n4-full"),

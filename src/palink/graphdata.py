@@ -173,19 +173,24 @@ def _first_seen(ids: np.ndarray, k: int) -> np.ndarray:
 
 def _loadtxt(source, **kwargs) -> np.ndarray:
     """``np.loadtxt(source, ndmin=2, **kwargs)``; a source with no data
-    rows gives an empty array, without ``loadtxt``'s warning."""
+    rows gives an empty array, without ``loadtxt``'s warning.  A value read
+    with a DeprecationWarning raises ValueError: NumPy 1.23 on reads ``1.0``
+    as int 1 and warns, unseen outside ``__main__``."""
     with warnings.catch_warnings():
         warnings.filterwarnings(
             "ignore", message="loadtxt: input contained no data")
-        return np.loadtxt(source, ndmin=2, **kwargs)
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            return np.loadtxt(source, ndmin=2, **kwargs)
+        except DeprecationWarning as exc:
+            raise ValueError(str(exc)) from exc
 
 
 def _read(tokens: list[str], dtype) -> np.ndarray | None:
-    """``tokens`` read as ``np.loadtxt`` reads values of ``dtype``, one
-    per token, or None if some token is not one such value.  This is the
-    number rule of the feature CSV and, at int64, the node-id rule of the
-    edge list and the labels: optional blanks, an optional sign, ASCII
-    digits, inside int64."""
+    """``tokens`` read as ``np.loadtxt`` reads ``dtype`` values, one per
+    token, or None if some token is not one.  This is the number rule of
+    the feature CSV and, at int64, the node-id rule of the edges and the
+    labels: optional blanks, an optional sign, ASCII digits, inside int64."""
     try:
         # each token a line of its own, where loadtxt skips an empty one
         # and splits one at a comma
@@ -290,12 +295,9 @@ def load_dataset(
             raise DatasetError(f"missing input file: {path}")
 
     try:
-        try:
-            features = _loadtxt(features_path, delimiter=",", dtype=np.float64)
-        except ValueError:  # loadtxt's CSV reader reads blanks as a row
-            with open(features_path) as fh:
-                features = _loadtxt([line for line in fh if _is_row(line)],
-                                    delimiter=",", dtype=np.float64)
+        with open(features_path) as fh:  # loadtxt reads blanks as a row
+            features = _loadtxt([line for line in fh if _is_row(line)],
+                                delimiter=",", dtype=np.float64)
     except ValueError as exc:
         raise DatasetError(
             _bad_line(features_path, ",", None, np.float64, "values",

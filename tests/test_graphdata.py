@@ -178,12 +178,14 @@ class TestLoader:
          ":2: non-integer node id\n"),
         ("0 1\n", "1.0\n2.0\n", b"0,1\ta\n\ta\n", 2,
          ":1: non-integer node id\n"),
+        (f"0 1\n1 {2**63}\n", "1.0\n2.0\n", b"0\ta\n1\ta\n", 0,
+         f":2: node id {2**63} is outside int64\n"),
     ], ids=["endpoint_outside", "self_edge", "empty_features",
             "feature_token", "feature_short_row", "labels_not_utf8",
             "label_fields", "label_node_id", "label_node_outside",
             "feature_underscore", "label_node_underscore",
             "label_node_non_ascii", "label_node_id_before_fields",
-            "label_node_comma"])
+            "label_node_comma", "edge_node_past_int64"])
     def test_content_error_exits_2_naming_its_file(
             self, tmp_path, capsys, edges, features, labels, role, message):
         paths = write_files(tmp_path, edges, features, "")
@@ -223,9 +225,11 @@ class TestLoader:
         # the one node-id rule of edges and labels, token by token
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # loadtxt warns on no data
+            # and NumPy 1.23 on reads ``1.0`` via a float, with a warning
+            warnings.simplefilter("error", DeprecationWarning)
             try:
                 read = np.loadtxt([token], dtype=np.int64, ndmin=1).tolist()
-            except ValueError:
+            except (ValueError, DeprecationWarning):
                 read = []
         assert read == ([] if value is None else [value])
         rule = graphdata._read([token], np.int64)
@@ -236,6 +240,36 @@ class TestLoader:
                    else f"node id {value} outside 0..0")
         with pytest.raises(DatasetError, match=message):
             load_dataset(*paths)
+
+    @pytest.mark.parametrize("edges,labels,message", [
+        ("0 1.0\n", "0\ta\n1\ta\n", r"edges\.txt:1: '1\.0' is not an integer"),
+        ("0 1\n", "0\ta\n1.0\ta\n", r"labels\.tsv:2: non-integer node id"),
+    ], ids=["edges", "labels"])
+    def test_int_read_via_float_is_rejected(self, tmp_path, monkeypatch,
+                                            edges, labels, message):
+        # NumPy releases from 1.23 read an int64 token such as ``1.0`` via
+        # a float and only warn, with a DeprecationWarning that is hidden
+        # outside ``__main__``; under such a NumPy ``1.0`` is no node id
+        real = np.loadtxt
+
+        def via_float(source, *, dtype=float, **kwargs):
+            try:
+                return real(source, dtype=dtype, **kwargs)
+            except ValueError:
+                if dtype is not np.int64:
+                    raise
+                warnings.warn("loadtxt(): Parsing an integer via a float is "
+                              "deprecated.", DeprecationWarning, stacklevel=2)
+                floats = real(source, dtype=np.float64, **kwargs)
+                return floats.astype(np.int64)
+
+        monkeypatch.setattr(np, "loadtxt", via_float)
+        paths = write_files(tmp_path, edges, "1.0\n2.0\n", labels)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            assert np.loadtxt(["1.0"], dtype=np.int64).tolist() == 1
+            with pytest.raises(DatasetError, match=message):
+                load_dataset(*paths)
 
     @pytest.mark.parametrize("labels,message", [
         ("0\ta\n", "1 label rows for 2 nodes"),

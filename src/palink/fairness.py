@@ -18,20 +18,18 @@ from .spectral import KINDS
 @dataclass(frozen=True)
 class FairnessAssessment:
     """``delta``'s per-group results, each an array indexed by refined-group
-    id: the trained-score gap (NaN for a skipped group), each subgroup's
-    anchor observations (same-group pair endpoints, so one pair counts
-    twice), and why each skipped group was skipped ("" for active
-    groups)."""
+    id: the trained-score gap, each subgroup's anchor observations
+    (same-group pair endpoints, so one pair counts twice), and why the gap
+    is NaN ("" where it is defined)."""
 
     delta: np.ndarray
     n_t1: np.ndarray
     n_t2: np.ndarray
-    skipped: np.ndarray
-    reasons: tuple[str, ...]
+    reasons: np.ndarray
 
     @property
     def mean_delta(self) -> float:
-        vals = self.delta[~self.skipped]
+        vals = self.delta[self.reasons == ""]
         return float(np.mean(vals)) if vals.size else float("nan")
 
 
@@ -104,11 +102,9 @@ def delta(pairs, scores, group_of, t_labels) -> FairnessAssessment:
                                            t_labels)
     reasons = np.select([(c1 == 0) & (c2 == 0), (c1 == 0) | (c2 == 0)],
                         ["no_pairs", "empty_subgroup"], default="")
-    skipped = reasons != ""
     return FairnessAssessment(
-        delta=np.where(skipped, np.nan, np.abs(diff)),
-        n_t1=c1.astype(np.int64), n_t2=c2.astype(np.int64), skipped=skipped,
-        reasons=tuple(reasons.tolist()),
+        delta=np.where(reasons != "", np.nan, np.abs(diff)),
+        n_t1=c1.astype(np.int64), n_t2=c2.astype(np.int64), reasons=reasons,
     )
 
 

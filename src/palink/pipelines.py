@@ -358,7 +358,8 @@ def _theory_run(dataset: Dataset, config: RunConfig, seed: int,
     """One validate-theory training: the seed's report entry and its
     theory report's rows."""
     run, report = _fit_theory(dataset, config, seed, lam)
-    if bool(report.skipped.all()):
+    skipped = report.reasons != ""
+    if skipped.all():
         raise ValueError(
             f"seed {seed}: every refined group was skipped; "
             "theory comparison has no support"
@@ -373,9 +374,9 @@ def _theory_run(dataset: Dataset, config: RunConfig, seed: int,
         "groups": _records({
             "group": np.arange(report.rho2.size), "rho2": report.rho2,
             "c1": report.c1, "n_pairs": report.n_pairs,
-            "skipped": report.skipped, "reason": report.skip_reasons,
+            "skipped": skipped, "reason": report.reasons,
         }),
-        "skipped_groups": np.flatnonzero(report.skipped).tolist(),
+        "skipped_groups": np.flatnonzero(skipped).tolist(),
         "test_auc": run.test_auc,
         "test_auc_same_group": run.test_auc_same_group,
         "best_epoch": run.result.best_epoch,
@@ -419,7 +420,7 @@ def _sweep_run(dataset: Dataset, config: RunConfig, seed: int,
         "groups": _records({
             "group": np.arange(assess.delta.size), "delta": assess.delta,
             "n_t1": assess.n_t1, "n_t2": assess.n_t2,
-            "skipped": assess.skipped, "reason": assess.reasons,
+            "skipped": assess.reasons != "", "reason": assess.reasons,
         }),
     }
 
@@ -474,7 +475,7 @@ def _delta_run(dataset: Dataset, config: RunConfig, seed: int,
         "delta": assess.delta, "delta_hat": est.delta,
         "delta_hat_closed_form": closed, "disparity": disparity,
         "n_t1": assess.n_t1, "n_t2": assess.n_t2,
-    }, ~assess.skipped & ~est.skipped)
+    }, (assess.reasons == "") & (est.reasons == ""))
 
 
 def run_delta_comparison(config: RunConfig) -> dict:

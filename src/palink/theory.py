@@ -81,20 +81,13 @@ def raw_theoretic_scores(
     return tau, c1
 
 
-@dataclass(frozen=True)
-class RhoEstimate:
-    rho2: np.ndarray  # per group; NaN where skipped
-    n_pairs: np.ndarray
-    skipped: np.ndarray
-    reasons: tuple[str, ...]
-
-
-def estimate_rho(tau, scores, pair_groups, n_groups: int) -> RhoEstimate:
+def estimate_rho(tau, scores, pair_groups, n_groups: int):
     """Through-origin least-squares slope of trained scores on raw
     theoretic scores, per group: rho2 = sum(tau*y) / sum(tau^2).
 
-    Groups with fewer than two pairs or zero tau variance are skipped
-    (NaN slope); negative slopes are kept.
+    Returns ``(rho2, n_pairs, reasons)``, one entry per group: the slope,
+    NaN where a group has fewer than two pairs or zero tau, and why it is
+    NaN there ("" where it is defined).  Negative slopes are kept.
     """
     tau = np.asarray(tau, dtype=np.float64)
     scores = np.asarray(scores, dtype=np.float64)
@@ -109,11 +102,9 @@ def estimate_rho(tau, scores, pair_groups, n_groups: int) -> RhoEstimate:
         [n_pairs == 0, n_pairs < 2, denom == 0.0],
         ["no_pairs", "too_few_pairs", "zero_tau"], default="",
     )
-    skipped = reasons != ""
     with np.errstate(divide="ignore", invalid="ignore"):
-        rho2 = np.where(skipped, np.nan, numer / denom)
-    return RhoEstimate(rho2=rho2, n_pairs=n_pairs, skipped=skipped,
-                       reasons=tuple(reasons.tolist()))
+        rho2 = np.where(reasons != "", np.nan, numer / denom)
+    return rho2, n_pairs, reasons
 
 
 @dataclass(frozen=True)
@@ -121,15 +112,15 @@ class TheoryReport:
     """Fitted-vs-trained score comparison over same-group pairs.
 
     ``rows`` holds (group, i, j, tau_raw, tau_fitted, gcn_score) for pairs
-    in non-skipped groups; summary metrics are computed over those rows.
+    in groups with a slope; summary metrics are computed over those rows.
+    ``reasons`` says, per group, why ``rho2`` is NaN ("" where it is not).
     """
 
     rows: dict[str, np.ndarray]
     rho2: np.ndarray
     c1: np.ndarray
     n_pairs: np.ndarray
-    skipped: np.ndarray
-    skip_reasons: tuple[str, ...]
+    reasons: np.ndarray
     nrmse: MetricValue
     pcc: MetricValue
     n_dropped_cross: int
@@ -141,7 +132,7 @@ def build_theory_report(
 ) -> TheoryReport:
     """Fit per-group slopes and compare fitted theoretic scores with
     trained scores.  Cross-group pairs are dropped (and counted); pairs in
-    skipped groups are excluded from rows and metrics."""
+    groups without a slope are excluded from rows and metrics."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     gcn_scores = np.asarray(gcn_scores, dtype=np.float64)
     if gcn_scores.shape != (pairs.shape[0],):
@@ -154,10 +145,10 @@ def build_theory_report(
     pairs, gcn_scores, gi = pairs[same], gcn_scores[same], gi[same]
 
     tau, c1 = raw_theoretic_scores(view, alphas, pairs, kind)
-    est = estimate_rho(tau, gcn_scores, gi, view.n_groups)
+    rho2, n_pairs, reasons = estimate_rho(tau, gcn_scores, gi, view.n_groups)
 
-    keep = ~est.skipped[gi]
-    fitted = est.rho2[gi[keep]] * tau[keep]
+    keep = reasons[gi] == ""
+    fitted = rho2[gi[keep]] * tau[keep]
     rows = {
         "group": gi[keep],
         "i": pairs[keep, 0],
@@ -167,8 +158,7 @@ def build_theory_report(
         "gcn_score": gcn_scores[keep],
     }
     return TheoryReport(
-        rows=rows, rho2=est.rho2, c1=c1, n_pairs=est.n_pairs,
-        skipped=est.skipped, skip_reasons=est.reasons,
+        rows=rows, rho2=rho2, c1=c1, n_pairs=n_pairs, reasons=reasons,
         nrmse=nrmse(fitted, gcn_scores[keep]),
         pcc=pcc(fitted, gcn_scores[keep]), n_dropped_cross=n_dropped,
     )

@@ -50,7 +50,7 @@ class TestRocAuc:
         for labels in ([1, 1], [0, 0]):
             got = roc_auc([0.1, 0.2], labels)
             assert np.isnan(got.value)
-            assert got.n == 2 and got.flags == ("one_class",)
+            assert got.n == 2 and got.reason == "one_class"
 
     def test_labels_outside_zero_one_rejected(self):
         with pytest.raises(ValueError):
@@ -89,7 +89,7 @@ class TestNrmse:
     def test_degenerate_range_flagged(self):
         got = nrmse([0.0, 1.0], [2.0, 2.0])
         assert np.isnan(got.value)
-        assert "degenerate_range" in got.flags
+        assert got.reason == "degenerate_range"
 
     def test_hand_formula_oracle(self):
         rng = np.random.default_rng(14)
@@ -102,7 +102,7 @@ class TestNrmse:
     def test_empty_flagged(self):
         got = nrmse([], [])
         assert np.isnan(got.value)
-        assert got.n == 0 and got.flags == ("no_pairs",)
+        assert got.n == 0 and got.reason == "no_pairs"
 
 
 class TestPcc:
@@ -123,13 +123,13 @@ class TestPcc:
     def test_zero_variance_flagged(self):
         got = pcc([1.0, 1.0, 1.0], [0.0, 1.0, 2.0])
         assert np.isnan(got.value)
-        assert "zero_variance" in got.flags
+        assert got.reason == "zero_variance"
 
     def test_too_few_points(self):
         for x in ([], [1.0]):
             got = pcc(x, x)
             assert np.isnan(got.value)
-            assert got.n == len(x) and got.flags == ("insufficient_samples",)
+            assert got.n == len(x) and got.reason == "insufficient_samples"
 
     def test_shift_scale_invariance(self):
         rng = np.random.default_rng(16)
@@ -143,7 +143,7 @@ class TestMaxDegreeRatio:
     def test_hand_value(self):
         got = max_degree_ratio([1.0, 2.0, 3.0])
         assert got.value == pytest.approx(np.sqrt(3.0))
-        assert got.flags == ()
+        assert got.reason == ""
 
     def test_zero_degrees_excluded_and_flagged(self):
         got = max_degree_ratio([0.0, 1.0, 4.0])
@@ -154,4 +154,4 @@ class TestMaxDegreeRatio:
         got = max_degree_ratio([0.0, 0.0])
         assert np.isnan(got.value)
         assert got.n == 0
-        assert got.flags == ("no_positive_degree",)
+        assert got.reason == "no_positive_degree"

@@ -733,7 +733,7 @@ class TestCli:
         def skip_every_group(*args, **kwargs):
             report = real(*args, **kwargs)
             return dataclasses.replace(
-                report, skipped=np.ones_like(report.skipped))
+                report, reasons=np.full_like(report.reasons, "no_pairs"))
 
         monkeypatch.setattr(pipelines, "build_theory_report",
                             skip_every_group)

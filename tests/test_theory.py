@@ -138,24 +138,25 @@ class TestGroupConstants:
 
 class TestEstimateRho:
     def test_hand_value(self):
-        est = estimate_rho([1.0, 2.0], [2.0, 4.0], [0, 0], 1)
-        assert est.rho2[0] == pytest.approx(2.0)
-        assert not est.skipped[0]
-        assert est.n_pairs[0] == 2
+        rho2, n_pairs, reasons = estimate_rho(
+            [1.0, 2.0], [2.0, 4.0], [0, 0], 1)
+        assert rho2[0] == pytest.approx(2.0)
+        assert reasons[0] == ""
+        assert n_pairs[0] == 2
 
     def test_exact_recovery_of_linear_scores(self):
         rng = np.random.default_rng(64)
         tau = rng.uniform(0.5, 2.0, size=30)
         groups = rng.integers(0, 3, size=30)
         slopes = np.array([0.5, -1.25, 3.0])
-        est = estimate_rho(tau, slopes[groups] * tau, groups, 3)
-        np.testing.assert_allclose(est.rho2, slopes, atol=1e-12)
+        rho2, _, _ = estimate_rho(tau, slopes[groups] * tau, groups, 3)
+        np.testing.assert_allclose(rho2, slopes, atol=1e-12)
 
     def test_slope_minimizes_squared_error(self):
         rng = np.random.default_rng(65)
         tau = rng.uniform(0.1, 1.0, size=20)
         y = rng.normal(size=20)
-        rho = estimate_rho(tau, y, np.zeros(20, int), 1).rho2[0]
+        rho = estimate_rho(tau, y, np.zeros(20, int), 1)[0][0]
 
         def loss(r):
             return np.sum((y - r * tau) ** 2)
@@ -164,13 +165,13 @@ class TestEstimateRho:
         assert loss(rho) <= loss(rho - 0.01)
 
     def test_skip_reasons(self):
-        est = estimate_rho([1.0], [1.0], [1], 3)
-        assert est.reasons == ("no_pairs", "too_few_pairs", "no_pairs")
-        assert np.all(est.skipped)
-        assert np.all(np.isnan(est.rho2))
+        rho2, _, reasons = estimate_rho([1.0], [1.0], [1], 3)
+        assert reasons.tolist() == ["no_pairs", "too_few_pairs", "no_pairs"]
+        assert np.all(reasons != "")
+        assert np.all(np.isnan(rho2))
 
-        est = estimate_rho([0.0, 0.0], [1.0, 2.0], [0, 0], 1)
-        assert est.skipped[0] and est.reasons[0] == "zero_tau"
+        _, _, reasons = estimate_rho([0.0, 0.0], [1.0, 2.0], [0, 0], 1)
+        assert reasons[0] != "" and reasons[0] == "zero_tau"
 
     def test_misaligned_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -199,9 +200,9 @@ class TestTheoryReport:
         report = build_theory_report(view, aset, pairs, scores, "symmetric")
         assert report.n_dropped_cross == n_cross
         rows = report.rows
-        # every kept row comes from a non-skipped group, with
+        # every kept row comes from a group with a slope, with
         # tau_fitted = slope * tau_raw
-        assert not np.any(report.skipped[rows["group"]])
+        assert not np.any(report.reasons[rows["group"]] != "")
         np.testing.assert_allclose(
             rows["tau_fitted"], report.rho2[rows["group"]] * rows["tau_raw"],
             atol=1e-12,
@@ -222,12 +223,12 @@ class TestTheoryReport:
         report = build_theory_report(view, aset, pairs, scores, "symmetric")
         same = view.group_of[pairs[:, 0]] == view.group_of[pairs[:, 1]]
         tau, _ = raw_theoretic_scores(view, aset, pairs[same], "symmetric")
-        est = estimate_rho(tau, scores[same],
-                           view.group_of[pairs[same][:, 0]], view.n_groups)
-        np.testing.assert_array_equal(np.isnan(report.rho2),
-                                      np.isnan(est.rho2))
+        rho2, _, _ = estimate_rho(tau, scores[same],
+                                  view.group_of[pairs[same][:, 0]],
+                                  view.n_groups)
+        np.testing.assert_array_equal(np.isnan(report.rho2), np.isnan(rho2))
         np.testing.assert_allclose(np.nan_to_num(report.rho2),
-                                   np.nan_to_num(est.rho2), atol=1e-12)
+                                   np.nan_to_num(rho2), atol=1e-12)
 
     def test_misaligned_scores_rejected(self):
         view, aset, pairs, scores, _ = self.build(seed=69)

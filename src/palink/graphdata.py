@@ -206,13 +206,27 @@ def _is_row(line: str) -> bool:
     return line.lstrip()[:1] not in ("", "#")
 
 
+def _lines(path: str) -> list[str]:
+    """The lines of ``path`` as text mode splits them, each decoded as
+    UTF-8 on its own, so that a byte that is not UTF-8 raises DatasetError
+    naming its line (a comment line too).  The error paths' reader."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        lines = fh.readlines()
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            line.encode(errors="surrogateescape").decode()
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"{path}:{lineno}: {exc}") from None
+    return lines
+
+
 def _rows(path: str, sep: str | None = None):
     """``(line number, tokens)`` of each row of an edge list or feature
-    CSV, cut at its ``#`` and split at ``sep`` (whitespace if None)."""
-    with open(path, errors="replace") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if _is_row(line):
-                yield lineno, line.split("#", 1)[0].rstrip("\n").split(sep)
+    CSV (see ``_lines``), cut at its ``#`` and split at ``sep``
+    (whitespace if None)."""
+    for lineno, line in enumerate(_lines(path), start=1):
+        if _is_row(line):
+            yield lineno, line.split("#", 1)[0].rstrip("\n").split(sep)
 
 
 def _bad_line(path: str, sep, width, dtype, noun: str, what: str):
@@ -233,8 +247,11 @@ def _bad_line(path: str, sep, width, dtype, noun: str, what: str):
 
 
 def _parse_labels_file(path: str, n: int):
-    with open(path) as fh:
-        lines = fh.read().split("\n")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError:  # a ValueError that names no line
+        lines = _lines(path)  # raises, naming it
     rows = [line.split("\t") for line in lines if _is_row(line)]
     widths = {len(toks) for toks in rows}
     node_ids = _read([toks[0] for toks in rows], np.int64)
@@ -295,7 +312,8 @@ def load_dataset(
             raise DatasetError(f"missing input file: {path}")
 
     try:
-        with open(features_path) as fh:  # loadtxt reads blanks as a row
+        # loadtxt reads blanks as a row
+        with open(features_path, encoding="utf-8") as fh:
             features = _loadtxt([line for line in fh if _is_row(line)],
                                 delimiter=",", dtype=np.float64)
     except ValueError as exc:
@@ -307,17 +325,15 @@ def load_dataset(
     n = features.shape[0]
 
     try:
-        edges = _loadtxt(edges_path, dtype=np.int64, comments="#")
+        edges = _loadtxt(edges_path, dtype=np.int64, comments="#",
+                         encoding="utf-8")
         if edges.size and edges.shape[1] != 2:
             raise ValueError("expected two node ids per line")
     except ValueError as exc:
         raise DatasetError(
             _bad_line(edges_path, None, 2, np.int64, "node ids",
                       "an integer node id") or f"{edges_path}: {exc}") from exc
-    try:
-        s_labels, t_labels = _parse_labels_file(labels_path, n)
-    except UnicodeDecodeError as exc:  # a ValueError that names no file
-        raise DatasetError(f"{labels_path}: {exc}") from exc
+    s_labels, t_labels = _parse_labels_file(labels_path, n)
     try:
         return make_dataset(edges, features, s_labels, t_labels,
                             self_loop_weight=self_loop_weight)

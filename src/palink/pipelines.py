@@ -117,7 +117,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     """The RunConfig of ``RunConfig.to_dict``'s JSON layout, where
     ``dataset.name`` is optional, ``filter`` may be an alias and ``seeds``
     and ``lambda_fair`` may be bare values.  The training values are checked
-    here, through one ``TrainConfig`` per penalty weight."""
+    here, through one ``TrainConfig`` per seed and penalty weight."""
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
     raw = dict(raw)
@@ -141,8 +141,10 @@ def config_from_dict(raw: dict) -> RunConfig:
         if key in raw and not isinstance(raw[key], (list, tuple)):
             raw[key] = [raw[key]]
     config = RunConfig(**kwargs, **_read_fields(RunConfig, raw))
-    for lam in config.lambda_fair:
-        TrainConfig(epochs=config.epochs, lr=config.lr, lambda_fair=lam)
+    for seed in config.seeds:
+        for lam in config.lambda_fair:
+            TrainConfig(epochs=config.epochs, lr=config.lr, lambda_fair=lam,
+                        seed=seed)
     return config
 
 

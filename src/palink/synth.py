@@ -55,6 +55,8 @@ class SynthConfig:
                 raise ValueError("disparity boost must be >= 0")
         if self.feature_dim < 1:
             raise ValueError("feature_dim must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     @property
     def n(self) -> int:

@@ -122,8 +122,8 @@ def split_links(dataset: Dataset, ratios=DEFAULT_RATIOS, seed: int = 0) -> LinkS
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """One training's settings; a negative or NaN ``lr`` or ``lambda_fair``
-    and ``epochs < 1`` raise here."""
+    """One training's settings; a negative or NaN ``lr`` or ``lambda_fair``,
+    ``epochs < 1`` and ``seed < 0`` raise here."""
 
     filter_kind: str = "symmetric"
     hidden_dims: tuple[int, ...] = (128, 64)
@@ -139,6 +139,8 @@ class TrainConfig:
             raise ValueError("lr must be >= 0")
         if not self.lambda_fair >= 0:
             raise ValueError("lambda_fair must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

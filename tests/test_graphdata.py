@@ -161,7 +161,7 @@ class TestLoader:
         ("0 1\n", "1.0,2.0\n3.0,4.0\n5.0\n", b"0\ta\n1\ta\n", 1,
          ":3: expected 2 values, got 1\n"),
         ("0 1\n", "1.0\n2.0\n", b"0\ta\n1\t\xff\n", 2,
-         ": 'utf-8' codec can't decode byte 0xff"),
+         ":2: 'utf-8' codec can't decode byte 0xff"),
         ("0 1\n", "1.0\n2.0\n", b"# c\n\n0\ta\n1\n", 2,
          ":4: expected 2 or 3 tab-separated fields\n"),
         ("0 1\n", "1.0\n2.0\n", b"# c\n\n0\ta\nx\ta\n", 2,
@@ -180,16 +180,28 @@ class TestLoader:
          ":1: non-integer node id\n"),
         (f"0 1\n1 {2**63}\n", "1.0\n2.0\n", b"0\ta\n1\ta\n", 0,
          f":2: node id {2**63} is outside int64\n"),
+        # a byte that is not UTF-8 names its line, in a comment too
+        ("0 1\n", b"1.0\n2.0 # \xff\n", b"0\ta\n1\ta\n", 1,
+         ":2: 'utf-8' codec can't decode byte 0xff"),
+        (b"0 1 # \xff\n1 0\n", "1.0\n2.0\n", b"0\ta\n1\ta\n", 0,
+         ":1: 'utf-8' codec can't decode byte 0xff"),
+        ("0 1\n", "1.0\n2.0\n", b"0\tg\n1\tg # \xff\n", 2,
+         ":2: 'utf-8' codec can't decode byte 0xff"),
     ], ids=["endpoint_outside", "self_edge", "empty_features",
             "feature_token", "feature_short_row", "labels_not_utf8",
             "label_fields", "label_node_id", "label_node_outside",
             "feature_underscore", "label_node_underscore",
             "label_node_non_ascii", "label_node_id_before_fields",
-            "label_node_comma", "edge_node_past_int64"])
+            "label_node_comma", "edge_node_past_int64",
+            "feature_comment_not_utf8", "edge_comment_not_utf8",
+            "label_not_utf8_line_2"])
     def test_content_error_exits_2_naming_its_file(
             self, tmp_path, capsys, edges, features, labels, role, message):
-        paths = write_files(tmp_path, edges, features, "")
-        (tmp_path / "labels.tsv").write_bytes(labels)
+        paths = write_files(tmp_path, "", "", "")
+        for path, content in zip(paths, (edges, features, labels)):
+            with open(path, "wb") as fh:
+                fh.write(content if isinstance(content, bytes)
+                         else content.encode())
         config = write_train_config(tmp_path, paths)
         assert main(["train", "--config", config]) == 2
         err = capsys.readouterr().err

@@ -703,9 +703,11 @@ class TestCli:
         for bad, message in [({"lambda_fair": [1.0, -0.5]},
                               "lambda_fair must be >= 0"),
                              ({"lr": -1}, "lr must be >= 0"),
-                             ({"epochs": 0}, "epochs must be >= 1")]:
-            config_path = self.write_config(tmp_path, tiny_bed, seeds=[0, 1],
-                                            dataset=missing, **bad)
+                             ({"epochs": 0}, "epochs must be >= 1"),
+                             ({"seeds": [0, -1]}, "seed must be >= 0")]:
+            config_path = self.write_config(tmp_path, tiny_bed,
+                                            dataset=missing,
+                                            **{"seeds": [0, 1], **bad})
             code = main(["fairness-sweep", "--config", config_path])
             assert code == 2
             assert capsys.readouterr().err.strip() == f"error: {message}"
@@ -898,6 +900,18 @@ class TestCli:
             "config key 'ratios' must be finite, got 1000",
             id=("train-config30-extra30-config key 'ratios' must be finite, "
                 "got 1000")),
+        pytest.param(
+            "synth", {"seed": -1}, [], "seed must be >= 0",
+            id="synth-config31-extra31-seed must be >= 0"),
+        pytest.param(
+            "synth", {}, ["--seed", "-1"], "seed must be >= 0",
+            id="synth-config32-extra32-seed must be >= 0"),
+        pytest.param(
+            "fairness-sweep", {"seeds": [0, -1]}, [], "seed must be >= 0",
+            id="fairness-sweep-config33-extra33-seed must be >= 0"),
+        pytest.param(
+            "train", {}, ["--seed", "-1"], "seed must be >= 0",
+            id="train-config34-extra34-seed must be >= 0"),
     ])
     def test_bad_config_value_exits_2(self, tmp_path, tiny_bed, capsys,
                                       command, config, extra, message):

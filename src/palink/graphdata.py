@@ -250,8 +250,8 @@ def _parse_labels_file(path: str, n: int):
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().split("\n")
-    except UnicodeDecodeError:  # a ValueError that names no line
-        lines = _lines(path)  # raises, naming it
+    except UnicodeDecodeError:  # which names no line
+        lines = _lines(path)  # raises DatasetError naming the line
     rows = [line.split("\t") for line in lines if _is_row(line)]
     widths = {len(toks) for toks in rows}
     node_ids = _read([toks[0] for toks in rows], np.int64)

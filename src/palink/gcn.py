@@ -158,17 +158,22 @@ def forward(model: Model, nm: NormalizedMatrix, features, linear: bool = False):
     return _forward_cached(model, nm, features, linear=linear)[0]
 
 
-def _score_blocks(h: np.ndarray, pairs: np.ndarray, arrays: _Arrays,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """``h_i . h_j`` for each pair, into ``out`` (new if omitted), walked
-    in blocks of ``_PAIR_BLOCK`` rows gathered into the ``"left"`` and
-    ``"right"`` arrays of ``arrays``; each row is the same einsum as over
-    the whole gather, so the scores do not depend on the block size."""
+def score_pairs(representations: np.ndarray, pairs, arrays: _Arrays | None = None,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Inner-product link scores ``h_i . h_j`` for each pair, into ``out``
+    (new if omitted), walked in blocks of ``_PAIR_BLOCK`` rows gathered
+    into the ``"left"`` and ``"right"`` arrays of ``arrays`` (this call's
+    own if omitted; a training passes its ``PairState.arrays``).  Each row
+    is the same einsum as over the whole gather, so the scores do not
+    depend on the block size or on where the buffers live."""
+    h = np.asarray(representations)
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     m = pairs.shape[0]
     if m and (pairs.min() < 0 or pairs.max() >= h.shape[0]):
         raise ValueError("pair indices must lie in [0, n)")
     if out is None:
         out = np.empty(m, dtype=h.dtype)
+    arrays = _Arrays() if arrays is None else arrays
     left, right = (arrays(side, (_PAIR_BLOCK, h.shape[1]), h.dtype)
                    for side in ("left", "right"))
     for start in range(0, m, _PAIR_BLOCK):
@@ -180,13 +185,6 @@ def _score_blocks(h: np.ndarray, pairs: np.ndarray, arrays: _Arrays,
         np.take(h, pairs[start:stop, 1], axis=0, out=right[:k], mode="clip")
         np.einsum("ij,ij->i", left[:k], right[:k], out=out[start:stop])
     return out
-
-
-def score_pairs(representations: np.ndarray, pairs) -> np.ndarray:
-    """Inner-product link scores h_i . h_j for each pair, through gather
-    buffers of this call's own (a training uses its ``PairState.arrays``)."""
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    return _score_blocks(np.asarray(representations), pairs, _Arrays())
 
 
 class PairState:
@@ -316,7 +314,7 @@ def loss_and_gradients(
         forward_cache = _forward_cached(model, nm, features, arrays=arrays)
     h, inputs, outs = forward_cache
     n_pairs = pairs.shape[0]
-    scores = _score_blocks(h, pairs, arrays, arrays("scores", (n_pairs,)))
+    scores = score_pairs(h, pairs, arrays, arrays("scores", (n_pairs,)))
     # terms and dscore are free as scratch until the BCE terms and
     # (probs - labels) are written into them
     terms, dscore = arrays("terms", (n_pairs,)), arrays("dscore", (n_pairs,))

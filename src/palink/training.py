@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gcn import (Model, PairState, _forward_cached, _score_blocks,
-                  init_model, loss_and_gradients)
+from .gcn import (Model, PairState, _forward_cached, init_model,
+                  loss_and_gradients, score_pairs)
 from .graphdata import (Dataset, WithinGroupView, _key_pairs, _pair_keys,
                         within_group_structure)
 from .metrics import roc_auc
@@ -237,7 +237,7 @@ def train(dataset: Dataset, split: LinkSplit, config: TrainConfig) -> TrainResul
 
         cache = _forward_cached(model, nm, features, px=px,
                                 arrays=pair_state.arrays)
-        val_auc = roc_auc(_score_blocks(cache[0], val_pairs, pair_state.arrays),
+        val_auc = roc_auc(score_pairs(cache[0], val_pairs, pair_state.arrays),
                           val_labels).value
         history.append((epoch, float(loss), float(penalty), float(val_auc)))
         if val_auc > best_auc:

@@ -444,6 +444,30 @@ class TestTrain:
         assert np.shares_memory(epoch1, epoch2)
         assert not np.shares_memory(before, epoch1)
 
+    def test_every_epoch_scores_through_score_pairs(self, monkeypatch):
+        # each epoch scores its training pairs (in the loss) and then the
+        # validation pairs through the one public scorer, both times with
+        # the PairState's gather buffers, so a call counter sees 2E calls
+        calls, stores = [], []
+        real = gcn.score_pairs
+
+        def counting(h, pairs, arrays=None, out=None):
+            calls.append(len(pairs))
+            stores.append(arrays)
+            return real(h, pairs, arrays, out)
+
+        for module in (gcn, training):
+            monkeypatch.setattr(module, "score_pairs", counting)
+        ds = trainable_dataset()
+        split = split_links(ds, seed=1)
+        epochs = 3
+        train(ds, split, TrainConfig(hidden_dims=(5, 3), epochs=epochs,
+                                     seed=8))
+        n_val = split.val_pos.shape[0] + split.val_neg.shape[0]
+        assert calls == [2 * split.train_pos.shape[0], n_val] * epochs
+        assert stores[0] is not None
+        assert all(store is stores[0] for store in stores)
+
     def test_message_passing_uses_training_positives_only(self):
         ds = trainable_dataset()
         split = split_links(ds, seed=2)

@@ -314,8 +314,6 @@ def _drive(config: RunConfig, pipeline: str, run, tasks, summarize,
     os.makedirs(out_dir, exist_ok=True)
     payload = {
         "pipeline": pipeline,
-        "dataset": config.name,
-        "filter": config.filter_kind,
         "config_hash": config.config_hash,
         "config": config.to_dict(),
         "input": flagged,
@@ -360,15 +358,13 @@ def _theory_run(dataset: Dataset, config: RunConfig, seed: int,
     """One validate-theory training: the seed's report entry and its
     theory report's rows."""
     run, report = _fit_theory(dataset, config, seed, lam)
-    skipped = report.reasons != ""
-    if skipped.all():
+    if (report.reasons != "").all():
         raise ValueError(
             f"seed {seed}: every refined group was skipped; "
             "theory comparison has no support"
         )
     return {
         "seed": seed,
-        "filter": config.filter_kind,
         "nrmse": report.nrmse.value,
         "pcc": report.pcc.value,
         "n_pairs_used": report.rows["tau_raw"].size,
@@ -376,9 +372,8 @@ def _theory_run(dataset: Dataset, config: RunConfig, seed: int,
         "groups": _records({
             "group": np.arange(report.rho2.size), "rho2": report.rho2,
             "c1": report.c1, "n_pairs": report.n_pairs,
-            "skipped": skipped, "reason": report.reasons,
+            "reason": report.reasons,
         }),
-        "skipped_groups": np.flatnonzero(skipped).tolist(),
         "test_auc": run.test_auc,
         "test_auc_same_group": run.test_auc_same_group,
         "best_epoch": run.result.best_epoch,
@@ -421,8 +416,7 @@ def _sweep_run(dataset: Dataset, config: RunConfig, seed: int,
         "test_auc": run.test_auc,
         "groups": _records({
             "group": np.arange(assess.delta.size), "delta": assess.delta,
-            "n_t1": assess.n_t1, "n_t2": assess.n_t2,
-            "skipped": assess.reasons != "", "reason": assess.reasons,
+            "n_t1": assess.n_t1, "n_t2": assess.n_t2, "reason": assess.reasons,
         }),
     }
 

@@ -260,14 +260,14 @@ class TestValidateTheory:
             _, view = split_and_view(dataset, cfg, entry["seed"])
             groups = entry["groups"]
             assert [g["group"] for g in groups] == list(range(view.n_groups))
-            skipped = [g["group"] for g in groups if g["skipped"]]
-            assert skipped and entry["skipped_groups"] == skipped
+            skipped = [g["group"] for g in groups if g["reason"] != ""]
+            assert skipped and int(view.group_of[0]) in skipped
             for g in groups:
-                assert (g["rho2"] is None) == g["skipped"]
+                assert (g["rho2"] is None) == (g["reason"] != "")
             n_rows = sum(line.startswith(f"{entry['seed']},")
                          for line in lines[1:])
             assert entry["n_pairs_used"] == n_rows == sum(
-                g["n_pairs"] for g in groups if not g["skipped"])
+                g["n_pairs"] for g in groups if g["reason"] == "")
 
     def test_metrics_match_emitted_pairs_csv(self, tiny_bed):
         # the summary metrics must be recomputable from pairs.csv alone
@@ -373,6 +373,59 @@ def test_pipelines_on_one_config_keep_their_own_files(tiny_bed, tmp_path):
     for payload in (first, second):
         report = json.loads(Path(payload["paths"]["report"]).read_text())
         assert report["pipeline"] == payload["pipeline"]
+
+
+# The keys of each pipeline's report.json: the header, then each entry of
+# its per-seed or per-run lists and each entry of a seed's groups.  A fact
+# that ``config`` or a group's ``reason`` states is not written again.
+HEADER_KEYS = {"pipeline", "config_hash", "config", "input"}
+REPORT_KEYS = {
+    run_train: {"": {"seed", "lambda_fair", "best_epoch", "best_val_auc",
+                     "test_auc", "test_auc_same_group"}},
+    run_validate_theory: {
+        "": {"per_seed", "aggregate"},
+        "per_seed": {"seed", "nrmse", "pcc", "n_pairs_used",
+                     "n_dropped_cross_group", "groups", "test_auc",
+                     "test_auc_same_group", "best_epoch", "best_val_auc"},
+        "per_seed.groups": {"group", "rho2", "c1", "n_pairs", "reason"},
+    },
+    run_fairness_sweep: {
+        "": {"table", "runs"},
+        "table": {"dataset", "lambda_fair", "delta_mean", "delta_std",
+                  "auc_mean", "auc_std"},
+        "runs": {"lambda_fair", "seed", "mean_delta", "test_auc", "groups"},
+        "runs.groups": {"group", "delta", "n_t1", "n_t2", "reason"},
+    },
+    run_delta_comparison: {
+        "": {"n_points", "pcc", "nrmse", "points"},
+        "points": {"seed", "group", "delta", "delta_hat",
+                   "delta_hat_closed_form", "disparity", "n_t1", "n_t2"},
+    },
+}
+
+
+@pytest.mark.parametrize("runner", REPORT_KEYS,
+                         ids=lambda runner: runner.__name__)
+def test_report_keys_are_pinned(tiny_bed, runner):
+    # under --filter rw too, where delta-compare adds its two *_reason keys
+    for kind in ("sym", "rw"):
+        expected = dict(REPORT_KEYS[runner])
+        expected[""] = HEADER_KEYS | expected[""]
+        if runner is run_delta_comparison and kind == "rw":
+            expected[""] |= {"pcc_reason", "nrmse_reason"}
+        path = runner(base_config(tiny_bed, filter=kind, seeds=[0, 1],
+                                  epochs=2))["paths"]["report"]
+        report = json.loads(Path(path).read_text())
+        found = {"": set(report)}
+        for key in set(expected) - {""}:
+            outer, _, inner = key.partition(".")
+            entries = report[outer]
+            if inner:
+                entries = [g for entry in entries for g in entry[inner]]
+            assert entries
+            found[key] = set().union(*entries)
+            assert all(set(entry) == found[key] for entry in entries)
+        assert found == expected
 
 
 class TestParallelRuns:
@@ -648,7 +701,7 @@ class TestCli:
         report = json.loads(Path(paths["report"]).read_text())
         assert report["config"]["hidden_dims"] == [64]
         assert report["config"]["seeds"] == [1]
-        assert report["filter"] == "random_walk"
+        assert report["config"]["filter"] == "random_walk"
 
     def test_flags_replace_their_file_keys_before_the_check(
             self, tmp_path, tiny_bed, capsys):

@@ -108,7 +108,7 @@ def main(argv=None) -> int:
         if args.command == "synth":
             return _cmd_synth(args)
         return _run_pipeline(args, args.runner)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,9 +26,9 @@ fresh computation, so the bits do not depend on the reuse.  A forward
 cache taken through a state is overwritten by that state's next forward.
 The sparse products (``P @``, ``P^T @``, ``S @``) go through SciPy's
 public API and still return fresh arrays; so do the weight gradients,
-which callers keep.  ``forward``, ``score_pairs`` and a
-``loss_and_gradients`` call without a state make their own arrays
-through the same code.
+which callers keep.  ``forward`` makes its own arrays, and so do
+``score_pairs`` without ``arrays`` and ``loss_and_gradients`` without a
+state, through the same code.
 """
 from __future__ import annotations
 

@@ -984,6 +984,34 @@ class TestCli:
         assert not (tmp_path / "runs").exists()
         assert not (tmp_path / "data").exists()
 
+    # Each array is past 128 TiB, beyond a 47-bit address space, so its
+    # allocation fails under any overcommit mode and touches no memory.
+    @pytest.mark.parametrize("command,config,workers", [
+        pytest.param("validate-theory", {"hidden_dims": [10**13]}, 1,
+                     id="validate-theory-in-process"),
+        pytest.param("validate-theory",
+                     {"hidden_dims": [10**13], "seeds": [0, 1]}, 2,
+                     id="validate-theory-in-workers"),
+        pytest.param("synth", {"feature_dim": 10**13}, 1, id="synth"),
+    ])
+    def test_allocation_that_cannot_be_made_exits_2(
+            self, tmp_path, tiny_bed, capsys, monkeypatch, command, config,
+            workers):
+        monkeypatch.setattr(pipelines, "_max_workers", lambda: workers)
+        if command == "synth":
+            path = tmp_path / "synth.json"
+            path.write_text(json.dumps({"sizes": [10, 10],
+                                        "out": str(tmp_path / "data"),
+                                        **config}))
+        else:
+            path = self.write_config(tmp_path, tiny_bed, **config)
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: Unable to allocate")
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "runs").exists()
+        assert not (tmp_path / "data").exists()
+
     @pytest.mark.parametrize("command", ["train", "synth"])
     @pytest.mark.parametrize("content", [b'{"epochs": 3,', b"\xff{}"],
                              ids=["truncated", "not_utf8"])

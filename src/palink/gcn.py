@@ -40,8 +40,9 @@ import scipy.sparse as sparse
 from .fairness import _sigmoid, sampled_delta_terms
 from .spectral import KINDS, NormalizedMatrix
 
-# Rows of the two gather buffers that pair scores are computed through.
-_PAIR_BLOCK = 1024
+# Rows of the two gather buffers that pair scores are computed through;
+# at 64 float32 columns each buffer is 512 KiB.
+_PAIR_BLOCK = 2048
 # Rows per block of a weight gradient's sum over nodes (``_weight_gradient``).
 _GRAD_BLOCK = 64
 

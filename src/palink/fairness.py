@@ -33,11 +33,18 @@ class FairnessAssessment:
         return float(np.mean(vals)) if vals.size else float("nan")
 
 
+def _float_array(a) -> np.ndarray:
+    """``a`` as an array, float32 and float64 kept at their width and any
+    other dtype read as float64."""
+    a = np.asarray(a)
+    return a if a.dtype in (np.float32, np.float64) else a.astype(np.float64)
+
+
 def _sigmoid(x, out=None, tmp=None):
-    """Logistic sigmoid of a float64 array: ``e / (1 + e)`` where ``x < 0``
-    and ``1 / (1 + e)`` elsewhere, with ``e = exp(-|x|) <= 1``, so no input
-    overflows and NaN stays NaN.  Written into ``out`` with ``tmp`` as
-    scratch (each new if omitted)."""
+    """Logistic sigmoid of a float32 or float64 array, at its width:
+    ``e / (1 + e)`` where ``x < 0`` and ``1 / (1 + e)`` elsewhere, with
+    ``e = exp(-|x|) <= 1``, so no input overflows and NaN stays NaN.
+    Written into ``out`` with ``tmp`` as scratch (each new if omitted)."""
     e = np.abs(x, out=tmp)
     np.exp(np.negative(e, out=e), out=e)
     # the numerator: as e <= 1, max(e, heaviside(x)) is e where x < 0
@@ -62,15 +69,16 @@ def _subgroup_gaps(pairs, values, group_of, t_labels):
     g0 = group_of[pairs[:, 0]]
     idx = np.flatnonzero(g0 == group_of[pairs[:, 1]])
     gid, v = g0[idx], values[idx]
-    a1 = (t_labels[pairs[idx, 0]] == 0).astype(np.float64)
+    a1 = (t_labels[pairs[idx, 0]] == 0).astype(values.dtype)
     a1 += t_labels[pairs[idx, 1]] == 0
     a2 = 2.0 - a1
     c1 = np.bincount(gid, weights=a1, minlength=n_groups)
     c2 = np.bincount(gid, weights=a2, minlength=n_groups)
     sum1 = np.bincount(gid, weights=a1 * v, minlength=n_groups)
     sum2 = np.bincount(gid, weights=a2 * v, minlength=n_groups)
-    safe_c1 = np.where(c1 > 0, c1, 1.0)
-    safe_c2 = np.where(c2 > 0, c2, 1.0)
+    # counts, exact at the values' width, so ``weight`` stays at it
+    safe_c1 = np.where(c1 > 0, c1, 1.0).astype(values.dtype, copy=False)
+    safe_c2 = np.where(c2 > 0, c2, 1.0).astype(values.dtype, copy=False)
     diff = np.where((c1 > 0) & (c2 > 0), sum1 / safe_c1 - sum2 / safe_c2, 0.0)
     weight = a1 / safe_c1[gid] - a2 / safe_c2[gid]
     return idx, gid, weight, c1, c2, diff
@@ -118,12 +126,12 @@ def sampled_delta_terms(pairs, probs, group_of, t_labels):
     grad: (m,) array).
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    probs = np.asarray(probs, dtype=np.float64)
+    probs = _float_array(probs)
     idx, gid, weight, c1, c2, diff = _subgroup_gaps(pairs, probs, group_of,
                                                     t_labels)
     active = (c1 > 0) & (c2 > 0)
-    grad = np.zeros(probs.shape[0])
-    grad[idx] = (np.sign(diff) * active)[gid] * weight
+    grad = np.zeros(probs.shape[0], probs.dtype)
+    grad[idx] = (np.sign(diff) * active).astype(probs.dtype)[gid] * weight
     return np.abs(diff[active]), grad
 
 

@@ -29,6 +29,14 @@ public API and still return fresh arrays; so do the weight gradients,
 which callers keep.  ``forward`` makes its own arrays, and so do
 ``score_pairs`` without ``arrays`` and ``loss_and_gradients`` without a
 state, through the same code.
+
+Every array of a call takes its inputs' dtype, float32 or float64 (other
+feature dtypes are read as float64): the layer outputs, the pair-length
+arrays, the sparse products and each weight gradient's blocks.  The
+weights are cast to it per layer per call, and each returned gradient has
+its weight's dtype.  ``training.train`` casts its features and operator to
+float32 once, so its epochs run at half float64's bytes; a one-shot call
+keeps its inputs' dtype.
 """
 from __future__ import annotations
 
@@ -37,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sparse
 
-from .fairness import _sigmoid, sampled_delta_terms
+from .fairness import _float_array, _sigmoid, sampled_delta_terms
 from .spectral import KINDS, NormalizedMatrix
 
 # Rows of the two gather buffers that pair scores are computed through;
@@ -108,14 +116,15 @@ def _transforms_first(l: int, w: np.ndarray) -> bool:
 
 class _Arrays:
     """Named arrays, each allocated on its first request and handed out
-    again while its shape holds; a new instance hands out new arrays."""
+    again while its shape and dtype hold; a new instance hands out new
+    arrays."""
 
     def __init__(self):
         self._arrays: dict = {}
 
-    def __call__(self, name, shape, dtype=np.float64) -> np.ndarray:
+    def __call__(self, name, shape, dtype) -> np.ndarray:
         a = self._arrays.get(name)
-        if a is None or a.shape != shape:
+        if a is None or a.shape != shape or a.dtype != dtype:
             a = self._arrays[name] = np.empty(shape, dtype)
         return a
 
@@ -131,22 +140,24 @@ def _forward_cached(model: Model, nm: NormalizedMatrix, features, px=None,
     write into ``arrays`` (new ones if omitted), so the next forward
     through the same ``arrays`` overwrites this one's outputs.
     """
-    features = np.asarray(features, dtype=np.float64)
+    features = _float_array(features)
     _check_compat(model, nm, features)
     if arrays is None:
         arrays = _Arrays()
-    h = features
+    h, dtype = features, features.dtype
     inputs = []  # what W_l multiplies
     outs = []  # H_l
     L = model.n_layers
     for l, w in enumerate(model.weights):
+        w = w.astype(dtype, copy=False)
         shape = (h.shape[0], w.shape[0])
         if _transforms_first(l, w):
             inputs.append(h)
-            h = nm.matrix @ np.matmul(h, w.T, out=arrays(("hw", l), shape))
+            hw = np.matmul(h, w.T, out=arrays(("hw", l), shape, dtype))
+            h = nm.matrix @ hw
         else:
             inputs.append(px if l == 0 and px is not None else nm.matrix @ h)
-            h = np.matmul(inputs[-1], w.T, out=arrays(("z", l), shape))
+            h = np.matmul(inputs[-1], w.T, out=arrays(("z", l), shape, dtype))
         if not (linear or l == L - 1):
             np.maximum(h, 0.0, out=h)
         outs.append(h)
@@ -193,7 +204,8 @@ class PairState:
     its epochs allocate (and page-fault in) none of it again.
 
     Holds the ``(n_pos + n_neg, 2)`` pairs (positives first, written once)
-    and their labels, the symmetric pair matrix ``S`` as COO and the
+    and their labels, the symmetric pair matrix ``S`` as COO (labels and
+    ``S`` in ``dtype``, the features' dtype) and the
     operator's transpose ``pt`` as CSR: the operator itself under the
     symmetric filter, whose canonical CSR transposes to the same arrays.
     ``arrays`` holds the step's dense arrays (see the module docstring),
@@ -205,7 +217,7 @@ class PairState:
     and (u, u) pairs exact, and no row of ``h`` is gathered.
     """
 
-    def __init__(self, pos_pairs, n_neg: int, nm: NormalizedMatrix):
+    def __init__(self, pos_pairs, n_neg: int, nm: NormalizedMatrix, dtype):
         pos = np.asarray(pos_pairs, dtype=np.int64).reshape(-1, 2)
         self.n_pos = pos.shape[0]
         m = self.n_pos + int(n_neg)
@@ -214,12 +226,12 @@ class PairState:
         n = nm.matrix.shape[0]
         self.pairs = np.zeros((m, 2), dtype=np.int64)
         self.pairs[: self.n_pos] = pos
-        self.labels = np.zeros(m)
+        self.labels = np.zeros(m, dtype)
         self.labels[: self.n_pos] = 1.0
         rows = np.concatenate([self.pairs[:, 0], self.pairs[:, 1]])
         cols = np.concatenate([self.pairs[:, 1], self.pairs[:, 0]])
         self.pair_matrix = sparse.coo_matrix(
-            (np.zeros(2 * m), (rows, cols)), shape=(n, n))
+            (np.zeros(2 * m, dtype), (rows, cols)), shape=(n, n))
         self.pt = (nm.matrix if nm.kind == "symmetric"
                    else nm.matrix.T.tocsr())
         self.arrays = _Arrays()
@@ -245,10 +257,11 @@ class PairState:
 
 def _bce(scores, labels, terms=None, tmp=None) -> float:
     """Mean binary cross-entropy of ``sigmoid(scores)`` against ``labels``,
-    both float64 arrays: the mean of ``softplus(s) - y s`` with
-    ``softplus(s) = max(s, 0) + log1p(exp(-|s|))``, whose exponent never
-    overflows.  The per-pair terms are written into ``terms``, with
-    ``tmp`` as scratch (each new if not given)."""
+    arrays of one float dtype, at that width: the mean of
+    ``softplus(s) - y s`` with ``softplus(s) = max(s, 0) +
+    log1p(exp(-|s|))``, whose exponent never overflows.  The per-pair terms
+    are written into ``terms``, with ``tmp`` as scratch (each new if not
+    given)."""
     t = np.abs(scores, out=terms)
     np.log1p(np.exp(np.negative(t, out=t), out=t), out=t)
     t += np.maximum(scores, 0.0, out=tmp)
@@ -305,8 +318,9 @@ def loss_and_gradients(
     if not lambda_fair >= 0:
         raise ValueError("lambda_fair must be >= 0")
     neg_pairs = np.asarray(neg_pairs, dtype=np.int64).reshape(-1, 2)
+    features = _float_array(features)
     if pair_state is None:
-        pair_state = PairState(pos_pairs, len(neg_pairs), nm)
+        pair_state = PairState(pos_pairs, len(neg_pairs), nm, features.dtype)
     pair_state.set_negatives(neg_pairs)
     pairs, labels = pair_state.pairs, pair_state.labels
 
@@ -314,12 +328,13 @@ def loss_and_gradients(
     if forward_cache is None:
         forward_cache = _forward_cached(model, nm, features, arrays=arrays)
     h, inputs, outs = forward_cache
-    n_pairs = pairs.shape[0]
-    scores = score_pairs(h, pairs, arrays, arrays("scores", (n_pairs,)))
+    n_pairs, dtype = pairs.shape[0], h.dtype
+    scores = score_pairs(h, pairs, arrays, arrays("scores", (n_pairs,), dtype))
     # terms and dscore are free as scratch until the BCE terms and
     # (probs - labels) are written into them
-    terms, dscore = arrays("terms", (n_pairs,)), arrays("dscore", (n_pairs,))
-    probs = _sigmoid(scores, arrays("probs", (n_pairs,)), terms)
+    terms, dscore = (arrays(name, (n_pairs,), dtype)
+                     for name in ("terms", "dscore"))
+    probs = _sigmoid(scores, arrays("probs", (n_pairs,), dtype), terms)
     bce = _bce(scores, labels, terms, dscore)
     np.subtract(probs, labels, out=dscore)
     dscore /= n_pairs
@@ -352,10 +367,13 @@ def loss_and_gradients(
                             out=arrays(("mask", l), outs[l].shape, bool))
         if first:
             g = pair_state.pt @ g  # gradient of the transformed H_{l-1} W_l^T
-        grads[l] = _weight_gradient(
-            g, inputs[l], arrays(("dw", l), (g.shape[1], inputs[l].shape[1])))
+        dw = arrays(("dw", l), (g.shape[1], inputs[l].shape[1]), dtype)
+        # each gradient at its weight's width, as Adam updates the weight
+        grads[l] = _weight_gradient(g, inputs[l], dw).astype(w.dtype,
+                                                             copy=False)
         if l > 0:
-            gw = np.matmul(g, w, out=arrays(("gw", l), (g.shape[0], w.shape[1])))
+            gw = arrays(("gw", l), (g.shape[0], w.shape[1]), dtype)
+            np.matmul(g, w.astype(dtype, copy=False), out=gw)
             g = gw if first else pair_state.pt @ gw
 
     return bce + penalty, bce, penalty, grads

@@ -171,11 +171,13 @@ def train(dataset: Dataset, split: LinkSplit, config: TrainConfig) -> TrainResul
     the one the next epoch's loss starts from, so each epoch runs one
     forward pass.  A non-finite loss or weight raises ``ValueError`` naming
     the epoch, so NumPy's overflow and invalid-value warnings are not shown.
+    The epochs run in float32, from one cast of the features and operator
+    here; the weights and Adam's moments are float64, and so are the
+    returned model and ``train_nm``.
     """
     if config.lambda_fair != 0.0 and dataset.t_labels is None:
         raise ValueError("lambda_fair > 0 requires subgroup labels")
 
-    features = dataset.features
     train_ds = replace(dataset, edges=np.ascontiguousarray(split.train_pos))
     view = within_group_structure(train_ds)
     nm = matrix_from_edges(
@@ -184,7 +186,12 @@ def train(dataset: Dataset, split: LinkSplit, config: TrainConfig) -> TrainResul
     model = init_model(
         dataset.feature_dim, config.hidden_dims, config.filter_kind, config.seed
     )
-    px = nm.matrix @ features
+    # The epochs run in float32: every array of the forward, loss and
+    # backward takes the dtype of these two, at half float64's bytes.  The
+    # weights, Adam's moments, the returned model and operator stay float64.
+    features = dataset.features.astype(np.float32)
+    nm32 = replace(nm, matrix=nm.matrix.astype(np.float32))
+    px = nm32.matrix @ features
 
     neg_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
     adam_m = [np.zeros_like(w) for w in model.weights]
@@ -203,18 +210,18 @@ def train(dataset: Dataset, split: LinkSplit, config: TrainConfig) -> TrainResul
     sampler = NegativeSampler(
         dataset.n, split.train_pos,
         exclude=np.concatenate([split.val_neg, split.test_neg]))
-    pair_state = PairState(split.train_pos, n_train, nm)
+    pair_state = PairState(split.train_pos, n_train, nm32, features.dtype)
     # The forward before the first step makes arrays of its own, and the
     # epochs' forwards write into the state's.  Freeing the first ones
     # raises glibc's adaptive mmap threshold past the n-row arrays, so the
     # sparse products' per-epoch outputs are reused from the heap instead
     # of being unmapped and faulted in again every epoch: about 11k rather
     # than 37k minor faults in a 20-epoch n=3000 training.
-    cache = _forward_cached(model, nm, features, px=px)
+    cache = _forward_cached(model, nm32, features, px=px)
     for epoch in range(1, config.epochs + 1):
         neg = sampler.draw(n_train, neg_rng)
         loss, _, penalty, grads = loss_and_gradients(
-            model, nm, features, split.train_pos, neg,
+            model, nm32, features, split.train_pos, neg,
             lambda_fair=config.lambda_fair,
             group_of=view.group_of, t_labels=dataset.t_labels,
             forward_cache=cache, pair_state=pair_state,
@@ -235,7 +242,7 @@ def train(dataset: Dataset, split: LinkSplit, config: TrainConfig) -> TrainResul
                     f"epoch {epoch}: weight W_{l} is no longer finite"
                 )
 
-        cache = _forward_cached(model, nm, features, px=px,
+        cache = _forward_cached(model, nm32, features, px=px,
                                 arrays=pair_state.arrays)
         val_auc = roc_auc(score_pairs(cache[0], val_pairs, pair_state.arrays),
                           val_labels).value

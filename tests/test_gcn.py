@@ -406,7 +406,7 @@ class TestGradients:
         nm = normalized_matrix(complete_graph(n), "symmetric")
         # the first 40 pairs are the positives, the rest are negatives
         # written over an earlier draw, as a training's epochs do
-        state = PairState(pairs[:40], pairs.shape[0] - 40, nm)
+        state = PairState(pairs[:40], pairs.shape[0] - 40, nm, np.float64)
         state.set_negatives(pairs[::-1][: pairs.shape[0] - 40])
         state.set_negatives(pairs[40:])
         got = state.gradient(h, dscore)
@@ -423,7 +423,7 @@ class TestGradients:
         ds = random_planted_dataset(np.random.default_rng(50), n_max=40)
         for kind in KINDS:
             nm = matrix_from_edges(ds.n, ds.edges, weight, kind)
-            state = PairState(ds.edges, 0, nm)
+            state = PairState(ds.edges, 0, nm, np.float64)
             if kind == "symmetric":
                 t = nm.matrix.T.tocsr()
                 for name in ("indptr", "indices", "data"):

@@ -5,6 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 import palink.gcn as gcn
 from palink.gcn import forward, init_model, loss_and_gradients, score_pairs
@@ -40,6 +41,12 @@ def sized_dataset(m, n=60, seed=7):
     idx = rng.choice(all_pairs.shape[0], size=m, replace=False)
     feats = rng.normal(size=(n, 4))
     return make_dataset(all_pairs[np.sort(idx)], feats, np.zeros(n, int))
+
+
+def float32_operator(ds, split, kind):
+    """The training operator at the width train() runs its epochs in."""
+    nm = matrix_from_edges(ds.n, split.train_pos, ds.self_loop_weight, kind)
+    return dataclasses.replace(nm, matrix=nm.matrix.astype(np.float32))
 
 
 def trainable_dataset(seed=50):
@@ -332,12 +339,11 @@ class TestTrain:
         result = train(ds, split, config)
 
         model0 = init_model(ds.feature_dim, (5, 3), "symmetric", seed=8)
-        nm = matrix_from_edges(ds.n, split.train_pos, ds.self_loop_weight,
-                               "symmetric")
+        nm = float32_operator(ds, split, "symmetric")
         neg_rng = np.random.default_rng(np.random.SeedSequence([8, 1]))
         neg = sample_negatives(ds.n, split.train_pos, split.train_pos.shape[0],
                                neg_rng, held_out_negatives(split))
-        grads = loss_and_gradients(model0, nm, ds.features,
+        grads = loss_and_gradients(model0, nm, ds.features.astype(np.float32),
                                    split.train_pos, neg)[3]
         assert result.best_epoch == 1
         for w0, g, w1 in zip(model0.weights, grads, result.model.weights):
@@ -383,8 +389,8 @@ class TestTrain:
         result = train(ds, split, config)
 
         model = init_model(ds.feature_dim, (5, 3), kind, seed=8)
-        nm = matrix_from_edges(ds.n, split.train_pos, ds.self_loop_weight,
-                               kind)
+        nm = float32_operator(ds, split, kind)
+        features = ds.features.astype(np.float32)
         group_of = within_group_structure(
             dataclasses.replace(ds, edges=split.train_pos)).group_of
         val_pairs = np.concatenate([split.val_pos, split.val_neg])
@@ -398,7 +404,7 @@ class TestTrain:
             negs.append(sample_negatives(ds.n, split.train_pos, n_train,
                                          neg_rng, held_out_negatives(split)))
             loss, _, penalty, grads = loss_and_gradients(
-                model, nm, ds.features, split.train_pos, negs[-1], lam,
+                model, nm, features, split.train_pos, negs[-1], lam,
                 group_of, ds.t_labels)
             weights_seen, grads_seen = seen[epoch - 1]
             for w, w_seen, g, g_seen in zip(model.weights, weights_seen,
@@ -414,7 +420,7 @@ class TestTrain:
                 m_hat = m_buf / (1.0 - ADAM_BETA1**epoch)
                 v_hat = v_buf / (1.0 - ADAM_BETA2**epoch)
                 w -= config.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-            h = forward(model, nm, ds.features)
+            h = forward(model, nm, features)
             auc = roc_auc(score_pairs(h, val_pairs), val_labels).value
             assert result.history[epoch - 1] == (epoch, loss, penalty, auc)
             if epoch == result.best_epoch:
@@ -467,6 +473,64 @@ class TestTrain:
         assert calls == [2 * split.train_pos.shape[0], n_val] * epochs
         assert stores[0] is not None
         assert all(store is stores[0] for store in stores)
+
+    def test_epochs_run_in_float32_and_one_shot_calls_in_float64(
+            self, monkeypatch):
+        # train() casts the features and the operator to float32 once;
+        # every sparse product, weight gradient and state array of its
+        # epochs stays at that width, penalty included, while a one-shot
+        # float64 call keeps float64 throughout
+        products, states = [], []
+        for cls in (sparse.csr_matrix, sparse.coo_matrix):
+            def product(self, dense, real=cls.__matmul__):
+                out = real(self, dense)
+                name = ("S" if isinstance(self, sparse.coo_matrix) else
+                        "P^T" if any(self is s.pt for s in states) else "P")
+                products.append((name, out.dtype))
+                return out
+
+            monkeypatch.setattr(cls, "__matmul__", product)
+        real_gradient = gcn._weight_gradient
+
+        def weight_gradient(g, x, tmp):
+            out = real_gradient(g, x, tmp)
+            products.append(("dW", out.dtype))
+            return out
+
+        class Recording(gcn.PairState):
+            def __init__(self, *args):
+                super().__init__(*args)
+                states.append(self)
+
+        monkeypatch.setattr(gcn, "_weight_gradient", weight_gradient)
+        for module in (gcn, training):
+            monkeypatch.setattr(module, "PairState", Recording)
+        ds = trainable_dataset()
+        split = split_links(ds, seed=1)
+        result = train(ds, split, TrainConfig(
+            filter_kind="random_walk", hidden_dims=(5, 3), epochs=3,
+            lambda_fair=2.0, seed=8))
+        assert any(row[2] > 0.0 for row in result.history)
+        assert {name for name, _ in products} == {"P", "P^T", "S", "dW"}
+        assert {dtype for _, dtype in products} == {np.dtype(np.float32)}
+        state = states.pop()
+        floats = [a for a in state.arrays._arrays.values()
+                  if a.dtype.kind == "f"]
+        assert len(floats) > 10
+        floats += [state.labels, state.pair_matrix.data]
+        assert all(a.dtype == np.float32 for a in floats)
+        assert all(w.dtype == np.float64 for w in result.model.weights)
+        assert result.train_nm.matrix.dtype == np.float64
+
+        products.clear()
+        grads = loss_and_gradients(
+            result.model, result.train_nm, ds.features, split.train_pos,
+            split.train_pos[::-1], 2.0, result.train_view.group_of,
+            ds.t_labels)[3]
+        assert len(states) == 1
+        assert {name for name, _ in products} == {"P", "P^T", "S", "dW"}
+        assert {dtype for _, dtype in products} == {np.dtype(np.float64)}
+        assert all(g.dtype == np.float64 for g in grads)
 
     def test_message_passing_uses_training_positives_only(self):
         ds = trainable_dataset()

@@ -40,16 +40,15 @@ def _float_array(a) -> np.ndarray:
     return a if a.dtype in (np.float32, np.float64) else a.astype(np.float64)
 
 
-def _sigmoid(x, out=None, tmp=None):
+def _sigmoid(x):
     """Logistic sigmoid of a float32 or float64 array, at its width:
     ``e / (1 + e)`` where ``x < 0`` and ``1 / (1 + e)`` elsewhere, with
-    ``e = exp(-|x|) <= 1``, so no input overflows and NaN stays NaN.
-    Written into ``out`` with ``tmp`` as scratch (each new if omitted)."""
-    e = np.abs(x, out=tmp)
+    ``e = exp(-|x|) <= 1``, so no input overflows and NaN stays NaN."""
+    e = np.abs(x)
     np.exp(np.negative(e, out=e), out=e)
     # the numerator: as e <= 1, max(e, heaviside(x)) is e where x < 0
     # and 1 elsewhere
-    num = np.maximum(e, np.heaviside(x, 1.0, out=out), out=out)
+    num = np.maximum(e, np.heaviside(x, 1.0))
     return np.divide(num, np.add(1.0, e, out=e), out=num)
 
 

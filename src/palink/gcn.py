@@ -13,22 +13,10 @@ sparse pair-matrix product, so a training step never gathers a
 ``pairs x dim`` array.  ``loss_and_gradients`` takes an optional forward
 cache, the ``_forward_cached`` triple, which must have been computed at
 the model's current weights; training passes the forward it already ran
-for validation after the previous step, and its ``PairState``.
-
-A ``PairState`` keeps a training's pairs, its pair matrix and, by name in
-an ``_Arrays``, every dense array of a step: the forward's layer outputs
-(ReLU is applied in place), the two gather buffers, the loss's
-pair-length scores, probabilities, BCE terms and score gradient, and the
-backward's ``n``-row ``G @ W`` products, ReLU masks and each weight
-gradient's block product (``_weight_gradient``).  Each epoch rewrites
-them in place, the arrays with ``out=`` in the same operand order as a
-fresh computation, so the bits do not depend on the reuse.  A forward
-cache taken through a state is overwritten by that state's next forward.
-The sparse products (``P @``, ``P^T @``, ``S @``) go through SciPy's
-public API and still return fresh arrays; so do the weight gradients,
-which callers keep.  ``forward`` makes its own arrays, and so do
-``score_pairs`` without ``arrays`` and ``loss_and_gradients`` without a
-state, through the same code.
+for validation after the previous step, and its ``PairState``, which
+keeps the pairs and pair matrix for the whole run.  Every call makes its
+own dense arrays, so nothing a call returns is written over by a later
+one.
 
 Every array of a call takes its inputs' dtype, float32 or float64 (other
 feature dtypes are read as float64): the layer outputs, the pair-length
@@ -114,50 +102,29 @@ def _transforms_first(l: int, w: np.ndarray) -> bool:
     return l > 0 and w.shape[0] < w.shape[1]
 
 
-class _Arrays:
-    """Named arrays, each allocated on its first request and handed out
-    again while its shape and dtype hold; a new instance hands out new
-    arrays."""
-
-    def __init__(self):
-        self._arrays: dict = {}
-
-    def __call__(self, name, shape, dtype) -> np.ndarray:
-        a = self._arrays.get(name)
-        if a is None or a.shape != shape or a.dtype != dtype:
-            a = self._arrays[name] = np.empty(shape, dtype)
-        return a
-
-
 def _forward_cached(model: Model, nm: NormalizedMatrix, features, px=None,
-                    linear: bool = False, arrays: _Arrays | None = None):
+                    linear: bool = False):
     """Forward pass keeping what each W_l multiplies (``P @ H_{l-1}``, or
     ``H_{l-1}`` if ``_transforms_first``) and each layer's output H_l.
 
     ``px`` optionally supplies a precomputed P @ features for the first
     layer (it is constant across epochs); ``linear=True`` forces identity
-    activations at every layer.  The dense products and the in-place ReLU
-    write into ``arrays`` (new ones if omitted), so the next forward
-    through the same ``arrays`` overwrites this one's outputs.
+    activations at every layer.  ReLU is applied in place.
     """
     features = _float_array(features)
     _check_compat(model, nm, features)
-    if arrays is None:
-        arrays = _Arrays()
     h, dtype = features, features.dtype
     inputs = []  # what W_l multiplies
     outs = []  # H_l
     L = model.n_layers
     for l, w in enumerate(model.weights):
         w = w.astype(dtype, copy=False)
-        shape = (h.shape[0], w.shape[0])
         if _transforms_first(l, w):
             inputs.append(h)
-            hw = np.matmul(h, w.T, out=arrays(("hw", l), shape, dtype))
-            h = nm.matrix @ hw
+            h = nm.matrix @ (h @ w.T)
         else:
             inputs.append(px if l == 0 and px is not None else nm.matrix @ h)
-            h = np.matmul(inputs[-1], w.T, out=arrays(("z", l), shape, dtype))
+            h = inputs[-1] @ w.T
         if not (linear or l == L - 1):
             np.maximum(h, 0.0, out=h)
         outs.append(h)
@@ -170,24 +137,19 @@ def forward(model: Model, nm: NormalizedMatrix, features, linear: bool = False):
     return _forward_cached(model, nm, features, linear=linear)[0]
 
 
-def score_pairs(representations: np.ndarray, pairs, arrays: _Arrays | None = None,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """Inner-product link scores ``h_i . h_j`` for each pair, into ``out``
-    (new if omitted), walked in blocks of ``_PAIR_BLOCK`` rows gathered
-    into the ``"left"`` and ``"right"`` arrays of ``arrays`` (this call's
-    own if omitted; a training passes its ``PairState.arrays``).  Each row
-    is the same einsum as over the whole gather, so the scores do not
-    depend on the block size or on where the buffers live."""
+def score_pairs(representations: np.ndarray, pairs) -> np.ndarray:
+    """Inner-product link scores ``h_i . h_j`` for each pair, walked in
+    blocks of ``_PAIR_BLOCK`` rows gathered into two buffers.  Each row is
+    the same einsum as over the whole gather, so the scores do not depend
+    on the block size."""
     h = np.asarray(representations)
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     m = pairs.shape[0]
     if m and (pairs.min() < 0 or pairs.max() >= h.shape[0]):
         raise ValueError("pair indices must lie in [0, n)")
-    if out is None:
-        out = np.empty(m, dtype=h.dtype)
-    arrays = _Arrays() if arrays is None else arrays
-    left, right = (arrays(side, (_PAIR_BLOCK, h.shape[1]), h.dtype)
-                   for side in ("left", "right"))
+    out = np.empty(m, dtype=h.dtype)
+    left, right = (np.empty((_PAIR_BLOCK, h.shape[1]), h.dtype)
+                   for _ in range(2))
     for start in range(0, m, _PAIR_BLOCK):
         stop = min(start + _PAIR_BLOCK, m)
         k = stop - start
@@ -200,21 +162,18 @@ def score_pairs(representations: np.ndarray, pairs, arrays: _Arrays | None = Non
 
 
 class PairState:
-    """A training's pair state, allocated once and rewritten in place, so
-    its epochs allocate (and page-fault in) none of it again.
+    """A training's pair state, allocated once and rewritten in place by
+    each epoch's negatives.
 
     Holds the ``(n_pos + n_neg, 2)`` pairs (positives first, written once)
     and their labels, the symmetric pair matrix ``S`` as COO (labels and
-    ``S`` in ``dtype``, the features' dtype) and the
-    operator's transpose ``pt`` as CSR: the operator itself under the
-    symmetric filter, whose canonical CSR transposes to the same arrays.
-    ``arrays`` holds the step's dense arrays (see the module docstring),
-    allocated by the first forward, loss and scoring through this state
-    and rewritten by every later one.  ``S`` has the entries pos(i, j),
-    neg(i, j), pos(j, i), neg(j, i) in that order, so ``S @ h`` is the
-    gradient with respect to ``h`` of ``sum_k dscore_k * h_i . h_j``.
-    Duplicate entries add up in the product, which keeps repeated pairs
-    and (u, u) pairs exact, and no row of ``h`` is gathered.
+    ``S`` in ``dtype``, the features' dtype) and the operator's transpose
+    ``pt`` as CSR: the operator itself under the symmetric filter, whose
+    canonical CSR transposes to the same arrays.  ``S`` has the entries
+    pos(i, j), neg(i, j), pos(j, i), neg(j, i) in that order, so ``S @ h``
+    is the gradient with respect to ``h`` of ``sum_k dscore_k * h_i .
+    h_j``.  Duplicate entries add up in the product, which keeps repeated
+    pairs and (u, u) pairs exact, and no row of ``h`` is gathered.
     """
 
     def __init__(self, pos_pairs, n_neg: int, nm: NormalizedMatrix, dtype):
@@ -234,7 +193,6 @@ class PairState:
             (np.zeros(2 * m, dtype), (rows, cols)), shape=(n, n))
         self.pt = (nm.matrix if nm.kind == "symmetric"
                    else nm.matrix.T.tocsr())
-        self.arrays = _Arrays()
 
     def set_negatives(self, neg_pairs) -> None:
         """Write this epoch's negatives into the pairs and ``S``; their
@@ -255,30 +213,28 @@ class PairState:
         return self.pair_matrix @ h
 
 
-def _bce(scores, labels, terms=None, tmp=None) -> float:
-    """Mean binary cross-entropy of ``sigmoid(scores)`` against ``labels``,
-    arrays of one float dtype, at that width: the mean of
-    ``softplus(s) - y s`` with ``softplus(s) = max(s, 0) +
-    log1p(exp(-|s|))``, whose exponent never overflows.  The per-pair terms
-    are written into ``terms``, with ``tmp`` as scratch (each new if not
-    given)."""
-    t = np.abs(scores, out=terms)
+def _bce(scores, labels) -> np.ndarray:
+    """Per-pair binary cross-entropy of ``sigmoid(scores)`` against
+    ``labels``, arrays of one float dtype, at that width: ``softplus(s) -
+    y s`` with ``softplus(s) = max(s, 0) + log1p(exp(-|s|))``, whose
+    exponent never overflows.  The loss is their mean."""
+    t = np.abs(scores)
     np.log1p(np.exp(np.negative(t, out=t), out=t), out=t)
-    t += np.maximum(scores, 0.0, out=tmp)
-    t -= np.multiply(labels, scores, out=tmp)
-    return float(np.mean(t))
+    t += np.maximum(scores, 0.0)
+    t -= labels * scores
+    return t
 
 
-def _weight_gradient(g: np.ndarray, x: np.ndarray, tmp: np.ndarray):
+def _weight_gradient(g: np.ndarray, x: np.ndarray):
     """``g.T @ x``, a sum over the ``n`` rows, taken as one product per
-    ``_GRAD_BLOCK``-row block (into ``tmp``) added up in row order.  A BLAS
-    may split one long product's sum by its thread count, and OpenBLAS
-    does; the short block products came out bitwise equal at 1 and 2
-    threads, so the gradient's bits do not depend on the thread count."""
-    acc = np.matmul(g[:_GRAD_BLOCK].T, x[:_GRAD_BLOCK])
+    ``_GRAD_BLOCK``-row block added up in row order.  A BLAS may split one
+    long product's sum by its thread count, and OpenBLAS does; the short
+    block products came out bitwise equal at 1 and 2 threads, so the
+    gradient's bits do not depend on the thread count."""
+    acc = g[:_GRAD_BLOCK].T @ x[:_GRAD_BLOCK]
     for start in range(_GRAD_BLOCK, g.shape[0], _GRAD_BLOCK):
         stop = start + _GRAD_BLOCK
-        acc += np.matmul(g[start:stop].T, x[start:stop], out=tmp)
+        acc += g[start:stop].T @ x[start:stop]
     return acc
 
 
@@ -308,12 +264,9 @@ def loss_and_gradients(
     forward pass at the model's current weights, operator and features;
     nothing checks this.  ``pair_state`` optionally supplies a
     ``PairState`` built from ``pos_pairs``, ``len(neg_pairs)`` and ``nm``,
-    which is then reused: ``neg_pairs`` are written into it, ``pos_pairs``
-    are not read again, and the forward (if not supplied), the pair-length
-    arrays and the backward's dense products are written into its
-    ``arrays``.  Without it the call builds its own.  Given either, the
-    result is bitwise identical to the call without it.  The gradients are
-    new arrays on every call.
+    which is then reused: ``neg_pairs`` are written into it and
+    ``pos_pairs`` are not read again.  Without it the call builds its own.
+    Given either, the result is bitwise identical to the call without it.
     """
     if not lambda_fair >= 0:
         raise ValueError("lambda_fair must be >= 0")
@@ -324,19 +277,14 @@ def loss_and_gradients(
     pair_state.set_negatives(neg_pairs)
     pairs, labels = pair_state.pairs, pair_state.labels
 
-    arrays = pair_state.arrays
     if forward_cache is None:
-        forward_cache = _forward_cached(model, nm, features, arrays=arrays)
+        forward_cache = _forward_cached(model, nm, features)
     h, inputs, outs = forward_cache
     n_pairs, dtype = pairs.shape[0], h.dtype
-    scores = score_pairs(h, pairs, arrays, arrays("scores", (n_pairs,), dtype))
-    # terms and dscore are free as scratch until the BCE terms and
-    # (probs - labels) are written into them
-    terms, dscore = (arrays(name, (n_pairs,), dtype)
-                     for name in ("terms", "dscore"))
-    probs = _sigmoid(scores, arrays("probs", (n_pairs,), dtype), terms)
-    bce = _bce(scores, labels, terms, dscore)
-    np.subtract(probs, labels, out=dscore)
+    scores = score_pairs(h, pairs)
+    probs = _sigmoid(scores)
+    bce = float(np.mean(_bce(scores, labels)))
+    dscore = probs - labels
     dscore /= n_pairs
 
     penalty = 0.0
@@ -352,7 +300,7 @@ def loss_and_gradients(
             # place in dprob, a new array
             term = np.multiply(lambda_fair / gaps.size, dprob, out=dprob)
             term *= probs
-            term *= np.subtract(1.0, probs, out=terms)
+            term *= 1.0 - probs
             dscore += term
 
     L = model.n_layers
@@ -362,18 +310,14 @@ def loss_and_gradients(
         first = _transforms_first(l, w)
         if l < L - 1:
             # H_l > 0 exactly where Z_l > 0 (NaN in neither); g is a
-            # sparse product's new array or this call's "gw" array
-            g *= np.greater(outs[l], 0.0,
-                            out=arrays(("mask", l), outs[l].shape, bool))
+            # sparse product's or a G W product's new array
+            g *= outs[l] > 0.0
         if first:
             g = pair_state.pt @ g  # gradient of the transformed H_{l-1} W_l^T
-        dw = arrays(("dw", l), (g.shape[1], inputs[l].shape[1]), dtype)
         # each gradient at its weight's width, as Adam updates the weight
-        grads[l] = _weight_gradient(g, inputs[l], dw).astype(w.dtype,
-                                                             copy=False)
+        grads[l] = _weight_gradient(g, inputs[l]).astype(w.dtype, copy=False)
         if l > 0:
-            gw = arrays(("gw", l), (g.shape[0], w.shape[1]), dtype)
-            np.matmul(g, w.astype(dtype, copy=False), out=gw)
+            gw = g @ w.astype(dtype, copy=False)
             g = gw if first else pair_state.pt @ gw
 
     return bce + penalty, bce, penalty, grads

@@ -160,8 +160,7 @@ def train(dataset: Dataset, split: LinkSplit, config: TrainConfig) -> TrainResul
     One optimizer step per epoch; training negatives are resampled each
     epoch (1:1 with training positives), from one ``NegativeSampler`` built
     per run, while validation pairs stay fixed.  One ``PairState`` holds
-    the epoch's pairs, pair matrix and the dense arrays of the forward,
-    loss and backward (the gather buffers among them) for the whole run.
+    the epoch's pairs and pair matrix for the whole run.
     A training negative is never a training positive or a frozen
     validation/test negative, so no held-out pair is trained on as a
     negative.  Validation/test positives stay drawable: the trainer does
@@ -169,8 +168,9 @@ def train(dataset: Dataset, split: LinkSplit, config: TrainConfig) -> TrainResul
     Identical dataset, split, and config give bitwise-identical results.
     The forward pass that scores the validation pairs after each step is
     the one the next epoch's loss starts from, so each epoch runs one
-    forward pass.  A non-finite loss or weight raises ``ValueError`` naming
-    the epoch, so NumPy's overflow and invalid-value warnings are not shown.
+    forward pass.  A non-finite loss, weight or last-epoch validation score
+    raises ``ValueError`` naming the epoch, so NumPy's overflow and
+    invalid-value warnings are not shown.
     The epochs run in float32, from one cast of the features and operator
     here; the weights and Adam's moments are float64, and so are the
     returned model and ``train_nm``.
@@ -211,12 +211,6 @@ def train(dataset: Dataset, split: LinkSplit, config: TrainConfig) -> TrainResul
         dataset.n, split.train_pos,
         exclude=np.concatenate([split.val_neg, split.test_neg]))
     pair_state = PairState(split.train_pos, n_train, nm32, features.dtype)
-    # The forward before the first step makes arrays of its own, and the
-    # epochs' forwards write into the state's.  Freeing the first ones
-    # raises glibc's adaptive mmap threshold past the n-row arrays, so the
-    # sparse products' per-epoch outputs are reused from the heap instead
-    # of being unmapped and faulted in again every epoch: about 11k rather
-    # than 37k minor faults in a 20-epoch n=3000 training.
     cache = _forward_cached(model, nm32, features, px=px)
     for epoch in range(1, config.epochs + 1):
         neg = sampler.draw(n_train, neg_rng)
@@ -242,10 +236,12 @@ def train(dataset: Dataset, split: LinkSplit, config: TrainConfig) -> TrainResul
                     f"epoch {epoch}: weight W_{l} is no longer finite"
                 )
 
-        cache = _forward_cached(model, nm32, features, px=px,
-                                arrays=pair_state.arrays)
-        val_auc = roc_auc(score_pairs(cache[0], val_pairs, pair_state.arrays),
-                          val_labels).value
+        cache = _forward_cached(model, nm32, features, px=px)
+        val_scores = score_pairs(cache[0], val_pairs)
+        # an earlier epoch's non-finite forward fails the next loss check
+        if epoch == config.epochs and not np.isfinite(val_scores).all():
+            raise ValueError(f"epoch {epoch}: a validation score is not finite")
+        val_auc = roc_auc(val_scores, val_labels).value
         history.append((epoch, float(loss), float(penalty), float(val_auc)))
         if val_auc > best_auc:
             best_auc = val_auc

@@ -9,9 +9,11 @@ import scipy.sparse as sparse
 
 import palink.gcn as gcn
 from palink.gcn import forward, init_model, loss_and_gradients, score_pairs
-from palink.graphdata import make_dataset, within_group_structure
+from palink.graphdata import (load_dataset, make_dataset,
+                              within_group_structure)
 from palink.metrics import roc_auc
 from palink.spectral import matrix_from_edges
+from palink.synth import SynthConfig, synth_generate
 from palink import training
 from palink.training import (
     ADAM_BETA1,
@@ -430,37 +432,38 @@ class TestTrain:
         assert not any(np.array_equal(a, b) for a, b in zip(negs, negs[1:]))
         assert 1 <= result.best_epoch <= config.epochs
 
-    def test_epochs_write_into_the_state_arrays(self, monkeypatch):
-        # each epoch's forward writes into the PairState's arrays, so the
-        # caches that epochs 1 and 2 computed (which the losses of epochs 2
-        # and 3 start from) share the layer-0 activation's memory; the
-        # forward before the first step has arrays of its own
-        caches = []
+    def test_forward_caches_keep_their_values(self, monkeypatch):
+        # each epoch's loss starts from the forward that the previous
+        # epoch ran for validation; no later forward, loss or scoring may
+        # write over a cache once it has been handed on
+        seen = []
         real = training.loss_and_gradients
 
         def recording(*args, **kwargs):
-            caches.append(kwargs["forward_cache"])
+            _, inputs, outs = kwargs["forward_cache"]
+            seen.append((inputs, outs, [a.copy() for a in inputs + outs]))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(training, "loss_and_gradients", recording)
         ds = trainable_dataset()
         train(ds, split_links(ds, seed=1),
-              TrainConfig(hidden_dims=(5, 3), epochs=3, seed=8))
-        before, epoch1, epoch2 = (cache[2][0] for cache in caches)
-        assert np.shares_memory(epoch1, epoch2)
-        assert not np.shares_memory(before, epoch1)
+              TrainConfig(hidden_dims=(5, 3), epochs=3, lambda_fair=2.0,
+                          seed=8))
+        assert len(seen) == 3
+        for inputs, outs, kept in seen:
+            for a, b in zip(inputs + outs, kept):
+                np.testing.assert_array_equal(a, b)
 
     def test_every_epoch_scores_through_score_pairs(self, monkeypatch):
         # each epoch scores its training pairs (in the loss) and then the
-        # validation pairs through the one public scorer, both times with
-        # the PairState's gather buffers, so a call counter sees 2E calls
-        calls, stores = [], []
+        # validation pairs through the one public scorer, so a call counter
+        # sees 2E calls
+        calls = []
         real = gcn.score_pairs
 
-        def counting(h, pairs, arrays=None, out=None):
+        def counting(h, pairs):
             calls.append(len(pairs))
-            stores.append(arrays)
-            return real(h, pairs, arrays, out)
+            return real(h, pairs)
 
         for module in (gcn, training):
             monkeypatch.setattr(module, "score_pairs", counting)
@@ -471,16 +474,15 @@ class TestTrain:
                                      seed=8))
         n_val = split.val_pos.shape[0] + split.val_neg.shape[0]
         assert calls == [2 * split.train_pos.shape[0], n_val] * epochs
-        assert stores[0] is not None
-        assert all(store is stores[0] for store in stores)
 
     def test_epochs_run_in_float32_and_one_shot_calls_in_float64(
             self, monkeypatch):
         # train() casts the features and the operator to float32 once;
-        # every sparse product, weight gradient and state array of its
-        # epochs stays at that width, penalty included, while a one-shot
-        # float64 call keeps float64 throughout
-        products, states = [], []
+        # every sparse product, weight gradient, layer output, pair score,
+        # probability and state array of its epochs stays at that width,
+        # penalty included, while a one-shot float64 call keeps float64
+        # throughout
+        products, states, arrays = [], [], []
         for cls in (sparse.csr_matrix, sparse.coo_matrix):
             def product(self, dense, real=cls.__matmul__):
                 out = real(self, dense)
@@ -492,10 +494,22 @@ class TestTrain:
             monkeypatch.setattr(cls, "__matmul__", product)
         real_gradient = gcn._weight_gradient
 
-        def weight_gradient(g, x, tmp):
-            out = real_gradient(g, x, tmp)
+        def weight_gradient(g, x):
+            out = real_gradient(g, x)
             products.append(("dW", out.dtype))
             return out
+
+        real_forward, real_sigmoid = gcn._forward_cached, gcn._sigmoid
+
+        def forward_cached(*args, **kwargs):
+            out = real_forward(*args, **kwargs)
+            arrays.extend(out[2])
+            return out
+
+        def sigmoid(scores):
+            probs = real_sigmoid(scores)
+            arrays.extend([scores, probs])
+            return probs
 
         class Recording(gcn.PairState):
             def __init__(self, *args):
@@ -503,8 +517,10 @@ class TestTrain:
                 states.append(self)
 
         monkeypatch.setattr(gcn, "_weight_gradient", weight_gradient)
+        monkeypatch.setattr(gcn, "_sigmoid", sigmoid)
         for module in (gcn, training):
             monkeypatch.setattr(module, "PairState", Recording)
+            monkeypatch.setattr(module, "_forward_cached", forward_cached)
         ds = trainable_dataset()
         split = split_links(ds, seed=1)
         result = train(ds, split, TrainConfig(
@@ -514,15 +530,16 @@ class TestTrain:
         assert {name for name, _ in products} == {"P", "P^T", "S", "dW"}
         assert {dtype for _, dtype in products} == {np.dtype(np.float32)}
         state = states.pop()
-        floats = [a for a in state.arrays._arrays.values()
-                  if a.dtype.kind == "f"]
-        assert len(floats) > 10
-        floats += [state.labels, state.pair_matrix.data]
+        # a forward before the first step and one per epoch, each with two
+        # layer outputs, and each epoch's loss scores and probabilities
+        assert len(arrays) == 4 * 2 + 3 * 2
+        floats = arrays + [state.labels, state.pair_matrix.data]
         assert all(a.dtype == np.float32 for a in floats)
         assert all(w.dtype == np.float64 for w in result.model.weights)
         assert result.train_nm.matrix.dtype == np.float64
 
         products.clear()
+        arrays.clear()
         grads = loss_and_gradients(
             result.model, result.train_nm, ds.features, split.train_pos,
             split.train_pos[::-1], 2.0, result.train_view.group_of,
@@ -530,7 +547,8 @@ class TestTrain:
         assert len(states) == 1
         assert {name for name, _ in products} == {"P", "P^T", "S", "dW"}
         assert {dtype for _, dtype in products} == {np.dtype(np.float64)}
-        assert all(g.dtype == np.float64 for g in grads)
+        assert len(arrays) == 2 + 2
+        assert all(a.dtype == np.float64 for a in arrays + grads)
 
     def test_message_passing_uses_training_positives_only(self):
         ds = trainable_dataset()
@@ -585,6 +603,20 @@ class TestTrain:
         config = TrainConfig(hidden_dims=(8, 4), epochs=5, lr=1e200, seed=2)
         with pytest.raises(ValueError, match=r"^epoch 2: training loss is"):
             train(ds, split, config)
+
+    def test_non_finite_validation_score_is_named(self, tmp_path):
+        # the step leaves the float64 weights finite, but the float32
+        # forward after it overflows, so every validation score is inf;
+        # no later loss check names it, and the scores must not pick the
+        # returned snapshot
+        paths = synth_generate(SynthConfig(sizes=(30, 30), p_in=0.3,
+                                           p_out=0.02, feature_dim=4,
+                                           seed=0), str(tmp_path))
+        ds = load_dataset(paths["edges"], paths["features"], paths["labels"])
+        config = TrainConfig(hidden_dims=(8, 4), epochs=1, lr=1e10)
+        with pytest.raises(ValueError, match=r"^epoch 1: a validation score "
+                                             r"is not finite$"):
+            train(ds, split_links(ds, seed=0), config)
 
     def test_non_finite_weight_is_named(self):
         ds = trainable_dataset()

@@ -47,7 +47,7 @@ def _add_overrides(parser: argparse.ArgumentParser) -> None:
 def _read_config(args, what: str) -> dict:
     """The JSON object at ``--config`` with each flag given written over
     its key; ``--layers N`` writes ``hidden_dims``."""
-    with open(args.config) as fh:
+    with open(args.config, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
         except ValueError as exc:  # not JSON, or not UTF-8

@@ -160,7 +160,7 @@ def _jsonable(obj):
 
 
 def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -177,7 +177,7 @@ def _write_csv(path: str, header, rows) -> None:
     report.json), anything else as ``str``."""
     lines = [",".join(header)]
     lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 

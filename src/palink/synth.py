@@ -126,15 +126,15 @@ def synth_generate(config: SynthConfig, out_dir: str) -> dict[str, str]:
         "labels": os.path.join(out_dir, "labels.tsv"),
         "meta": os.path.join(out_dir, "meta.json"),
     }
-    with open(paths["edges"], "w") as fh:
+    with open(paths["edges"], "w", encoding="utf-8") as fh:
         fh.write("# u v\n")
         for block in np.array_split(edges, max(1, edges.shape[0] >> 16)):
             fh.writelines(f"{u} {v}\n" for u, v in zip(*block.T.tolist()))
     np.savetxt(paths["features"], features, delimiter=",", fmt="%.10g")
-    with open(paths["labels"], "w") as fh:
+    with open(paths["labels"], "w", encoding="utf-8") as fh:
         for i in range(n):
             fh.write(f"{i}\tg{group_of[i]}\t{'a' if t_is_a[i] else 'b'}\n")
-    with open(paths["meta"], "w") as fh:
+    with open(paths["meta"], "w", encoding="utf-8") as fh:
         json.dump({"config": config.to_dict(), "n": n,
                    "m": int(edges.shape[0])}, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -727,6 +727,41 @@ class TestCli:
         report = json.loads(Path(paths["report"]).read_text())
         assert report["lambda_fair"] == 2.0
 
+    def test_text_files_name_their_encoding(self, tmp_path):
+        # every text file palink opens is UTF-8 whatever the locale, so an
+        # open() that falls back to the locale's encoding is an error here;
+        # NumPy's own savetxt opens one without an encoding, so only
+        # palink's modules are held to it
+        synth = {"sizes": [24, 24], "p_in": 0.5, "p_out": 0.02,
+                 "feature_dim": 4, "seed": 0, "out": "data"}
+        run = {"dataset": {"name": "tiny", "edges": "data/edges.txt",
+                           "features": "data/features.csv",
+                           "labels": "data/labels.tsv"},
+               "hidden_dims": [6, 3], "epochs": 1, "seeds": [0],
+               "lambda_fair": [0.0, 1.0], "out": "runs"}
+        (tmp_path / "synth.json").write_text(json.dumps(synth))
+        (tmp_path / "run.json").write_text(json.dumps(run))
+        argvs = [["synth", "--config", "synth.json"]] + [
+            [command, "--config", "run.json"]
+            for command in ("train", "validate-theory", "delta-compare",
+                            "fairness-sweep")]
+        code = (
+            "import json, sys, warnings\n"
+            "warnings.filterwarnings('error', category=EncodingWarning,\n"
+            "                        module=r'palink\\.')\n"
+            "from palink.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0, argv\n"
+        )
+        src = os.path.dirname(os.path.dirname(pipelines.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-c", code,
+             json.dumps(argvs)],
+            cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert len(list((tmp_path / "runs").iterdir())) == 4
+
     def test_non_finite_training_exits_2(self, tmp_path, tiny_bed, capsys):
         config_path = self.write_config(tmp_path, tiny_bed, lr=1e200,
                                         epochs=4)

@@ -10,21 +10,19 @@ they can be checked against finite differences.
 Pair scores are computed in fixed blocks of rows through two gather
 buffers, and the gradient with respect to the final representations is one
 sparse pair-matrix product, so a training step never gathers a
-``pairs x dim`` array.  ``loss_and_gradients`` takes an optional forward
-cache, the ``_forward_cached`` triple, which must have been computed at
-the model's current weights; training passes the forward it already ran
-for validation after the previous step, and its ``PairState``, which
-keeps the pairs and pair matrix for the whole run.  Every call makes its
-own dense arrays, so nothing a call returns is written over by a later
-one.
+``pairs x dim`` array.  ``loss_and_gradients`` takes a training's
+``PairState``, which keeps the pairs, pair matrix and subgroup labels for
+the whole run, and a forward cache, the ``_forward_cached`` triple at the
+model's current weights; training passes the forward it already ran for
+validation after the previous step.  Every call makes its own dense
+arrays, so nothing a call returns is written over by a later one.
 
 Every array of a call takes its inputs' dtype, float32 or float64 (other
 feature dtypes are read as float64): the layer outputs, the pair-length
 arrays, the sparse products and each weight gradient's blocks.  The
 weights are cast to it per layer per call, and each returned gradient has
 its weight's dtype.  ``training.train`` casts its features and operator to
-float32 once, so its epochs run at half float64's bytes; a one-shot call
-keeps its inputs' dtype.
+float32 once, so its epochs run at half float64's bytes.
 """
 from __future__ import annotations
 
@@ -174,9 +172,12 @@ class PairState:
     is the gradient with respect to ``h`` of ``sum_k dscore_k * h_i .
     h_j``.  Duplicate entries add up in the product, which keeps repeated
     pairs and (u, u) pairs exact, and no row of ``h`` is gathered.
+    ``group_of`` and ``t_labels`` label the nodes' groups and subgroups for
+    the subgroup-gap penalty, which needs both.
     """
 
-    def __init__(self, pos_pairs, n_neg: int, nm: NormalizedMatrix, dtype):
+    def __init__(self, pos_pairs, n_neg: int, nm: NormalizedMatrix, dtype,
+                 group_of=None, t_labels=None):
         pos = np.asarray(pos_pairs, dtype=np.int64).reshape(-1, 2)
         self.n_pos = pos.shape[0]
         m = self.n_pos + int(n_neg)
@@ -193,6 +194,7 @@ class PairState:
             (np.zeros(2 * m, dtype), (rows, cols)), shape=(n, n))
         self.pt = (nm.matrix if nm.kind == "symmetric"
                    else nm.matrix.T.tocsr())
+        self.group_of, self.t_labels = group_of, t_labels
 
     def set_negatives(self, neg_pairs) -> None:
         """Write this epoch's negatives into the pairs and ``S``; their
@@ -238,18 +240,8 @@ def _weight_gradient(g: np.ndarray, x: np.ndarray):
     return acc
 
 
-def loss_and_gradients(
-    model: Model,
-    nm: NormalizedMatrix,
-    features,
-    pos_pairs,
-    neg_pairs,
-    lambda_fair: float = 0.0,
-    group_of=None,
-    t_labels=None,
-    forward_cache=None,
-    pair_state: PairState | None = None,
-):
+def loss_and_gradients(model: Model, pair_state: PairState, neg_pairs,
+                       forward_cache, lambda_fair: float = 0.0):
     """Training objective and its exact gradients.
 
     Objective: mean BCE over positive and negative pairs plus
@@ -259,26 +251,15 @@ def loss_and_gradients(
     B counts the groups with both subgroups anchored, and with none the
     penalty is 0.
 
-    ``forward_cache`` optionally supplies the ``_forward_cached(model, nm,
-    features)`` triple, which is then not recomputed.  It must be the
-    forward pass at the model's current weights, operator and features;
-    nothing checks this.  ``pair_state`` optionally supplies a
-    ``PairState`` built from ``pos_pairs``, ``len(neg_pairs)`` and ``nm``,
-    which is then reused: ``neg_pairs`` are written into it and
-    ``pos_pairs`` are not read again.  Without it the call builds its own.
-    Given either, the result is bitwise identical to the call without it.
+    ``neg_pairs`` are written into ``pair_state`` after its positives.
+    ``forward_cache`` is the ``_forward_cached(model, nm, features)``
+    triple at the model's current weights, with the state's operator and
+    dtype; nothing checks this.
     """
     if not lambda_fair >= 0:
         raise ValueError("lambda_fair must be >= 0")
-    neg_pairs = np.asarray(neg_pairs, dtype=np.int64).reshape(-1, 2)
-    features = _float_array(features)
-    if pair_state is None:
-        pair_state = PairState(pos_pairs, len(neg_pairs), nm, features.dtype)
     pair_state.set_negatives(neg_pairs)
     pairs, labels = pair_state.pairs, pair_state.labels
-
-    if forward_cache is None:
-        forward_cache = _forward_cached(model, nm, features)
     h, inputs, outs = forward_cache
     n_pairs, dtype = pairs.shape[0], h.dtype
     scores = score_pairs(h, pairs)
@@ -289,11 +270,12 @@ def loss_and_gradients(
 
     penalty = 0.0
     if lambda_fair != 0.0:
-        if group_of is None or t_labels is None:
+        if pair_state.group_of is None or pair_state.t_labels is None:
             raise ValueError(
                 "lambda_fair > 0 requires group and subgroup labels"
             )
-        gaps, dprob = sampled_delta_terms(pairs, probs, group_of, t_labels)
+        gaps, dprob = sampled_delta_terms(pairs, probs, pair_state.group_of,
+                                          pair_state.t_labels)
         if gaps.size:
             penalty = float(lambda_fair * np.sum(gaps) / gaps.size)
             # dscore + (lambda_fair / B) * dprob * probs * (1 - probs), in

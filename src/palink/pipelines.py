@@ -305,12 +305,14 @@ def _drive(config: RunConfig, pipeline: str, run, tasks, summarize,
     makes of the results) and the files it names, role -> ``(file name,
     write, *args)``; return the report with the written ``paths``.  A
     non-empty ``needs_subgroups`` asks for subgroup labels.  The run
-    directory is made only once every run has succeeded."""
+    directory is made only once every run has succeeded, but a name the
+    file-system encoding cannot hold fails before the first run."""
     dataset, flagged = prepare_dataset(config)
     if needs_subgroups and dataset.t_labels is None:
         raise ValueError(f"{needs_subgroups} requires subgroup labels")
-    fields, files = summarize(_map_runs(run, dataset, config, tasks))
     out_dir = config.run_dir(pipeline)
+    os.fsencode(out_dir)
+    fields, files = summarize(_map_runs(run, dataset, config, tasks))
     os.makedirs(out_dir, exist_ok=True)
     payload = {
         "pipeline": pipeline,

@@ -160,7 +160,7 @@ def train(dataset: Dataset, split: LinkSplit, config: TrainConfig) -> TrainResul
     One optimizer step per epoch; training negatives are resampled each
     epoch (1:1 with training positives), from one ``NegativeSampler`` built
     per run, while validation pairs stay fixed.  One ``PairState`` holds
-    the epoch's pairs and pair matrix for the whole run.
+    the pairs, pair matrix and (sub)group labels for the whole run.
     A training negative is never a training positive or a frozen
     validation/test negative, so no held-out pair is trained on as a
     negative.  Validation/test positives stay drawable: the trainer does
@@ -168,9 +168,9 @@ def train(dataset: Dataset, split: LinkSplit, config: TrainConfig) -> TrainResul
     Identical dataset, split, and config give bitwise-identical results.
     The forward pass that scores the validation pairs after each step is
     the one the next epoch's loss starts from, so each epoch runs one
-    forward pass.  A non-finite loss, weight or last-epoch validation score
-    raises ``ValueError`` naming the epoch, so NumPy's overflow and
-    invalid-value warnings are not shown.
+    forward pass.  A non-finite loss, weight or validation score raises
+    ``ValueError`` naming the epoch, so NumPy's overflow and invalid-value
+    warnings are not shown.
     The epochs run in float32, from one cast of the features and operator
     here; the weights and Adam's moments are float64, and so are the
     returned model and ``train_nm``.
@@ -210,16 +210,14 @@ def train(dataset: Dataset, split: LinkSplit, config: TrainConfig) -> TrainResul
     sampler = NegativeSampler(
         dataset.n, split.train_pos,
         exclude=np.concatenate([split.val_neg, split.test_neg]))
-    pair_state = PairState(split.train_pos, n_train, nm32, features.dtype)
+    pair_state = PairState(split.train_pos, n_train, nm32, features.dtype,
+                           view.group_of, dataset.t_labels)
     cache = _forward_cached(model, nm32, features, px=px)
     for epoch in range(1, config.epochs + 1):
         neg = sampler.draw(n_train, neg_rng)
         loss, _, penalty, grads = loss_and_gradients(
-            model, nm32, features, split.train_pos, neg,
-            lambda_fair=config.lambda_fair,
-            group_of=view.group_of, t_labels=dataset.t_labels,
-            forward_cache=cache, pair_state=pair_state,
-        )
+            model, pair_state, neg, forward_cache=cache,
+            lambda_fair=config.lambda_fair)
         if not np.isfinite(loss):
             raise ValueError(f"epoch {epoch}: training loss is {loss}")
         for w, g, m_buf, v_buf in zip(model.weights, grads, adam_m, adam_v):
@@ -238,8 +236,7 @@ def train(dataset: Dataset, split: LinkSplit, config: TrainConfig) -> TrainResul
 
         cache = _forward_cached(model, nm32, features, px=px)
         val_scores = score_pairs(cache[0], val_pairs)
-        # an earlier epoch's non-finite forward fails the next loss check
-        if epoch == config.epochs and not np.isfinite(val_scores).all():
+        if not np.isfinite(val_scores).all():
             raise ValueError(f"epoch {epoch}: a validation score is not finite")
         val_auc = roc_auc(val_scores, val_labels).value
         history.append((epoch, float(loss), float(penalty), float(val_auc)))

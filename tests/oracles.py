@@ -9,7 +9,7 @@ import numpy as np
 import scipy.sparse as sparse
 from scipy.special import expit
 
-from palink.gcn import loss_and_gradients
+from palink.gcn import PairState, _forward_cached, loss_and_gradients
 from palink.spectral import matrix_from_edges
 
 DENSE_POWER_LIMIT = 5000
@@ -141,7 +141,13 @@ def einsum_scores(h, pairs) -> np.ndarray:
 def finite_difference_grads(model, nm, features, pos, neg, lam, group_of,
                             t_labels, h=1e-6) -> list[np.ndarray]:
     """``loss_and_gradients``' gradients by central finite differences of
-    its loss over every weight entry."""
+    its loss over every weight entry, from one float64 ``PairState``."""
+    state = PairState(pos, len(neg), nm, np.float64, group_of, t_labels)
+
+    def loss():
+        cache = _forward_cached(model, nm, features)
+        return loss_and_gradients(model, state, neg, cache, lam)[0]
+
     out = []
     for w in model.weights:
         g = np.zeros_like(w)
@@ -150,11 +156,9 @@ def finite_difference_grads(model, nm, features, pos, neg, lam, group_of,
             idx = it.multi_index
             orig = w[idx]
             w[idx] = orig + h
-            up = loss_and_gradients(model, nm, features, pos, neg, lam,
-                                    group_of, t_labels)[0]
+            up = loss()
             w[idx] = orig - h
-            dn = loss_and_gradients(model, nm, features, pos, neg, lam,
-                                    group_of, t_labels)[0]
+            dn = loss()
             w[idx] = orig
             g[idx] = (up - dn) / (2.0 * h)
         out.append(g)

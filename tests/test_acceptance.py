@@ -17,7 +17,8 @@ from scipy.special import expit
 
 import palink.spectral as spectral
 from palink.fairness import delta_hat
-from palink.gcn import forward, init_model, loss_and_gradients
+from palink.gcn import (PairState, _forward_cached, forward, init_model,
+                        loss_and_gradients)
 from palink.graphdata import within_group_structure
 from palink.metrics import nrmse, pcc, roc_auc
 from palink.pipelines import (
@@ -186,6 +187,12 @@ def _gradient_instance(rng, kind, dims):
 
 
 def _fd_gradients(model, nm, x, pos, neg, lam, gof, t, h=1e-5):
+    state = PairState(pos, len(neg), nm, np.float64, gof, t)
+
+    def loss():
+        cache = _forward_cached(model, nm, x)
+        return loss_and_gradients(model, state, neg, cache, lam)[0]
+
     out = []
     for w in model.weights:
         g = np.zeros_like(w)
@@ -194,9 +201,9 @@ def _fd_gradients(model, nm, x, pos, neg, lam, gof, t, h=1e-5):
             idx = it.multi_index
             orig = w[idx]
             w[idx] = orig + h
-            up = loss_and_gradients(model, nm, x, pos, neg, lam, gof, t)[0]
+            up = loss()
             w[idx] = orig - h
-            dn = loss_and_gradients(model, nm, x, pos, neg, lam, gof, t)[0]
+            dn = loss()
             w[idx] = orig
             g[idx] = (up - dn) / (2.0 * h)
         out.append(g)
@@ -212,10 +219,12 @@ def test_03_gradients_match_finite_differences():
         kind = kinds[i % 2]
         dims = layer_choices[(i // 2) % 2]
         ds, view, nm, model, pos, neg = _gradient_instance(rng, kind, dims)
+        state = PairState(pos, len(neg), nm, np.float64, view.group_of,
+                          ds.t_labels)
         for lam in (0.0, 1.0):
             _, _, _, grads = loss_and_gradients(
-                model, nm, ds.features, pos, neg, lam,
-                view.group_of, ds.t_labels,
+                model, state, neg, _forward_cached(model, nm, ds.features),
+                lam,
             )
             fd = _fd_gradients(model, nm, ds.features, pos, neg, lam,
                                view.group_of, ds.t_labels)

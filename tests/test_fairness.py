@@ -9,7 +9,8 @@ import pytest
 from scipy.special import expit, logit
 
 from palink.fairness import delta, delta_hat, sampled_delta_terms
-from palink.gcn import Model, loss_and_gradients, score_pairs
+from palink.gcn import (Model, PairState, _forward_cached,
+                        loss_and_gradients, score_pairs)
 from palink.graphdata import make_dataset, within_group_structure
 from palink.spectral import matrix_from_edges
 
@@ -166,16 +167,18 @@ def regularizer_instance():
 class TestRegularizer:
     def test_hand_value(self):
         model, nm, x, pos, neg, group_of, t = regularizer_instance()
-        loss, bce, penalty, _ = loss_and_gradients(model, nm, x, pos, neg,
-                                                   2.0, group_of, t)
+        state = PairState(pos, len(neg), nm, np.float64, group_of, t)
+        loss, bce, penalty, _ = loss_and_gradients(
+            model, state, neg, _forward_cached(model, nm, x), 2.0)
         # (2.0 / 2 active groups) * (0.4 + 0.1)
         assert penalty == pytest.approx(0.5, abs=1e-12)
         assert loss == bce + penalty
 
     def test_accepts_assessment(self):
         model, nm, x, pos, neg, group_of, t = regularizer_instance()
-        _, _, penalty, _ = loss_and_gradients(model, nm, x, pos, neg, 3.0,
-                                              group_of, t)
+        state = PairState(pos, len(neg), nm, np.float64, group_of, t)
+        _, _, penalty, _ = loss_and_gradients(
+            model, state, neg, _forward_cached(model, nm, x), 3.0)
         pairs = np.concatenate([pos, neg])
         a = delta(pairs, score_pairs(x, pairs), group_of, t)
         np.testing.assert_allclose(a.delta, [0.4, 0.1], atol=1e-12)

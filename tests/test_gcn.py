@@ -306,8 +306,9 @@ class TestGradients:
     @pytest.mark.parametrize("seed", [41, 42])
     def test_matches_finite_differences(self, seed, lam):
         ds, nm, model, pos, neg, group_of, t = gradient_instance(seed)
+        state = PairState(pos, len(neg), nm, np.float64, group_of, t)
         loss, bce, penalty, grads = loss_and_gradients(
-            model, nm, ds.features, pos, neg, lam, group_of, t
+            model, state, neg, _forward_cached(model, nm, ds.features), lam
         )
         assert loss == pytest.approx(bce + penalty, abs=1e-12)
         fd = finite_difference_grads(model, nm, ds.features, pos, neg, lam,
@@ -316,14 +317,17 @@ class TestGradients:
 
     def test_gradient_shapes(self):
         ds, nm, model, pos, neg, group_of, t = gradient_instance(43)
-        _, _, _, grads = loss_and_gradients(model, nm, ds.features, pos, neg)
+        state = PairState(pos, len(neg), nm, np.float64)
+        _, _, _, grads = loss_and_gradients(
+            model, state, neg, _forward_cached(model, nm, ds.features))
         assert [g.shape for g in grads] == [w.shape for w in model.weights]
 
     def test_penalty_matches_public_gap_measure(self):
         ds, nm, model, pos, neg, group_of, t = gradient_instance(44)
         lam = 2.5
+        state = PairState(pos, len(neg), nm, np.float64, group_of, t)
         _, _, penalty, _ = loss_and_gradients(
-            model, nm, ds.features, pos, neg, lam, group_of, t
+            model, state, neg, _forward_cached(model, nm, ds.features), lam
         )
         h = forward(model, nm, ds.features)
         pairs = np.concatenate([pos, neg], axis=0)
@@ -336,53 +340,58 @@ class TestGradients:
     @pytest.mark.parametrize("lam", [-1.0, float("nan")])
     def test_negative_or_nan_lambda_rejected(self, lam):
         ds, nm, model, pos, neg, group_of, t = gradient_instance(44)
+        state = PairState(pos, len(neg), nm, np.float64, group_of, t)
+        cache = _forward_cached(model, nm, ds.features)
         with pytest.raises(ValueError, match=r"^lambda_fair must be >= 0$"):
-            loss_and_gradients(model, nm, ds.features, pos, neg, lam,
-                               group_of, t)
+            loss_and_gradients(model, state, neg, cache, lam)
 
     def test_no_active_group_gives_zero_penalty(self):
         # group 0 holds one subgroup's nodes and every other node is alone,
         # so no group has both subgroups anchored
         ds, nm, model, pos, neg, _, t = gradient_instance(44)
         group_of = np.where(t == t[0], 0, 1 + np.arange(ds.n))
-        args = (model, nm, ds.features, pos, neg)
-        loss0, bce0, _, grads0 = loss_and_gradients(*args, 0.0, group_of, t)
-        loss, bce, penalty, grads = loss_and_gradients(*args, 3.0, group_of,
-                                                       t)
+        args = (model, PairState(pos, len(neg), nm, np.float64, group_of, t),
+                neg, _forward_cached(model, nm, ds.features))
+        loss0, bce0, _, grads0 = loss_and_gradients(*args, 0.0)
+        loss, bce, penalty, grads = loss_and_gradients(*args, 3.0)
         assert penalty == 0.0 and (loss, bce) == (loss0, bce0)
         for g, g0 in zip(grads, grads0):
             np.testing.assert_array_equal(g, g0)
 
     def test_zero_lambda_has_no_penalty(self):
         ds, nm, model, pos, neg, group_of, t = gradient_instance(45)
+        state = PairState(pos, len(neg), nm, np.float64, group_of, t)
         loss, bce, penalty, _ = loss_and_gradients(
-            model, nm, ds.features, pos, neg, 0.0, group_of, t
+            model, state, neg, _forward_cached(model, nm, ds.features), 0.0
         )
         assert penalty == 0.0
         assert loss == bce
 
     def test_lambda_without_labels_rejected(self):
         ds, nm, model, pos, neg, _, _ = gradient_instance(46)
+        state = PairState(pos, len(neg), nm, np.float64)
+        cache = _forward_cached(model, nm, ds.features)
         with pytest.raises(ValueError):
-            loss_and_gradients(model, nm, ds.features, pos, neg, 1.0)
+            loss_and_gradients(model, state, neg, cache, 1.0)
 
     def test_no_pairs_rejected(self):
         ds, nm, model, *_ = gradient_instance(47)
         empty = np.empty((0, 2), dtype=np.int64)
         with pytest.raises(ValueError):
-            loss_and_gradients(model, nm, ds.features, empty, empty)
+            PairState(empty, len(empty), nm, np.float64)
 
     def test_forward_cache_is_bitwise_identical(self):
         ds, nm, model, pos, neg, group_of, t = gradient_instance(48)
-        a = loss_and_gradients(model, nm, ds.features, pos, neg, 1.0,
-                               group_of, t)
-        # with and without the first layer's propagation precomputed, as
-        # training supplies it
+        a = loss_and_gradients(
+            model, PairState(pos, len(neg), nm, np.float64, group_of, t),
+            neg, _forward_cached(model, nm, ds.features), 1.0)
+        # one state reused across calls, and forwards with and without the
+        # first layer's propagation precomputed, as training supplies them
+        state = PairState(pos, len(neg), nm, np.float64, group_of, t)
         px = nm.matrix @ ds.features
         for cache in (_forward_cached(model, nm, ds.features),
                       _forward_cached(model, nm, ds.features, px=px)):
-            b = loss_and_gradients(model, nm, ds.features, pos, neg, 1.0,
-                                   group_of, t, forward_cache=cache)
+            b = loss_and_gradients(model, state, neg, cache, 1.0)
             assert a[:3] == b[:3]
             for ga, gb in zip(a[3], b[3]):
                 np.testing.assert_array_equal(ga, gb)
@@ -436,15 +445,16 @@ class TestGradients:
         ds, nm, model, pos, neg, group_of, t = gradient_instance(
             56, hidden=(8, 3, 6))
         h = forward(model, nm, ds.features)
-        _, inputs, outs = _forward_cached(model, nm, ds.features)
-        grads = loss_and_gradients(model, nm, ds.features, pos, neg, 1.0,
-                                   group_of, t)[3]
+        cache = _forward_cached(model, nm, ds.features)
+        _, inputs, outs = cache
+        state = PairState(pos, len(neg), nm, np.float64, group_of, t)
+        grads = loss_and_gradients(model, state, neg, cache, 1.0)[3]
         returned = [h, *inputs, *outs, *grads]
         kept = [a.copy() for a in returned]
         other = init_model(ds.feature_dim, (8, 3, 6), nm.kind, seed=57)
         forward(other, nm, ds.features)
-        _forward_cached(other, nm, ds.features)
-        loss_and_gradients(other, nm, ds.features, pos, neg, 1.0, group_of, t)
+        loss_and_gradients(other, state, neg,
+                           _forward_cached(other, nm, ds.features), 1.0)
         for a, b in zip(returned, kept):
             np.testing.assert_array_equal(a, b)
 
@@ -502,8 +512,9 @@ class TestPropagationOrder:
     def test_gradients_match_finite_differences(self, hidden, kind, lam):
         ds, nm, model, pos, neg, group_of, t = gradient_instance(
             53, hidden=hidden, kind=kind)
-        grads = loss_and_gradients(model, nm, ds.features, pos, neg, lam,
-                                   group_of, t)[3]
+        state = PairState(pos, len(neg), nm, np.float64, group_of, t)
+        grads = loss_and_gradients(
+            model, state, neg, _forward_cached(model, nm, ds.features), lam)[3]
         fd = finite_difference_grads(model, nm, ds.features, pos, neg, lam,
                                      group_of, t)
         assert gradient_error(grads, fd) < 1e-4
@@ -512,7 +523,9 @@ class TestPropagationOrder:
     def test_gradients_match_propagate_first_oracle(self, hidden, kind):
         ds, nm, model, pos, neg, *_ = gradient_instance(
             54, hidden=hidden, kind=kind)
-        grads = loss_and_gradients(model, nm, ds.features, pos, neg)[3]
+        state = PairState(pos, len(neg), nm, np.float64)
+        grads = loss_and_gradients(
+            model, state, neg, _forward_cached(model, nm, ds.features))[3]
         want = propagate_first_bce_grads(model, nm, ds.features, pos, neg)
         assert gradient_error(grads, want) < 1e-10
 
@@ -525,6 +538,8 @@ class TestPropagationOrder:
             nm, matrix=_WidthRecorder(nm.matrix, widths))
         model = init_model(16, (128, 64), "symmetric", seed=55)
         neg = rng.integers(0, ds.n, size=(ds.m, 2))
-        loss_and_gradients(model, recording, ds.features, ds.edges, neg)
+        state = PairState(ds.edges, len(neg), recording, np.float64)
+        loss_and_gradients(model, state, neg,
+                           _forward_cached(model, recording, ds.features))
         # P @ X, then P @ (H_1 W_2^T) forward and P^T G_2 backward
         assert widths == [16, 64, 64]

@@ -762,13 +762,39 @@ class TestCli:
         assert out.returncode == 0, out.stderr
         assert len(list((tmp_path / "runs").iterdir())) == 4
 
+    def test_unencodable_run_directory_exits_2_before_training(
+            self, tmp_path, tiny_bed):
+        # under an ASCII file-system encoding the run directory's name
+        # cannot be made, and that exits 2 before the first run, which
+        # here would exit 7
+        config_path = self.write_config(tmp_path, tiny_bed,
+                                        dataset={"name": "caf\u00e9"})
+        code = (
+            "import os, sys\n"
+            "from palink import pipelines\n"
+            "from palink.cli import main\n"
+            "pipelines.run_seed = lambda *args: os._exit(7)\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(pipelines.__file__))
+        env = dict(os.environ, PYTHONPATH=src, PYTHONCOERCECLOCALE="0",
+                   PYTHONUTF8="0", LC_ALL="C")
+        out = subprocess.run(
+            [sys.executable, "-c", code, "train", "--config", config_path],
+            cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert out.returncode == 2, out.stderr
+        assert ("'ascii' codec can't encode character '\\xe9'"
+                in out.stderr), out.stderr
+        assert not (tmp_path / "runs").exists()
+
     def test_non_finite_training_exits_2(self, tmp_path, tiny_bed, capsys):
         config_path = self.write_config(tmp_path, tiny_bed, lr=1e200,
                                         epochs=4)
         code = main(["train", "--config", config_path])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.strip() == "error: epoch 2: training loss is nan"
+        assert err.strip() == ("error: epoch 1: a validation score is "
+                               "not finite")
 
     def test_non_finite_training_in_a_worker_exits_2(self, tmp_path,
                                                      tiny_bed, capsys,
@@ -779,7 +805,8 @@ class TestCli:
         code = main(["fairness-sweep", "--config", config_path])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.strip() == "error: epoch 2: training loss is nan"
+        assert err.strip() == ("error: epoch 1: a validation score is "
+                               "not finite")
         assert multiprocessing.active_children() == []
 
     def test_negative_lambda_in_a_worker_exits_2(self, tmp_path, tiny_bed,

@@ -25,6 +25,8 @@ from scipy.special import expit  # noqa: E402
 from palink.fairness import delta  # noqa: E402
 from palink.gcn import (  # noqa: E402
     _PAIR_BLOCK,
+    PairState,
+    _forward_cached,
     init_model,
     loss_and_gradients,
     score_pairs,
@@ -367,8 +369,10 @@ class TestGradientProperties:
     @given(gradient_instances())
     def test_match_central_finite_differences(self, lam, inst):
         ds, nm, model, pos, neg, group_of = inst
-        grads = loss_and_gradients(model, nm, ds.features, pos, neg, lam,
-                                   group_of, ds.t_labels)[3]
+        state = PairState(pos, len(neg), nm, np.float64, group_of,
+                          ds.t_labels)
+        grads = loss_and_gradients(
+            model, state, neg, _forward_cached(model, nm, ds.features), lam)[3]
         fd = finite_difference_grads(model, nm, ds.features, pos, neg, lam,
                                      group_of, ds.t_labels)
         # Central differences at h = 1e-6 of a loss of order 1 carry up to

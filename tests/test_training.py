@@ -345,8 +345,9 @@ class TestTrain:
         neg_rng = np.random.default_rng(np.random.SeedSequence([8, 1]))
         neg = sample_negatives(ds.n, split.train_pos, split.train_pos.shape[0],
                                neg_rng, held_out_negatives(split))
-        grads = loss_and_gradients(model0, nm, ds.features.astype(np.float32),
-                                   split.train_pos, neg)[3]
+        state = gcn.PairState(split.train_pos, len(neg), nm, np.float32)
+        cache = gcn._forward_cached(model0, nm, ds.features.astype(np.float32))
+        grads = loss_and_gradients(model0, state, neg, cache)[3]
         assert result.best_epoch == 1
         for w0, g, w1 in zip(model0.weights, grads, result.model.weights):
             expected = w0 - config.lr * g / (np.abs(g) + ADAM_EPS)
@@ -363,8 +364,9 @@ class TestTrain:
             self, monkeypatch, lam, kind, ratios, block):
         # train() feeds each epoch's loss the forward pass it ran for
         # validation after the previous step, and reuses one PairState
-        # for every epoch's pairs, gathers and pair matrix; fresh one-shot
-        # calls must give the same loss, gradients, weights and AUC bits.
+        # for every epoch's pairs, gathers and pair matrix; a fresh state
+        # and forward per call must give the same loss, gradients, weights
+        # and AUC bits.
         monkeypatch.setattr(gcn, "_PAIR_BLOCK", block)
         ds = trainable_dataset()
         split = split_links(ds, ratios, seed=1)
@@ -405,9 +407,11 @@ class TestTrain:
         for epoch in range(1, config.epochs + 1):
             negs.append(sample_negatives(ds.n, split.train_pos, n_train,
                                          neg_rng, held_out_negatives(split)))
+            state = gcn.PairState(split.train_pos, n_train, nm, np.float32,
+                                  group_of, ds.t_labels)
+            cache = gcn._forward_cached(model, nm, features)
             loss, _, penalty, grads = loss_and_gradients(
-                model, nm, features, split.train_pos, negs[-1], lam,
-                group_of, ds.t_labels)
+                model, state, negs[-1], cache, lam)
             weights_seen, grads_seen = seen[epoch - 1]
             for w, w_seen, g, g_seen in zip(model.weights, weights_seen,
                                             grads, grads_seen):
@@ -480,8 +484,8 @@ class TestTrain:
         # train() casts the features and the operator to float32 once;
         # every sparse product, weight gradient, layer output, pair score,
         # probability and state array of its epochs stays at that width,
-        # penalty included, while a one-shot float64 call keeps float64
-        # throughout
+        # penalty included, while a float64 call outside train keeps
+        # float64 throughout
         products, states, arrays = [], [], []
         for cls in (sparse.csr_matrix, sparse.coo_matrix):
             def product(self, dense, real=cls.__matmul__):
@@ -540,10 +544,12 @@ class TestTrain:
 
         products.clear()
         arrays.clear()
-        grads = loss_and_gradients(
-            result.model, result.train_nm, ds.features, split.train_pos,
-            split.train_pos[::-1], 2.0, result.train_view.group_of,
-            ds.t_labels)[3]
+        state = gcn.PairState(split.train_pos, split.train_pos.shape[0],
+                              result.train_nm, np.float64,
+                              result.train_view.group_of, ds.t_labels)
+        cache = gcn._forward_cached(result.model, result.train_nm, ds.features)
+        grads = loss_and_gradients(result.model, state, split.train_pos[::-1],
+                                   cache, 2.0)[3]
         assert len(states) == 1
         assert {name for name, _ in products} == {"P", "P^T", "S", "dW"}
         assert {dtype for _, dtype in products} == {np.dtype(np.float64)}
@@ -597,12 +603,27 @@ class TestTrain:
 
     def test_non_finite_loss_is_named(self):
         # the first step moves every weight by ~1e200; the next forward
-        # overflows, so epoch 2's loss is NaN
+        # overflows, so epoch 1's validation scores are not finite
         ds = trainable_dataset()
         split = split_links(ds, seed=1)
         config = TrainConfig(hidden_dims=(8, 4), epochs=5, lr=1e200, seed=2)
-        with pytest.raises(ValueError, match=r"^epoch 2: training loss is"):
+        with pytest.raises(ValueError, match=r"^epoch 1: a validation score "
+                                             r"is not finite$"):
             train(ds, split, config)
+
+    def test_nan_training_loss_is_named(self, monkeypatch):
+        real = training.loss_and_gradients
+
+        def nan_loss(*args, **kwargs):
+            _, bce, penalty, grads = real(*args, **kwargs)
+            return np.nan, bce, penalty, grads
+
+        monkeypatch.setattr(training, "loss_and_gradients", nan_loss)
+        ds = trainable_dataset()
+        config = TrainConfig(hidden_dims=(8, 4), epochs=2, seed=2)
+        with pytest.raises(ValueError,
+                           match=r"^epoch 1: training loss is nan$"):
+            train(ds, split_links(ds, seed=1), config)
 
     def test_non_finite_validation_score_is_named(self, tmp_path):
         # the step leaves the float64 weights finite, but the float32
@@ -614,6 +635,18 @@ class TestTrain:
                                            seed=0), str(tmp_path))
         ds = load_dataset(paths["edges"], paths["features"], paths["labels"])
         config = TrainConfig(hidden_dims=(8, 4), epochs=1, lr=1e10)
+        with pytest.raises(ValueError, match=r"^epoch 1: a validation score "
+                                             r"is not finite$"):
+            train(ds, split_links(ds, seed=0), config)
+
+    def test_non_finite_validation_score_mid_run_is_named(self, tmp_path):
+        # the same overflow in epoch 1 of 2 is named in epoch 1, before
+        # its scores can pick the returned snapshot or epoch 2 runs
+        paths = synth_generate(SynthConfig(sizes=(30, 30), p_in=0.3,
+                                           p_out=0.02, feature_dim=4,
+                                           seed=0), str(tmp_path))
+        ds = load_dataset(paths["edges"], paths["features"], paths["labels"])
+        config = TrainConfig(hidden_dims=(8, 4), epochs=2, lr=1e10)
         with pytest.raises(ValueError, match=r"^epoch 1: a validation score "
                                              r"is not finite$"):
             train(ds, split_links(ds, seed=0), config)

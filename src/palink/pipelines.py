@@ -12,13 +12,14 @@ given BLAS thread count the reports are byte-identical for any worker count.
 """
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
 import os
 import sys
 import typing
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, is_dataclass, replace
 
 import numpy as np
 
@@ -33,19 +34,26 @@ from .training import (DEFAULT_RATIOS, TrainConfig, save_checkpoint,
 FILTER_ABBREV = {"symmetric": "sym", "random_walk": "rw"}
 FILTER_ALIASES = {alias: kind for kind, abbrev in FILTER_ABBREV.items()
                   for alias in (kind, abbrev)}
-# The RunConfig fields that its JSON layout nests in a "dataset" block.
-_DATASET_FIELDS = ("name", "edges", "features", "labels")
+
+
+@dataclass(frozen=True)
+class DatasetFiles:
+    """A run's input files, and the name its run directories carry."""
+
+    edges: str
+    features: str
+    labels: str
+    name: str = "dataset"
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    name: str
-    edges: str
-    features: str
-    labels: str
+    """A run's settings; ``dataclasses.asdict`` writes its JSON layout."""
+
+    dataset: DatasetFiles
     normalization: str = "none"
     self_loop_weight: float = 1.0
-    filter_kind: str = TrainConfig.filter_kind
+    filter: str = TrainConfig.filter_kind
     hidden_dims: tuple[int, ...] = TrainConfig.hidden_dims
     epochs: int = TrainConfig.epochs
     lr: float = TrainConfig.lr
@@ -54,26 +62,23 @@ class RunConfig:
     lambda_fair: tuple[float, ...] = (0.0, 1.0, 2.0, 4.0)
     out: str = "runs"
 
-    def to_dict(self) -> dict:
-        """The JSON layout: the dataset fields in a ``dataset`` block,
-        ``filter_kind`` as ``filter``, tuples as lists."""
-        layout = {"filter" if f.name == "filter_kind" else f.name:
-                  list(v) if isinstance(v := getattr(self, f.name), tuple)
-                  else v for f in fields(self)}
-        return {"dataset": {key: layout.pop(key) for key in _DATASET_FIELDS},
-                **layout}
-
     @property
     def config_hash(self) -> str:
-        payload = self.to_dict()
+        payload = asdict(self)
         payload.pop("out")
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:8]
 
     def run_dir(self, pipeline: str) -> str:
-        abbrev = FILTER_ABBREV[self.filter_kind]
-        return os.path.join(
-            self.out, f"{self.name}_{pipeline}_{abbrev}_{self.config_hash}")
+        abbrev = FILTER_ABBREV[self.filter]
+        return os.path.join(self.out, f"{self.dataset.name}_{pipeline}_"
+                                      f"{abbrev}_{self.config_hash}")
+
+    def train_config(self, seed: int, lambda_fair: float) -> TrainConfig:
+        """This run's training settings at ``seed`` and ``lambda_fair``."""
+        return TrainConfig(filter_kind=self.filter,
+                           hidden_dims=self.hidden_dims, epochs=self.epochs,
+                           lr=self.lr, lambda_fair=lambda_fair, seed=seed)
 
 
 _JSON_TYPES = {int: ((int,), "an integer"),
@@ -84,8 +89,11 @@ def _check(key: str, value, hint):
     """``value`` as a value of the field type ``hint``: int, float (a
     finite number a float holds; an integer counts, a boolean does not), str,
     ``tuple[T, ...]`` (a non-empty list, its items made T; a fixed length
-    is left to the user of the field) or ``T | tuple[T, ...]``; otherwise
-    a ValueError that names ``key``."""
+    is left to the user of the field), ``T | tuple[T, ...]`` or a
+    dataclass (an object of its fields, read by ``_read_fields``);
+    otherwise a ValueError that names ``key``."""
+    if is_dataclass(hint):
+        return hint(**_read_fields(hint, value, prefix=f"{key}."))
     args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:
         if not isinstance(value, (list, tuple)) or not value:
@@ -103,48 +111,44 @@ def _check(key: str, value, hint):
     return value
 
 
-def _read_fields(cls, raw: dict, what: str = "config") -> dict:
+def _read_fields(cls, raw: dict, what="config", prefix="") -> dict:
     """``raw``'s values checked against the annotations of the dataclass
-    ``cls``; a key that is not one of its fields is a ValueError."""
+    ``cls``, each key named with ``prefix``; a key that is not one of its
+    fields is a ValueError."""
     hints = typing.get_type_hints(cls)
-    unknown = sorted(set(raw) - set(hints))
+    unknown = sorted(prefix + key for key in set(raw) - set(hints))
     if unknown:
         raise ValueError(f"unknown {what} keys: {unknown}")
-    return {key: _check(key, value, hints[key]) for key, value in raw.items()}
+    return {key: _check(prefix + key, value, hints[key])
+            for key, value in raw.items()}
 
 
 def config_from_dict(raw: dict) -> RunConfig:
-    """The RunConfig of ``RunConfig.to_dict``'s JSON layout, where
-    ``dataset.name`` is optional, ``filter`` may be an alias and ``seeds``
-    and ``lambda_fair`` may be bare values.  The training values are checked
-    here, through one ``TrainConfig`` per seed and penalty weight."""
+    """The RunConfig of its JSON layout, where ``dataset.name`` is
+    optional, ``filter`` may be an alias and ``seeds`` and ``lambda_fair``
+    may be bare values.  The dataset name must not hold a path separator
+    or NUL, so that the run directory stays in ``out``.  The training
+    values are checked here, through ``RunConfig.train_config`` at each
+    seed and penalty weight."""
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
-    raw = dict(raw)
-    ds = raw.pop("dataset", None)
+    ds = raw.get("dataset")
     if not isinstance(ds, dict) or not {"edges", "features", "labels"} <= set(ds):
         raise ValueError("config needs dataset.{name,edges,features,labels}")
-    # a field name is a key only where the layout spells it so
-    unknown = sorted({f"dataset.{k}" for k in set(ds) - set(_DATASET_FIELDS)}
-                     | (set(raw) & {*_DATASET_FIELDS, "filter_kind"}))
-    if unknown:
-        raise ValueError(f"unknown config keys: {unknown}")
-    hints = typing.get_type_hints(RunConfig)
-    kwargs = {key: _check(f"dataset.{key}", value, hints[key])
-              for key, value in {"name": "dataset", **ds}.items()}
-    if "filter" in raw:
-        kind = _check("filter", raw.pop("filter"), hints["filter_kind"])
-        if kind not in FILTER_ALIASES:
-            raise ValueError(f"unknown filter: {kind!r}")
-        kwargs["filter_kind"] = FILTER_ALIASES[kind]
+    raw = dict(raw)
     for key in ("seeds", "lambda_fair"):
         if key in raw and not isinstance(raw[key], (list, tuple)):
             raw[key] = [raw[key]]
-    config = RunConfig(**kwargs, **_read_fields(RunConfig, raw))
+    config = RunConfig(**_read_fields(RunConfig, raw))
+    if config.filter not in FILTER_ALIASES:
+        raise ValueError(f"unknown filter: {config.filter!r}")
+    config = replace(config, filter=FILTER_ALIASES[config.filter])
+    if {os.sep, os.altsep, "\0"} & set(config.dataset.name):
+        raise ValueError("config key 'dataset.name' must not hold a path "
+                         f"separator or NUL, got {config.dataset.name!r}")
     for seed in config.seeds:
         for lam in config.lambda_fair:
-            TrainConfig(epochs=config.epochs, lr=config.lr, lambda_fair=lam,
-                        seed=seed)
+            config.train_config(seed, lam)
     return config
 
 
@@ -174,11 +178,12 @@ def _csv_cell(value) -> str:
 def _write_csv(path: str, header, rows) -> None:
     """Comma-separated file: ints bare, floats by ``repr`` (full
     precision), ``None`` and NaN as an empty cell (``null`` in
-    report.json), anything else as ``str``."""
-    lines = [",".join(header)]
-    lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    report.json), anything else as ``str``; a cell is quoted only where
+    it holds a comma, a quote or a newline."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_csv_cell(v) for v in row] for row in rows)
 
 
 def _mean_std(values) -> tuple[float, float]:
@@ -192,7 +197,7 @@ def prepare_dataset(config: RunConfig) -> tuple[Dataset, dict]:
     """The config's dataset, features normalized, and the counts of what
     loading and normalizing flagged (the report header's ``input``)."""
     dataset = load_dataset(
-        config.edges, config.features, config.labels,
+        config.dataset.edges, config.dataset.features, config.dataset.labels,
         self_loop_weight=config.self_loop_weight,
     )
     feats, counts = normalize_features(dataset.features, config.normalization)
@@ -214,12 +219,7 @@ def run_seed(dataset: Dataset, config: RunConfig, seed: int,
     """Train one model and score the fixed test pairs: AUC over all of
     them and over those within one refined group of the training view."""
     split = split_links(dataset, config.ratios, seed)
-    tc = TrainConfig(
-        filter_kind=config.filter_kind, hidden_dims=config.hidden_dims,
-        epochs=config.epochs, lr=config.lr, lambda_fair=lambda_fair,
-        seed=seed,
-    )
-    result = train(dataset, split, tc)
+    result = train(dataset, split, config.train_config(seed, lambda_fair))
     h = forward(result.model, result.train_nm, dataset.features)
     test_pairs = np.concatenate([split.test_pos, split.test_neg], axis=0)
     test_labels = np.zeros(test_pairs.shape[0])
@@ -317,7 +317,7 @@ def _drive(config: RunConfig, pipeline: str, run, tasks, summarize,
     payload = {
         "pipeline": pipeline,
         "config_hash": config.config_hash,
-        "config": config.to_dict(),
+        "config": asdict(config),
         "input": flagged,
         **fields,
     }
@@ -352,7 +352,7 @@ def _fit_theory(dataset: Dataset, config: RunConfig, seed: int, lam: float):
     alpha = alpha_vectors(run.result.model, dataset.features)
     return run, build_theory_report(run.result.train_view, alpha,
                                     run.test_pairs, run.test_scores,
-                                    config.filter_kind)
+                                    config.filter)
 
 
 def _theory_run(dataset: Dataset, config: RunConfig, seed: int,
@@ -440,7 +440,7 @@ def run_fairness_sweep(config: RunConfig) -> dict:
             d_mean, d_std = _mean_std([r["mean_delta"] for r in runs])
             a_mean, a_std = _mean_std([r["test_auc"] for r in runs])
             table.append({
-                "dataset": config.name, "lambda_fair": lam,
+                "dataset": config.dataset.name, "lambda_fair": lam,
                 "delta_mean": d_mean, "delta_std": d_std,
                 "auc_mean": a_mean, "auc_std": a_std,
             })
@@ -467,7 +467,7 @@ def _delta_run(dataset: Dataset, config: RunConfig, seed: int,
     est = delta(fitted_pairs, rows["tau_fitted"], group_of, dataset.t_labels)
     closed, disparity = delta_hat(run.result.train_view, report.rho2,
                                   report.c1, dataset.t_labels,
-                                  config.filter_kind)
+                                  config.filter)
     return _records({
         "seed": seed, "group": np.arange(assess.delta.size),
         "delta": assess.delta, "delta_hat": est.delta,
@@ -494,7 +494,7 @@ def run_delta_comparison(config: RunConfig) -> dict:
             "nrmse": nrmse(estimates, deltas).value,
             "points": scatter,
         }
-        if config.filter_kind == "random_walk":
+        if config.filter == "random_walk":
             reason = "estimate_zero_under_random_walk"
             fields.update(pcc=None, pcc_reason=reason, nrmse=None,
                           nrmse_reason=reason)
@@ -527,7 +527,7 @@ def run_train(config: RunConfig) -> dict:
             "history": ("history.csv", _write_csv, header,
                         run.result.history),
             "checkpoint": ("checkpoint.npz", save_checkpoint,
-                           run.result.model, seed, config.to_dict()),
+                           run.result.model, seed, asdict(config)),
         }
 
     return _drive(config, "train", run_seed, [(seed, lam)], summarize)

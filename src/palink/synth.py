@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -61,11 +61,6 @@ class SynthConfig:
     @property
     def n(self) -> int:
         return int(sum(self.sizes))
-
-    def to_dict(self) -> dict:
-        """The JSON layout: the fields by name, tuples as lists."""
-        return {f.name: list(v) if isinstance(v := getattr(self, f.name), tuple)
-                else v for f in fields(self)}
 
 
 def synth_generate(config: SynthConfig, out_dir: str) -> dict[str, str]:
@@ -135,7 +130,7 @@ def synth_generate(config: SynthConfig, out_dir: str) -> dict[str, str]:
         for i in range(n):
             fh.write(f"{i}\tg{group_of[i]}\t{'a' if t_is_a[i] else 'b'}\n")
     with open(paths["meta"], "w", encoding="utf-8") as fh:
-        json.dump({"config": config.to_dict(), "n": n,
+        json.dump({"config": asdict(config), "n": n,
                    "m": int(edges.shape[0])}, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return paths

@@ -2,6 +2,7 @@
 and the command-line entry point."""
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import multiprocessing
@@ -20,7 +21,6 @@ from palink.fairness import delta
 from palink.graphdata import within_group_structure
 from palink.metrics import nrmse, pcc
 from palink.pipelines import (
-    RunConfig,
     _write_csv,
     config_from_dict,
     prepare_dataset,
@@ -100,7 +100,7 @@ class TestConfigParsing:
 
     def test_defaults(self):
         cfg = config_from_dict(self.raw())
-        assert cfg.filter_kind == "symmetric"
+        assert cfg.filter == "symmetric"
         assert cfg.hidden_dims == (128, 64)
         assert cfg.epochs == 100
         assert cfg.lr == 0.01
@@ -126,9 +126,9 @@ class TestConfigParsing:
     def test_filter_aliases(self):
         raw = self.raw()
         raw["filter"] = "rw"
-        assert config_from_dict(raw).filter_kind == "random_walk"
+        assert config_from_dict(raw).filter == "random_walk"
         raw["filter"] = "symmetric"
-        assert config_from_dict(raw).filter_kind == "symmetric"
+        assert config_from_dict(raw).filter == "symmetric"
         raw["filter"] = "laplacian"
         with pytest.raises(ValueError):
             config_from_dict(raw)
@@ -141,8 +141,9 @@ class TestConfigParsing:
     ])
     def test_round_trip(self, extra):
         cfg = config_from_dict({**self.raw(), **extra})
-        assert config_from_dict(cfg.to_dict()) == cfg
-        assert config_from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+        assert config_from_dict(dataclasses.asdict(cfg)) == cfg
+        assert config_from_dict(
+            json.loads(json.dumps(dataclasses.asdict(cfg)))) == cfg
 
     def test_hash_of_the_default_layout_is_pinned(self):
         # every run directory name embeds this hash: a change to the JSON
@@ -162,7 +163,7 @@ class TestConfigParsing:
                 prefix, brace, names = key.partition("{")
                 names = names.rstrip("}").split(",") if brace else [""]
                 documented.update(prefix + name for name in names)
-        layout = config_from_dict(self.raw()).to_dict()
+        layout = dataclasses.asdict(config_from_dict(self.raw()))
         written = {f"dataset.{key}" for key in layout.pop("dataset")}
         assert documented == written | set(layout)
 
@@ -248,8 +249,9 @@ class TestValidateTheory:
         edges = [line for line in Path(paths["edges"]).read_text().splitlines()
                  if line.startswith("#") or "0" not in line.split()]
         (tmp_path / "edges.txt").write_text("\n".join(edges) + "\n")
-        cfg = dataclasses.replace(base_config(tiny_bed),
-                                  edges=str(tmp_path / "edges.txt"))
+        cfg = base_config(tiny_bed)
+        cfg = dataclasses.replace(cfg, dataset=dataclasses.replace(
+            cfg.dataset, edges=str(tmp_path / "edges.txt")))
         payload = run_validate_theory(cfg)
         report = json.loads(Path(payload["paths"]["report"]).read_text())
         lines = Path(payload["paths"]["pairs"]).read_text().splitlines()
@@ -354,7 +356,8 @@ class TestFairnessSweep:
                 node, s, _ = line.split("\t")
                 dst.write(f"{node}\t{s}\n")
         cfg = base_config(tiny_bed)
-        cfg = RunConfig(**{**cfg.__dict__, "labels": str(stripped)})
+        cfg = dataclasses.replace(cfg, dataset=dataclasses.replace(
+            cfg.dataset, labels=str(stripped)))
         with pytest.raises(ValueError):
             run_fairness_sweep(cfg)
 
@@ -630,10 +633,10 @@ def test_report_header_counts_what_loading_flagged(tiny_bed, tmp_path,
     feats[:, 0] = 0.0
     feats[0] = 0.0
     np.savetxt(tmp_path / "features.csv", feats, delimiter=",")
-    cfg = dataclasses.replace(
-        base_config(tiny_bed, seeds=[0], normalization=normalization),
-        edges=str(tmp_path / "edges.txt"),
-        features=str(tmp_path / "features.csv"))
+    cfg = base_config(tiny_bed, seeds=[0], normalization=normalization)
+    cfg = dataclasses.replace(cfg, dataset=dataclasses.replace(
+        cfg.dataset, edges=str(tmp_path / "edges.txt"),
+        features=str(tmp_path / "features.csv")))
     report = json.loads(Path(run_train(cfg)["paths"]["report"]).read_text())
     assert report["input"] == {"n_duplicate_edges": 1, **flagged}
 
@@ -786,6 +789,36 @@ class TestCli:
         assert ("'ascii' codec can't encode character '\\xe9'"
                 in out.stderr), out.stderr
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("name", ["../../escaped", "a\u0000b"],
+                             ids=["parent_dirs", "nul"])
+    def test_name_with_a_path_separator_or_nul_exits_2_before_any_input(
+            self, tmp_path, tiny_bed, capsys, name):
+        # the run directory would land two levels above out, or fail to be
+        # made only after the training; the edges file here is missing, so
+        # the name is rejected before any input is read
+        config_path = self.write_config(
+            tmp_path, tiny_bed,
+            dataset={"name": name, "edges": str(tmp_path / "no_edges.txt")})
+        assert main(["fairness-sweep", "--config", config_path]) == 2
+        assert capsys.readouterr().err.strip() == (
+            "error: config key 'dataset.name' must not hold a path "
+            f"separator or NUL, got {name!r}")
+        assert not (tmp_path / "runs").exists()
+
+    def test_comma_in_the_dataset_name_keeps_the_table_rectangular(
+            self, tmp_path, tiny_bed, capsys):
+        config_path = self.write_config(tmp_path, tiny_bed,
+                                        dataset={"name": "cora,v2"},
+                                        lambda_fair=[0.0, 1.0])
+        assert main(["fairness-sweep", "--config", config_path]) == 0
+        paths = json.loads(capsys.readouterr().out)
+        with open(paths["table"], encoding="utf-8", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        report = json.loads(Path(paths["report"]).read_text())
+        assert [row[0] for row in rows] == ["cora,v2", "cora,v2"]
+        assert rows == [[csv_cell(entry[key]) for key in header]
+                        for entry in report["table"]]
 
     def test_non_finite_training_exits_2(self, tmp_path, tiny_bed, capsys):
         config_path = self.write_config(tmp_path, tiny_bed, lr=1e200,

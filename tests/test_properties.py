@@ -4,12 +4,15 @@ against their sort-based and dense oracles, the subgroup gap against its
 enumeration oracle and under relabellings, block-spectrum gaps against
 per-group builds and, on the deflated Lanczos path, against dense
 eigensolves of connected blocks, the negative sampler against its dense
-oracle, blocked pair scores against one unblocked einsum, and the
-training gradients against finite differences.  Example generation is derandomized, so the
+oracle, blocked pair scores against one unblocked einsum, the
+training gradients against finite differences, and the run config's JSON
+layout through a round trip.  Example generation is derandomized, so the
 suite is deterministic and keeps no example database."""
 from __future__ import annotations
 
+import json
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 from unittest import mock
 
@@ -37,6 +40,11 @@ from palink.graphdata import (  # noqa: E402
     _pair_keys,
     make_dataset,
     within_group_structure,
+)
+from palink.pipelines import (  # noqa: E402
+    FILTER_ALIASES,
+    RunConfig,
+    config_from_dict,
 )
 from palink.spectral import (  # noqa: E402
     KINDS,
@@ -177,6 +185,59 @@ def synth_configs(draw):
         disparity_boost=float(draw(st.integers(0, 14))),
         feature_dim=2, seed=draw(st.integers(0, 2**32 - 1)))
     return config, draw(st.sampled_from([1, 7, 64, 1 << 22]))
+
+
+@st.composite
+def raw_run_configs(draw) -> dict:
+    """A valid run config as a user may write it: the filter as an alias or
+    its full name, ``seeds`` and ``lambda_fair`` bare or as lists, with and
+    without ``dataset.name``, and each other key there or not."""
+    text = st.text(st.characters(exclude_characters="/\\\0"), max_size=8)
+    numbers = st.one_of(st.integers(0, 100), st.floats(0.0, 1e6))
+    raw = {"dataset": {key: draw(text)
+                       for key in ("edges", "features", "labels")}}
+    if draw(st.booleans()):
+        raw["dataset"]["name"] = draw(text)
+    seeds, lambdas = st.integers(0, 2**31), numbers
+    optional = {
+        "filter": st.sampled_from(sorted(FILTER_ALIASES)),
+        "seeds": st.one_of(seeds, st.lists(seeds, min_size=1, max_size=3)),
+        "lambda_fair": st.one_of(lambdas,
+                                 st.lists(lambdas, min_size=1, max_size=3)),
+        "normalization": st.sampled_from(["none", "row_sum_one",
+                                          "minmax_signed"]),
+        "self_loop_weight": numbers,
+        "hidden_dims": st.lists(st.integers(1, 256), min_size=1, max_size=3),
+        "epochs": st.integers(1, 1000),
+        "lr": numbers,
+        "ratios": st.lists(st.floats(0.01, 0.98), min_size=3, max_size=3),
+        "out": text,
+    }
+    for key, values in optional.items():
+        if draw(st.booleans()):
+            raw[key] = draw(values)
+    return raw
+
+
+class TestRunConfigLayoutProperties:
+    @deterministic
+    @given(raw_run_configs())
+    def test_layout_round_trips_through_json(self, raw):
+        config = config_from_dict(raw)
+        assert config_from_dict(json.loads(json.dumps(asdict(config)))) == \
+            config
+
+    @deterministic
+    @given(raw_run_configs())
+    def test_hash_ignores_how_the_filter_is_spelled(self, raw):
+        kind = config_from_dict(raw).filter
+        spellings = [{**raw, "filter": alias}
+                     for alias, named in FILTER_ALIASES.items()
+                     if named == kind]
+        if kind == RunConfig.filter:
+            spellings.append({k: v for k, v in raw.items() if k != "filter"})
+        hashes = {config_from_dict(r).config_hash for r in spellings}
+        assert len(spellings) >= 2 and len(hashes) == 1
 
 
 class TestPairKeyProperties:

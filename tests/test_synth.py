@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -50,8 +51,6 @@ class TestConfig:
     def test_per_group_values(self):
         cfg = SynthConfig(sizes=(10, 20), t1_fraction=(0.2, 0.4),
                           disparity_boost=(0.0, 3.0))
-        assert cfg.to_dict()["t1_fraction"] == [0.2, 0.4]
-        assert cfg.to_dict()["disparity_boost"] == [0.0, 3.0]
         assert (cfg.t1_fraction, cfg.disparity_boost) == ((0.2, 0.4), (0.0, 3.0))
         spread = SynthConfig(sizes=(10, 20), t1_fraction=0.5, disparity_boost=2)
         assert (spread.t1_fraction, spread.disparity_boost) == ((0.5, 0.5),
@@ -83,7 +82,7 @@ class TestGenerate:
         meta = json.loads(Path(paths["meta"]).read_text())
         assert ds.n == meta["n"] == cfg.n
         assert ds.m == meta["m"]
-        assert meta["config"] == cfg.to_dict()
+        assert meta["config"] == json.loads(json.dumps(asdict(cfg)))
         # contiguous blocks in the declared sizes
         counts = np.bincount(ds.s_labels)
         np.testing.assert_array_equal(counts, cfg.sizes)

@@ -48,7 +48,11 @@ class DatasetFiles:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A run's settings; ``dataclasses.asdict`` writes its JSON layout."""
+    """A run's settings; ``dataclasses.asdict`` writes its JSON layout.
+    Built by ``config_from_dict``, ``RunConfig(...)`` or ``replace``, it
+    stores the filter's full name and a bare seed or weight as a 1-tuple;
+    a name that is not printable or holds a path separator, an unencodable
+    run directory or a value ``TrainConfig`` rejects is a ValueError."""
 
     dataset: DatasetFiles
     normalization: str = "none"
@@ -58,9 +62,26 @@ class RunConfig:
     epochs: int = TrainConfig.epochs
     lr: float = TrainConfig.lr
     ratios: tuple[float, float, float] = DEFAULT_RATIOS
-    seeds: tuple[int, ...] = tuple(range(10))
-    lambda_fair: tuple[float, ...] = (0.0, 1.0, 2.0, 4.0)
+    seeds: int | tuple[int, ...] = tuple(range(10))
+    lambda_fair: float | tuple[float, ...] = (0.0, 1.0, 2.0, 4.0)
     out: str = "runs"
+
+    def __post_init__(self):
+        if self.filter not in FILTER_ALIASES:
+            raise ValueError(f"unknown filter: {self.filter!r}")
+        object.__setattr__(self, "filter", FILTER_ALIASES[self.filter])
+        name = self.dataset.name
+        if not name.isprintable() or {os.sep, os.altsep} & set(name):
+            raise ValueError("config key 'dataset.name' must be printable, "
+                             f"with no path separator, got {name!r}")
+        for key in ("seeds", "lambda_fair"):
+            value = getattr(self, key)
+            object.__setattr__(self, key, tuple(value) if isinstance(
+                value, (list, tuple)) else (value,))
+        os.fsencode(self.run_dir(""))
+        for seed in self.seeds:
+            for lam in self.lambda_fair:
+                self.train_config(seed, lam)
 
     @property
     def config_hash(self) -> str:
@@ -86,12 +107,12 @@ _JSON_TYPES = {int: ((int,), "an integer"),
 
 
 def _check(key: str, value, hint):
-    """``value`` as a value of the field type ``hint``: int, float (a
+    """``value`` made a value of the field type ``hint``: int, float (a
     finite number a float holds; an integer counts, a boolean does not), str,
-    ``tuple[T, ...]`` (a non-empty list, its items made T; a fixed length
-    is left to the user of the field), ``T | tuple[T, ...]`` or a
-    dataclass (an object of its fields, read by ``_read_fields``);
-    otherwise a ValueError that names ``key``."""
+    ``tuple[T, ...]`` (a non-empty list of T; a fixed length is left to the
+    user of the field), ``T | tuple[T, ...]`` or a dataclass (an object of
+    its fields, read by ``_read_fields``); otherwise a ValueError that
+    names ``key``."""
     if is_dataclass(hint):
         return hint(**_read_fields(hint, value, prefix=f"{key}."))
     args = typing.get_args(hint)
@@ -99,7 +120,7 @@ def _check(key: str, value, hint):
         if not isinstance(value, (list, tuple)) or not value:
             raise ValueError(f"config key {key!r} must be a non-empty list, "
                              f"got {value!r}")
-        return tuple(args[0](_check(key, v, args[0])) for v in value)
+        return tuple(_check(key, v, args[0]) for v in value)
     if args:  # T | tuple[T, ...]
         return _check(key, value, args[isinstance(value, (list, tuple))])
     types, name = _JSON_TYPES[hint]
@@ -108,7 +129,7 @@ def _check(key: str, value, hint):
     # NaN and an int past the float range fail this too
     if hint is float and not abs(value) <= sys.float_info.max:
         raise ValueError(f"config key {key!r} must be finite, got {value!r}")
-    return value
+    return hint(value)
 
 
 def _read_fields(cls, raw: dict, what="config", prefix="") -> dict:
@@ -125,31 +146,13 @@ def _read_fields(cls, raw: dict, what="config", prefix="") -> dict:
 
 def config_from_dict(raw: dict) -> RunConfig:
     """The RunConfig of its JSON layout, where ``dataset.name`` is
-    optional, ``filter`` may be an alias and ``seeds`` and ``lambda_fair``
-    may be bare values.  The dataset name must not hold a path separator
-    or NUL, so that the run directory stays in ``out``.  The training
-    values are checked here, through ``RunConfig.train_config`` at each
-    seed and penalty weight."""
+    optional; ``_read_fields`` reads each value as its field's type."""
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
     ds = raw.get("dataset")
     if not isinstance(ds, dict) or not {"edges", "features", "labels"} <= set(ds):
         raise ValueError("config needs dataset.{name,edges,features,labels}")
-    raw = dict(raw)
-    for key in ("seeds", "lambda_fair"):
-        if key in raw and not isinstance(raw[key], (list, tuple)):
-            raw[key] = [raw[key]]
-    config = RunConfig(**_read_fields(RunConfig, raw))
-    if config.filter not in FILTER_ALIASES:
-        raise ValueError(f"unknown filter: {config.filter!r}")
-    config = replace(config, filter=FILTER_ALIASES[config.filter])
-    if {os.sep, os.altsep, "\0"} & set(config.dataset.name):
-        raise ValueError("config key 'dataset.name' must not hold a path "
-                         f"separator or NUL, got {config.dataset.name!r}")
-    for seed in config.seeds:
-        for lam in config.lambda_fair:
-            config.train_config(seed, lam)
-    return config
+    return RunConfig(**_read_fields(RunConfig, raw))
 
 
 def _jsonable(obj):
@@ -305,13 +308,17 @@ def _drive(config: RunConfig, pipeline: str, run, tasks, summarize,
     makes of the results) and the files it names, role -> ``(file name,
     write, *args)``; return the report with the written ``paths``.  A
     non-empty ``needs_subgroups`` asks for subgroup labels.  The run
-    directory is made only once every run has succeeded, but a name the
-    file-system encoding cannot hold fails before the first run."""
+    directory is made only once every run has succeeded, but an existing
+    file in its place or in that of an ancestor fails before the first run."""
     dataset, flagged = prepare_dataset(config)
     if needs_subgroups and dataset.t_labels is None:
         raise ValueError(f"{needs_subgroups} requires subgroup labels")
-    out_dir = config.run_dir(pipeline)
-    os.fsencode(out_dir)
+    out_dir = ancestor = config.run_dir(pipeline)
+    while ancestor and not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if ancestor and not os.path.isdir(ancestor):
+        raise NotADirectoryError(f"run directory {out_dir!r} cannot be made: "
+                                 f"{ancestor!r} is not a directory")
     fields, files = summarize(_map_runs(run, dataset, config, tasks))
     os.makedirs(out_dir, exist_ok=True)
     payload = {
@@ -430,7 +437,7 @@ def run_fairness_sweep(config: RunConfig) -> dict:
     Rows are sorted by lambda descending.  Writes report.json and
     fairness_table.csv.
     """
-    lambdas = sorted((float(lam) for lam in config.lambda_fair), reverse=True)
+    lambdas = sorted(config.lambda_fair, reverse=True)
     n_seeds = len(config.seeds)
 
     def summarize(detail):

@@ -27,9 +27,9 @@ def write_files(tmp_path, edges_text, features_text, labels_text):
     e = tmp_path / "edges.txt"
     f = tmp_path / "features.csv"
     l = tmp_path / "labels.tsv"
-    e.write_text(edges_text)
-    f.write_text(features_text)
-    l.write_text(labels_text)
+    e.write_text(edges_text, encoding="utf-8")
+    f.write_text(features_text, encoding="utf-8")
+    l.write_text(labels_text, encoding="utf-8")
     return str(e), str(f), str(l)
 
 

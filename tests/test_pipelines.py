@@ -129,6 +129,10 @@ class TestConfigParsing:
         assert config_from_dict(raw).filter == "random_walk"
         raw["filter"] = "symmetric"
         assert config_from_dict(raw).filter == "symmetric"
+        cfg = dataclasses.replace(config_from_dict(raw), filter="rw")
+        assert cfg.filter == "random_walk"
+        assert cfg.run_dir("train") == os.path.join(
+            "runs", f"x_train_rw_{cfg.config_hash}")
         raw["filter"] = "laplacian"
         with pytest.raises(ValueError):
             config_from_dict(raw)
@@ -152,7 +156,7 @@ class TestConfigParsing:
 
     def test_readme_lists_every_config_key(self):
         readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
-        with open(readme) as fh:
+        with open(readme, encoding="utf-8") as fh:
             text = fh.read()
         table = text.split("| key | default | meaning |", 1)[1]
         table = table.split("\n\n", 1)[0]
@@ -169,7 +173,7 @@ class TestConfigParsing:
 
     def test_readme_library_example_runs(self, tiny_bed, capsys):
         readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
-        with open(readme) as fh:
+        with open(readme, encoding="utf-8") as fh:
             text = fh.read()
         block = text.split("## Library usage", 1)[1]
         block = block.split("```python\n", 1)[1].split("\n```", 1)[0]
@@ -187,6 +191,7 @@ class TestConfigParsing:
         cfg = config_from_dict(raw)
         assert cfg.seeds == (7,)
         assert cfg.lambda_fair == (2.0,)
+        assert pipelines.RunConfig(dataset=cfg.dataset, seeds=3).seeds == (3,)
 
     def test_hash_ignores_out_but_tracks_settings(self):
         a = config_from_dict(self.raw())
@@ -198,6 +203,18 @@ class TestConfigParsing:
         raw["lr"] = 0.05
         c = config_from_dict(raw)
         assert a.config_hash != c.config_hash
+        # an integer for a float key is that float
+        d, e = (config_from_dict({**self.raw(), "lr": lr}) for lr in (1, 1.0))
+        assert (d.config_hash, d.run_dir("x")) == (e.config_hash,
+                                                   e.run_dir("x"))
+
+    def test_replace_applies_the_config_rules(self):
+        cfg = config_from_dict(self.raw())
+        with pytest.raises(ValueError, match="'dataset.name' must be"):
+            dataclasses.replace(cfg, dataset=dataclasses.replace(
+                cfg.dataset, name="../../up"))
+        with pytest.raises(ValueError, match="lambda_fair must be >= 0"):
+            dataclasses.replace(cfg, lambda_fair=(-1.0,))
 
     def test_run_dir_embeds_name_filter_hash(self):
         raw = self.raw()
@@ -765,13 +782,10 @@ class TestCli:
         assert out.returncode == 0, out.stderr
         assert len(list((tmp_path / "runs").iterdir())) == 4
 
-    def test_unencodable_run_directory_exits_2_before_training(
-            self, tmp_path, tiny_bed):
-        # under an ASCII file-system encoding the run directory's name
-        # cannot be made, and that exits 2 before the first run, which
-        # here would exit 7
-        config_path = self.write_config(tmp_path, tiny_bed,
-                                        dataset={"name": "caf\u00e9"})
+    @staticmethod
+    def train_where_a_run_exits_7(tmp_path, config_path, **env):
+        """``palink train`` on ``config_path`` in a new process whose
+        ``run_seed`` exits 7, with ``env`` added to the environment."""
         code = (
             "import os, sys\n"
             "from palink import pipelines\n"
@@ -780,18 +794,43 @@ class TestCli:
             "sys.exit(main(sys.argv[1:]))\n"
         )
         src = os.path.dirname(os.path.dirname(pipelines.__file__))
-        env = dict(os.environ, PYTHONPATH=src, PYTHONCOERCECLOCALE="0",
-                   PYTHONUTF8="0", LC_ALL="C")
-        out = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-c", code, "train", "--config", config_path],
-            cwd=tmp_path, env=env, capture_output=True, text=True)
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src, **env),
+            capture_output=True, text=True)
+
+    def test_unencodable_run_directory_exits_2_before_training(
+            self, tmp_path, tiny_bed):
+        # under an ASCII file-system encoding the run directory's name
+        # cannot be made, and that exits 2 before the first run, which
+        # here would exit 7
+        config_path = self.write_config(tmp_path, tiny_bed,
+                                        dataset={"name": "caf\u00e9"})
+        out = self.train_where_a_run_exits_7(
+            tmp_path, config_path, PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+            LC_ALL="C")
         assert out.returncode == 2, out.stderr
         assert ("'ascii' codec can't encode character '\\xe9'"
                 in out.stderr), out.stderr
         assert not (tmp_path / "runs").exists()
 
-    @pytest.mark.parametrize("name", ["../../escaped", "a\u0000b"],
-                             ids=["parent_dirs", "nul"])
+    def test_out_under_a_file_exits_2_before_training(self, tmp_path,
+                                                      tiny_bed):
+        # the run directory cannot be made under a file, and that exits 2
+        # before the first run, which here would exit 7
+        (tmp_path / "d").mkdir()
+        (tmp_path / "d" / "edges.txt").write_text("")
+        config_path = self.write_config(tmp_path, tiny_bed,
+                                        out=str(tmp_path / "d" / "edges.txt"))
+        out = self.train_where_a_run_exits_7(tmp_path, config_path)
+        assert out.returncode == 2, out.stderr
+        assert out.stderr.endswith(
+            f"{str(tmp_path / 'd' / 'edges.txt')!r} is not a directory\n")
+        assert os.listdir(tmp_path / "d") == ["edges.txt"]
+
+    @pytest.mark.parametrize(
+        "name", ["../../escaped", "a\u0000b", "a\rb", "a\nb", "a\tb"],
+        ids=["parent_dirs", "nul", "carriage_return", "newline", "tab"])
     def test_name_with_a_path_separator_or_nul_exits_2_before_any_input(
             self, tmp_path, tiny_bed, capsys, name):
         # the run directory would land two levels above out, or fail to be
@@ -802,8 +841,8 @@ class TestCli:
             dataset={"name": name, "edges": str(tmp_path / "no_edges.txt")})
         assert main(["fairness-sweep", "--config", config_path]) == 2
         assert capsys.readouterr().err.strip() == (
-            "error: config key 'dataset.name' must not hold a path "
-            f"separator or NUL, got {name!r}")
+            "error: config key 'dataset.name' must be printable, with no "
+            f"path separator, got {name!r}")
         assert not (tmp_path / "runs").exists()
 
     def test_comma_in_the_dataset_name_keeps_the_table_rectangular(
@@ -1120,7 +1159,7 @@ class TestCli:
 
     def test_readme_command_line_example_runs(self, tmp_path, monkeypatch):
         readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
-        with open(readme) as fh:
+        with open(readme, encoding="utf-8") as fh:
             text = fh.read()
         block = text.split("## Command-line usage", 1)[1]
         block = block.split("```bash\n", 1)[1].split("\n```", 1)[0]
@@ -1131,7 +1170,7 @@ class TestCli:
         assert len(files) == 2 and len(commands) == 5
         monkeypatch.chdir(tmp_path)
         for name, body in files:
-            (tmp_path / name).write_text(body)
+            (tmp_path / name).write_text(body, encoding="utf-8")
         for argv in commands:
             assert main(argv) == 0, argv
 

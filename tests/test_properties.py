@@ -11,6 +11,7 @@ suite is deterministic and keeps no example database."""
 from __future__ import annotations
 
 import json
+import sys
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
@@ -191,13 +192,20 @@ def synth_configs(draw):
 def raw_run_configs(draw) -> dict:
     """A valid run config as a user may write it: the filter as an alias or
     its full name, ``seeds`` and ``lambda_fair`` bare or as lists, with and
-    without ``dataset.name``, and each other key there or not."""
-    text = st.text(st.characters(exclude_characters="/\\\0"), max_size=8)
+    without ``dataset.name``, and each other key there or not.  Its text
+    is what the file-system encoding holds, and the name is printable."""
+    encoding = sys.getfilesystemencoding()
+    text = st.text(st.characters(codec=encoding,
+                                 exclude_characters="/\\\0"), max_size=8)
+    name = st.text(st.characters(codec=encoding,
+                                 categories=("L", "M", "N", "P", "S"),
+                                 include_characters=" ",
+                                 exclude_characters="/\\"), max_size=8)
     numbers = st.one_of(st.integers(0, 100), st.floats(0.0, 1e6))
     raw = {"dataset": {key: draw(text)
                        for key in ("edges", "features", "labels")}}
     if draw(st.booleans()):
-        raw["dataset"]["name"] = draw(text)
+        raw["dataset"]["name"] = draw(name)
     seeds, lambdas = st.integers(0, 2**31), numbers
     optional = {
         "filter": st.sampled_from(sorted(FILTER_ALIASES)),

@@ -1,8 +1,9 @@
 """Graph convolutional encoder for link prediction, from first principles.
 
 Layers compute H_l = act(P @ H_{l-1} @ W_l^T) with ReLU inside and identity
-at the top; no biases; a narrowing layer transforms before it propagates
-(``_transforms_first``).  Link scores are inner products of the final
+at the top; no biases.  The first layer multiplies ``P X``, which training
+computes once per run, and every later layer transforms before it
+propagates, ``P (H W^T)``.  Link scores are inner products of the final
 representations.  Gradients are exact reverse-mode derivatives of the
 binary cross-entropy plus the subgroup-gap penalty, written out by hand so
 they can be checked against finite differences.
@@ -93,40 +94,28 @@ def _check_compat(model: Model, nm: NormalizedMatrix, features: np.ndarray):
         raise ValueError("feature rows must match operator size")
 
 
-def _transforms_first(l: int, w: np.ndarray) -> bool:
-    """Whether layer ``l`` computes ``P @ (H W^T)``: when W narrows it, so
-    ``P`` acts on ``min(in, out)`` columns.  Layer 0's ``P @ X`` is
-    constant, so it always propagates first."""
-    return l > 0 and w.shape[0] < w.shape[1]
-
-
 def _forward_cached(model: Model, nm: NormalizedMatrix, features, px=None,
                     linear: bool = False):
-    """Forward pass keeping what each W_l multiplies (``P @ H_{l-1}``, or
-    ``H_{l-1}`` if ``_transforms_first``) and each layer's output H_l.
+    """Forward pass keeping what each W_l multiplies and each layer's output
+    H_l: ``(H_L, [P X, H_1, ..., H_{L-1}], [H_1, ..., H_L])``.
 
-    ``px`` optionally supplies a precomputed P @ features for the first
-    layer (it is constant across epochs); ``linear=True`` forces identity
-    activations at every layer.  ReLU is applied in place.
+    The first layer computes ``(P X) W_1^T`` and each later one ``P (H_{l-1}
+    W_l^T)``.  ``px`` optionally supplies a precomputed ``P X`` (it is
+    constant across epochs); ``linear=True`` forces identity activations at
+    every layer.  ReLU is applied in place.
     """
     features = _float_array(features)
     _check_compat(model, nm, features)
-    h, dtype = features, features.dtype
-    inputs = []  # what W_l multiplies
-    outs = []  # H_l
-    L = model.n_layers
+    if px is None:
+        px = nm.matrix @ features
+    outs, L = [], model.n_layers
     for l, w in enumerate(model.weights):
-        w = w.astype(dtype, copy=False)
-        if _transforms_first(l, w):
-            inputs.append(h)
-            h = nm.matrix @ (h @ w.T)
-        else:
-            inputs.append(px if l == 0 and px is not None else nm.matrix @ h)
-            h = inputs[-1] @ w.T
+        w = w.astype(features.dtype, copy=False)
+        h = px @ w.T if l == 0 else nm.matrix @ (h @ w.T)
         if not (linear or l == L - 1):
             np.maximum(h, 0.0, out=h)
         outs.append(h)
-    return h, inputs, outs
+    return h, [px, *outs[:-1]], outs
 
 
 def forward(model: Model, nm: NormalizedMatrix, features, linear: bool = False):
@@ -289,17 +278,15 @@ def loss_and_gradients(model: Model, pair_state: PairState, neg_pairs,
     grads: list[np.ndarray] = [np.empty(0)] * L
     g = pair_state.gradient(h, dscore)
     for l, w in reversed(list(enumerate(model.weights))):
-        first = _transforms_first(l, w)
         if l < L - 1:
             # H_l > 0 exactly where Z_l > 0 (NaN in neither); g is a
             # sparse product's or a G W product's new array
             g *= outs[l] > 0.0
-        if first:
-            g = pair_state.pt @ g  # gradient of the transformed H_{l-1} W_l^T
+        if l > 0:
+            g = pair_state.pt @ g  # gradient of H_{l-1} W_l^T
         # each gradient at its weight's width, as Adam updates the weight
         grads[l] = _weight_gradient(g, inputs[l]).astype(w.dtype, copy=False)
         if l > 0:
-            gw = g @ w.astype(dtype, copy=False)
-            g = gw if first else pair_state.pt @ gw
+            g = g @ w.astype(dtype, copy=False)
 
     return bce + penalty, bce, penalty, grads

@@ -252,11 +252,11 @@ def _parse_labels_file(path: str, n: int):
             lines = fh.read().split("\n")
     except UnicodeDecodeError:  # which names no line
         lines = _lines(path)  # raises DatasetError naming the line
-    rows = [line.split("\t") for line in lines if _is_row(line)]
+    numbers = [i for i, line in enumerate(lines, start=1) if _is_row(line)]
+    rows = [lines[i - 1].split("\t") for i in numbers]
     widths = {len(toks) for toks in rows}
     node_ids = _read([toks[0] for toks in rows], np.int64)
     if node_ids is None or not widths <= {2, 3}:  # name the first bad line
-        numbers = (i for i, line in enumerate(lines, start=1) if _is_row(line))
         for lineno, toks in zip(numbers, rows):
             if len(toks) not in (2, 3):
                 raise DatasetError(f"{path}:{lineno}: expected 2 or 3 "
@@ -267,11 +267,13 @@ def _parse_labels_file(path: str, n: int):
     if len(rows) != n:
         raise DatasetError(f"{path}: {len(rows)} label rows for {n} nodes")
     seen = bytearray(n)
-    for nid in node_ids.tolist():
+    for lineno, nid in zip(numbers, node_ids.tolist()):
         if not 0 <= nid < n:
-            raise DatasetError(f"{path}: node id {nid} outside 0..{n - 1}")
+            raise DatasetError(
+                f"{path}:{lineno}: node id {nid} outside 0..{n - 1}")
         if seen[nid]:
-            raise DatasetError(f"{path}: duplicate label row for node {nid}")
+            raise DatasetError(
+                f"{path}:{lineno}: duplicate label row for node {nid}")
         seen[nid] = 1
     if widths == {2, 3}:
         raise DatasetError(f"{path}: subgroup column present on only some rows")

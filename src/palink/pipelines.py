@@ -50,9 +50,10 @@ class DatasetFiles:
 class RunConfig:
     """A run's settings; ``dataclasses.asdict`` writes its JSON layout.
     Built by ``config_from_dict``, ``RunConfig(...)`` or ``replace``, it
-    stores the filter's full name and a bare seed or weight as a 1-tuple;
-    a name that is not printable or holds a path separator, an unencodable
-    run directory or a value ``TrainConfig`` rejects is a ValueError."""
+    reads each value as its field's type (``_check``), and stores the
+    filter's full name and a bare seed or weight as a 1-tuple; a name that
+    is not printable or holds a path separator, an unencodable run
+    directory or a value ``TrainConfig`` rejects is a ValueError."""
 
     dataset: DatasetFiles
     normalization: str = "none"
@@ -67,6 +68,8 @@ class RunConfig:
     out: str = "runs"
 
     def __post_init__(self):
+        for key, value in _read_fields(RunConfig, vars(self)).items():
+            object.__setattr__(self, key, value)
         if self.filter not in FILTER_ALIASES:
             raise ValueError(f"unknown filter: {self.filter!r}")
         object.__setattr__(self, "filter", FILTER_ALIASES[self.filter])
@@ -76,8 +79,8 @@ class RunConfig:
                              f"with no path separator, got {name!r}")
         for key in ("seeds", "lambda_fair"):
             value = getattr(self, key)
-            object.__setattr__(self, key, tuple(value) if isinstance(
-                value, (list, tuple)) else (value,))
+            if not isinstance(value, tuple):
+                object.__setattr__(self, key, (value,))
         os.fsencode(self.run_dir(""))
         for seed in self.seeds:
             for lam in self.lambda_fair:
@@ -110,11 +113,12 @@ def _check(key: str, value, hint):
     """``value`` made a value of the field type ``hint``: int, float (a
     finite number a float holds; an integer counts, a boolean does not), str,
     ``tuple[T, ...]`` (a non-empty list of T; a fixed length is left to the
-    user of the field), ``T | tuple[T, ...]`` or a dataclass (an object of
-    its fields, read by ``_read_fields``); otherwise a ValueError that
-    names ``key``."""
+    user of the field), ``T | tuple[T, ...]`` or a dataclass (an instance
+    or an object of its fields, read by ``_read_fields``); otherwise a
+    ValueError that names ``key``."""
     if is_dataclass(hint):
-        return hint(**_read_fields(hint, value, prefix=f"{key}."))
+        fields = vars(value) if isinstance(value, hint) else value
+        return hint(**_read_fields(hint, fields, prefix=f"{key}."))
     args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:
         if not isinstance(value, (list, tuple)) or not value:

@@ -439,9 +439,7 @@ class TestGradients:
 
     def test_one_shot_calls_keep_their_results(self):
         # forward and the loss make their own arrays, so a later call
-        # writes over nothing an earlier one returned;
-        # (8, 3, 6) ends in a widening layer, whose output is a dense
-        # array of the call's own rather than a sparse product's
+        # writes over nothing an earlier one returned
         ds, nm, model, pos, neg, group_of, t = gradient_instance(
             56, hidden=(8, 3, 6))
         h = forward(model, nm, ds.features)
@@ -459,8 +457,9 @@ class TestGradients:
             np.testing.assert_array_equal(a, b)
 
 
-# (8, 3, 6) has a narrowing layer between two widening ones; (4, 16) has
-# none after the first layer, which always propagates first.
+# The first layer propagates first and every later one transforms first,
+# whatever its shape: (8, 3, 6) has a narrowing layer between two widening
+# ones, and (4, 16) widens after the first layer.
 ORDER_CASES = [
     pytest.param(hidden, kind, id="x".join(map(str, hidden)) + "-" + kind)
     for hidden in [(8, 3, 6), (4, 16)] for kind in KINDS
@@ -529,17 +528,24 @@ class TestPropagationOrder:
         want = propagate_first_bce_grads(model, nm, ds.features, pos, neg)
         assert gradient_error(grads, want) < 1e-10
 
-    def test_sparse_products_run_at_the_narrower_width(self):
+    @pytest.mark.parametrize("hidden,want", [
+        # P @ X, then P @ (H_1 W_2^T) forward and P^T G_2 backward
+        pytest.param((128, 64), [16, 64, 64], id="128x64"),
+        # the same products where the second layer widens 4 -> 16, so it
+        # costs more than propagating first would
+        pytest.param((4, 16), [16, 16, 16], id="4x16"),
+    ])
+    def test_layers_after_the_first_transform_before_they_propagate(
+            self, hidden, want):
         rng = np.random.default_rng(55)
         ds = random_planted_dataset(rng, n_max=40, feature_dim=16)
         nm = normalized_matrix(ds, "symmetric")
         widths = []
         recording = dataclasses.replace(
             nm, matrix=_WidthRecorder(nm.matrix, widths))
-        model = init_model(16, (128, 64), "symmetric", seed=55)
+        model = init_model(16, hidden, "symmetric", seed=55)
         neg = rng.integers(0, ds.n, size=(ds.m, 2))
         state = PairState(ds.edges, len(neg), recording, np.float64)
         loss_and_gradients(model, state, neg,
                            _forward_cached(model, recording, ds.features))
-        # P @ X, then P @ (H_1 W_2^T) forward and P^T G_2 backward
-        assert widths == [16, 64, 64]
+        assert widths == want

@@ -167,7 +167,9 @@ class TestLoader:
         ("0 1\n", "1.0\n2.0\n", b"# c\n\n0\ta\nx\ta\n", 2,
          ":4: non-integer node id\n"),
         ("0 1\n", "1.0\n2.0\n", b"0\ta\n5\ta\n", 2,
-         ": node id 5 outside 0..1\n"),
+         ":2: node id 5 outside 0..1\n"),
+        ("0 1\n", "1.0\n2.0\n", b"# c\n1\ta\n1\tb\n", 2,
+         ":3: duplicate label row for node 1\n"),
         ("0 1\n", "1_0\n2.0\n", b"0\ta\n1\ta\n", 1,
          ":1: '1_0' is not a number\n"),
         ("0 1\n", "1.0\n2.0\n", b"0\ta\n1_0\ta\n", 2,
@@ -190,6 +192,7 @@ class TestLoader:
     ], ids=["endpoint_outside", "self_edge", "empty_features",
             "feature_token", "feature_short_row", "labels_not_utf8",
             "label_fields", "label_node_id", "label_node_outside",
+            "label_node_duplicate",
             "feature_underscore", "label_node_underscore",
             "label_node_non_ascii", "label_node_id_before_fields",
             "label_node_comma", "edge_node_past_int64",

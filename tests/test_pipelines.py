@@ -207,6 +207,11 @@ class TestConfigParsing:
         d, e = (config_from_dict({**self.raw(), "lr": lr}) for lr in (1, 1.0))
         assert (d.config_hash, d.run_dir("x")) == (e.config_hash,
                                                    e.run_dir("x"))
+        # and so in a config built in Python
+        f, g = (dataclasses.replace(a, lr=lr) for lr in (1, 1.0))
+        assert (f.config_hash, f.run_dir("x")) == (g.config_hash,
+                                                   g.run_dir("x"))
+        assert f.config_hash == e.config_hash
 
     def test_replace_applies_the_config_rules(self):
         cfg = config_from_dict(self.raw())
@@ -215,6 +220,13 @@ class TestConfigParsing:
                 cfg.dataset, name="../../up"))
         with pytest.raises(ValueError, match="lambda_fair must be >= 0"):
             dataclasses.replace(cfg, lambda_fair=(-1.0,))
+        # each value is read as its field's type
+        with pytest.raises(ValueError, match="'lr' must be a number"):
+            dataclasses.replace(cfg, lr=True)
+        with pytest.raises(ValueError, match="'epochs' must be an integer"):
+            dataclasses.replace(cfg, epochs=2.5)
+        assert dataclasses.replace(cfg, hidden_dims=[4]).hidden_dims == (4,)
+        assert isinstance(dataclasses.replace(cfg, lr=1).lr, float)
 
     def test_run_dir_embeds_name_filter_hash(self):
         raw = self.raw()

@@ -1,10 +1,11 @@
 """Evaluation metrics: ROC-AUC, NRMSE, Pearson correlation, and the
 within-group degree ratio.
 
-All metrics return a MetricValue: a metric that is undefined on its input
-(one class, no samples, too few samples, a flat range, zero variance or no
-positive degree) is NaN with a ``reason`` naming why, instead of raising.
-Misshapen or mislabelled inputs still raise.
+All metrics return a MetricValue carrying the number of samples: a metric
+that is undefined on its input (one class, no samples, too few samples, a
+flat range, zero variance or no positive degree) is NaN with a ``reason``
+naming why, instead of raising.  Misshapen or mislabelled inputs still
+raise.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ import numpy as np
 @dataclass(frozen=True)
 class MetricValue:
     value: float
+    n: int
     reason: str = ""  # why ``value`` is NaN; "" where it is defined
 
 
@@ -36,12 +38,12 @@ def roc_auc(scores, labels) -> MetricValue:
     if pos.size + neg.size != scores.size:
         raise ValueError("labels must be 0 or 1")
     if pos.size == 0 or neg.size == 0:
-        return MetricValue(float("nan"), "one_class")
+        return MetricValue(float("nan"), scores.size, "one_class")
 
     below = np.searchsorted(neg, pos, side="left")
     tied = np.searchsorted(neg, pos, side="right") - below
     u = below.sum() + 0.5 * tied.sum()
-    return MetricValue(float(u / (pos.size * neg.size)))
+    return MetricValue(float(u / (pos.size * neg.size)), scores.size)
 
 
 def nrmse(predictions, targets) -> MetricValue:
@@ -51,12 +53,12 @@ def nrmse(predictions, targets) -> MetricValue:
     if predictions.shape != targets.shape or predictions.ndim != 1:
         raise ValueError("predictions and targets must be aligned 1-d arrays")
     if predictions.size == 0:
-        return MetricValue(float("nan"), "no_pairs")
+        return MetricValue(float("nan"), 0, "no_pairs")
     rmse = float(np.sqrt(np.mean((predictions - targets) ** 2)))
     span = float(targets.max() - targets.min())
     if span == 0.0:
-        return MetricValue(float("nan"), "degenerate_range")
-    return MetricValue(rmse / span)
+        return MetricValue(float("nan"), predictions.size, "degenerate_range")
+    return MetricValue(rmse / span, predictions.size)
 
 
 def pcc(x, y) -> MetricValue:
@@ -66,15 +68,15 @@ def pcc(x, y) -> MetricValue:
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be aligned 1-d arrays")
     if x.size < 2:
-        return MetricValue(float("nan"), "insufficient_samples")
+        return MetricValue(float("nan"), x.size, "insufficient_samples")
     xc = x - x.mean()
     yc = y - y.mean()
     sx = float(np.sqrt((xc * xc).sum()))
     sy = float(np.sqrt((yc * yc).sum()))
     if sx == 0.0 or sy == 0.0:
-        return MetricValue(float("nan"), "zero_variance")
+        return MetricValue(float("nan"), x.size, "zero_variance")
     value = float((xc * yc).sum() / (sx * sy))
-    return MetricValue(min(1.0, max(-1.0, value)))
+    return MetricValue(min(1.0, max(-1.0, value)), x.size)
 
 
 def max_degree_ratio(wg_degrees) -> MetricValue:
@@ -83,5 +85,5 @@ def max_degree_ratio(wg_degrees) -> MetricValue:
     deg = np.asarray(wg_degrees, dtype=np.float64)
     pos = deg[deg > 0]
     if pos.size == 0:
-        return MetricValue(float("nan"), "no_positive_degree")
-    return MetricValue(float(np.sqrt(pos.max() / pos.min())))
+        return MetricValue(float("nan"), 0, "no_positive_degree")
+    return MetricValue(float(np.sqrt(pos.max() / pos.min())), int(pos.size))

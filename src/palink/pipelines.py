@@ -69,6 +69,8 @@ class RunConfig:
 
     def __post_init__(self):
         for key, value in _read_fields(RunConfig, vars(self)).items():
+            if key in ("seeds", "lambda_fair") and not isinstance(value, tuple):
+                value = (value,)
             object.__setattr__(self, key, value)
         if self.filter not in FILTER_ALIASES:
             raise ValueError(f"unknown filter: {self.filter!r}")
@@ -77,10 +79,6 @@ class RunConfig:
         if not name.isprintable() or {os.sep, os.altsep} & set(name):
             raise ValueError("config key 'dataset.name' must be printable, "
                              f"with no path separator, got {name!r}")
-        for key in ("seeds", "lambda_fair"):
-            value = getattr(self, key)
-            if not isinstance(value, tuple):
-                object.__setattr__(self, key, (value,))
         os.fsencode(self.run_dir(""))
         for seed in self.seeds:
             for lam in self.lambda_fair:
@@ -117,8 +115,10 @@ def _check(key: str, value, hint):
     or an object of its fields, read by ``_read_fields``); otherwise a
     ValueError that names ``key``."""
     if is_dataclass(hint):
-        fields = vars(value) if isinstance(value, hint) else value
-        return hint(**_read_fields(hint, fields, prefix=f"{key}."))
+        value = vars(value) if isinstance(value, hint) else value
+        if not isinstance(value, dict):
+            raise ValueError(f"config key {key!r} must be an object")
+        return hint(**_read_fields(hint, value, prefix=f"{key}."))
     args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:
         if not isinstance(value, (list, tuple)) or not value:
@@ -136,27 +136,33 @@ def _check(key: str, value, hint):
     return hint(value)
 
 
-def _read_fields(cls, raw: dict, what="config", prefix="") -> dict:
-    """``raw``'s values checked against the annotations of the dataclass
-    ``cls``, each key named with ``prefix``; a key that is not one of its
-    fields is a ValueError."""
+def _field_types(cls, raw: dict, what="config", prefix="") -> dict:
+    """``cls``'s annotations; a key of ``raw`` not among them is a ValueError."""
     hints = typing.get_type_hints(cls)
     unknown = sorted(prefix + key for key in set(raw) - set(hints))
     if unknown:
         raise ValueError(f"unknown {what} keys: {unknown}")
+    return hints
+
+
+def _read_fields(cls, raw: dict, what="config", prefix="") -> dict:
+    """``raw``'s values checked against the annotations of the dataclass
+    ``cls`` (``_field_types``), each key named with ``prefix``."""
+    hints = _field_types(cls, raw, what, prefix)
     return {key: _check(prefix + key, value, hints[key])
             for key, value in raw.items()}
 
 
 def config_from_dict(raw: dict) -> RunConfig:
     """The RunConfig of its JSON layout, where ``dataset.name`` is
-    optional; ``_read_fields`` reads each value as its field's type."""
+    optional; ``RunConfig`` reads each value as its field's type."""
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
     ds = raw.get("dataset")
     if not isinstance(ds, dict) or not {"edges", "features", "labels"} <= set(ds):
         raise ValueError("config needs dataset.{name,edges,features,labels}")
-    return RunConfig(**_read_fields(RunConfig, raw))
+    _field_types(RunConfig, raw)
+    return RunConfig(**raw)
 
 
 def _jsonable(obj):

@@ -2,6 +2,9 @@
 degree-ratio diagnostic."""
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -50,7 +53,7 @@ class TestRocAuc:
         for labels in ([1, 1], [0, 0]):
             got = roc_auc([0.1, 0.2], labels)
             assert np.isnan(got.value)
-            assert got.reason == "one_class"
+            assert got.n == 2 and got.reason == "one_class"
 
     def test_labels_outside_zero_one_rejected(self):
         with pytest.raises(ValueError):
@@ -102,7 +105,7 @@ class TestNrmse:
     def test_empty_flagged(self):
         got = nrmse([], [])
         assert np.isnan(got.value)
-        assert got.reason == "no_pairs"
+        assert got.n == 0 and got.reason == "no_pairs"
 
 
 class TestPcc:
@@ -129,7 +132,7 @@ class TestPcc:
         for x in ([], [1.0]):
             got = pcc(x, x)
             assert np.isnan(got.value)
-            assert got.reason == "insufficient_samples"
+            assert got.n == len(x) and got.reason == "insufficient_samples"
 
     def test_shift_scale_invariance(self):
         rng = np.random.default_rng(16)
@@ -148,8 +151,24 @@ class TestMaxDegreeRatio:
     def test_zero_degrees_excluded_and_flagged(self):
         got = max_degree_ratio([0.0, 1.0, 4.0])
         assert got.value == 2.0
+        assert got.n == 2
 
     def test_all_zero_flagged(self):
         got = max_degree_ratio([0.0, 0.0])
         assert np.isnan(got.value)
+        assert got.n == 0
         assert got.reason == "no_positive_degree"
+
+
+def test_benchmark_counts_roc_auc_samples():
+    """perfbench's span wrapper counts each ``roc_auc`` call's ``n``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    recorder = spans.Recorder()
+    wrapped = recorder.wrap("metrics.roc_auc", roc_auc)
+    assert wrapped([0.1, 0.4, 0.3], [0, 1, 1]) == roc_auc([0.1, 0.4, 0.3],
+                                                            [0, 1, 1])
+    wrapped([0.1, 0.2], [1, 1])
+    assert recorder.counts == {"metrics.roc_auc.samples": 5}

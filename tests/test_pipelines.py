@@ -227,6 +227,9 @@ class TestConfigParsing:
             dataclasses.replace(cfg, epochs=2.5)
         assert dataclasses.replace(cfg, hidden_dims=[4]).hidden_dims == (4,)
         assert isinstance(dataclasses.replace(cfg, lr=1).lr, float)
+        for dataset in ("abc", 5):
+            with pytest.raises(ValueError, match="'dataset' must be an object"):
+                pipelines.RunConfig(dataset=dataset)
 
     def test_run_dir_embeds_name_filter_hash(self):
         raw = self.raw()
